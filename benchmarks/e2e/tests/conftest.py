@@ -1,0 +1,9 @@
+"""Make ``benchmarks.e2e`` and ``repro`` importable whatever pytest's cwd is."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[3]
+for entry in (ROOT / "src", ROOT):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
