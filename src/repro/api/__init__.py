@@ -8,6 +8,9 @@ predicted, whatever the deployment shape:
   plus the additive ``v2`` request schema (precomputed edges for
   trusted trajectory clients), the ``/v1/relax`` request/response pair,
   and the ``/v1/md`` request + streamed frame/summary line schemas.
+  Each field is declared once; :mod:`repro.api.codec` (the table
+  walker), :mod:`repro.api.kinds` (leaf value rules) and
+  :mod:`repro.api.errors` (the taxonomy) are what it is built from.
 - :mod:`repro.api.server` — :class:`ApiGateway` (transport-free request
   execution over a model registry) and :class:`ApiServer` (a stdlib
   threaded HTTP front end with JSON errors and graceful shutdown).

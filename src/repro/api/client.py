@@ -8,7 +8,7 @@ in-process ``PredictionService`` returns — over either transport:
 
 - :class:`LocalTransport` executes against an in-process
   :class:`~repro.api.server.ApiGateway` (no sockets, no serialization);
-- :class:`HttpTransport` speaks the v1 JSON wire format over urllib to
+- :class:`HttpTransport` speaks the v1 JSON wire format over ``http.client`` to
   an :class:`~repro.api.server.ApiServer`, rebuilding typed
   :class:`~repro.api.schemas.ApiError`\\ s from error bodies so callers
   catch the same exceptions in both modes.
@@ -28,19 +28,18 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import time
 import urllib.parse
+from contextlib import contextmanager
 from http.client import HTTPConnection, HTTPException
 
 import numpy as np
 
 from repro.api.schemas import (
-    CLIENT_HEADER,
-    DEADLINE_HEADER,
     DEFAULT_CUTOFF,
-    PRIORITY_HEADER,
     DeadlineExceededError,
     ErrorPayload,
     MDFramePayload,
@@ -63,6 +62,16 @@ from repro.serving.md import MDFrame, MDResult, MDSettings
 from repro.serving.registry import ModelRegistry
 from repro.serving.relax import RelaxResult, RelaxSettings
 from repro.serving.service import PredictionResult, ServiceConfig
+from repro.wire import CLIENT_HEADER, DEADLINE_HEADER, PRIORITY_HEADER
+
+
+def _moved_to(structure: StructurePayload, positions: np.ndarray) -> StructurePayload:
+    """The same atoms at new positions: a resume point for a chunked run.
+
+    Any edges the old payload carried are stale for the new geometry,
+    so they are dropped and the server's skin list rebuilds from scratch.
+    """
+    return dataclasses.replace(structure, positions=positions, edge_index=None, edge_shift=None)
 
 
 class LocalTransport:
@@ -153,7 +162,7 @@ class HttpTransport:
       jittered exponential backoff.  The server knows when the bucket
       refills or the queue drains; the client does not.
     - **Deadline propagation.** A ``deadline_ms`` in the request body is
-      also stamped onto the :data:`~repro.api.schemas.DEADLINE_HEADER`
+      also stamped onto the :data:`~repro.wire.DEADLINE_HEADER`
       with the *remaining* budget, recomputed per attempt — a retry
       after 80 ms of a 200 ms budget advertises ~120 ms.  When the
       budget runs out between attempts, the client raises
@@ -189,84 +198,86 @@ class HttpTransport:
     # ------------------------------------------------------------------
     # one attempt
     # ------------------------------------------------------------------
-    def _attempt(
+    @contextmanager
+    def _transport_errors(self, what: str):
+        """Socket-level failures while talking to the server, typed."""
+        try:
+            yield
+        except TimeoutError as err:  # socket.timeout is an alias since 3.10
+            raise TransportError(
+                f"timed out talking to {self.base_url} ({what}): {err or 'timeout'}"
+            ) from err
+        except (OSError, HTTPException) as err:
+            raise TransportError(f"cannot reach {self.base_url}: {err!r}") from err
+
+    def _send(
         self, method: str, path: str, data: bytes | None, headers: dict, deadline: float | None
-    ) -> dict:
+    ):
+        """One attempt's send step; returns ``(connection, response)`` on a 200.
+
+        Connects, stamps the *remaining* deadline on the request, and
+        leaves a 200's body unread for the caller (one JSON document, or
+        an NDJSON stream).  Any other status is read here and re-raised
+        as the *typed* error the server sent, so HTTP and local callers
+        catch identical exception classes.
+        """
+        what = f"{method} {path}"
         if deadline is not None:
             remaining_ms = (deadline - time.monotonic()) * 1000.0
-            if remaining_ms <= 0:
-                raise DeadlineExceededError(
-                    f"deadline expired client-side before sending {method} {path}"
-                )
+            # The header carries 0.1 ms resolution: a budget that would
+            # print as 0.0 is spent, and the server would call it malformed.
+            if remaining_ms < 0.05:
+                raise DeadlineExceededError(f"deadline expired client-side before sending {what}")
             headers = dict(headers, **{DEADLINE_HEADER: f"{remaining_ms:.1f}"})
         connection = HTTPConnection(self._host, self._port, timeout=self.connect_timeout_s)
         try:
-            try:
+            with self._transport_errors(what):
                 connection.connect()
                 # Connect succeeded under its own (short) bound; reads
                 # get the separate, longer budget.
                 connection.sock.settimeout(self.read_timeout_s)
                 connection.request(method, self._path_prefix + path, body=data, headers=headers)
                 response = connection.getresponse()
-                status = response.status
+                if response.status == 200:
+                    return connection, response
                 body = response.read()
-                retry_after_raw = response.getheader("Retry-After")
-            except TimeoutError as err:  # socket.timeout is an alias since 3.10
+            try:
+                error = ErrorPayload.from_json_dict(json.loads(body.decode("utf-8"))).to_error()
+            except Exception:  # noqa: BLE001 - non-conforming error body
                 raise TransportError(
-                    f"timed out talking to {self.base_url} ({method} {path}): {err or 'timeout'}"
-                ) from err
-            except (OSError, HTTPException) as err:
-                raise TransportError(f"cannot reach {self.base_url}: {err!r}") from err
+                    f"HTTP {response.status} from {what}: {body[:200]!r}"
+                ) from None
+            # Backfill ``retry_after_s`` from the header if the body
+            # lacked it: the JSON hint is more precise (fractional
+            # seconds); the header is the fallback for proxies that strip
+            # unknown body fields but relay standard headers.
+            retry_after_raw = response.getheader("Retry-After")
+            if getattr(error, "retry_after_s", None) is None and retry_after_raw is not None:
+                try:
+                    error.retry_after_s = float(retry_after_raw)
+                except ValueError:
+                    pass  # an HTTP-date Retry-After; nothing this client emits
+            raise error
+        except BaseException:
+            connection.close()
+            raise
+
+    def _fetch(self, method: str, path: str, data, headers: dict, deadline) -> dict:
+        """One whole attempt at a JSON endpoint: send, read, parse."""
+        connection, response = self._send(method, path, data, headers, deadline)
+        try:
+            with self._transport_errors(f"{method} {path}"):
+                body = response.read()
         finally:
             connection.close()
         try:
-            payload = json.loads(body.decode("utf-8"))
+            return json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise TransportError(f"non-JSON response from {method} {path}: {err}") from err
-        if status == 200:
-            return payload
-        try:
-            error_payload = ErrorPayload.from_json_dict(payload)
-        except Exception:  # noqa: BLE001 - non-conforming error body
-            raise TransportError(f"HTTP {status} from {method} {path}: {body[:200]!r}") from None
-        # Re-raise the *typed* error the server raised, so HTTP and
-        # local callers catch identical exception classes.
-        raise self._with_retry_hint(error_payload.to_error(), retry_after_raw)
-
-    @staticmethod
-    def _with_retry_hint(error, retry_after_raw: str | None):
-        """Backfill ``retry_after_s`` from the header if the body lacked it.
-
-        The JSON body's hint is more precise (fractional seconds); the
-        header is the fallback for proxies that strip unknown body
-        fields but relay standard headers.
-        """
-        if getattr(error, "retry_after_s", None) is None and retry_after_raw is not None:
-            try:
-                error.retry_after_s = float(retry_after_raw)
-            except ValueError:
-                pass  # an HTTP-date Retry-After; nothing this client emits
-        return error
 
     # ------------------------------------------------------------------
     # retry loop
     # ------------------------------------------------------------------
-    def _identity_headers(self, payload: dict | None) -> dict:
-        """Stamp the body's ``client_id``/``priority`` onto the headers.
-
-        The router sheds by lane and accounts by client *without parsing
-        bodies* — the headers are how that stays cheap.  The server
-        treats headers as the hop-level override, and they mirror the
-        body here, so the two layers always agree.
-        """
-        headers: dict = {}
-        if payload:
-            if payload.get("client_id") is not None:
-                headers[CLIENT_HEADER] = payload["client_id"]
-            if payload.get("priority") is not None:
-                headers[PRIORITY_HEADER] = payload["priority"]
-        return headers
-
     def _retry_delay(self, attempt: int, err) -> float:
         """The server's hint when it gave one, jittered backoff otherwise."""
         hint = getattr(err, "retry_after_s", None)
@@ -277,19 +288,31 @@ class HttpTransport:
         delay = min(self.backoff_max_s, self.backoff_s * (2.0 ** (attempt - 1)))
         return delay * random.uniform(0.5, 1.5)
 
-    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+    def _with_retries(self, attempt_once, method: str, path: str, payload: dict | None, accept):
+        """Run ``attempt_once`` (:meth:`_fetch` or :meth:`_send`) under the retry policy.
+
+        The body's ``client_id``/``priority`` are stamped onto the
+        headers first: the router sheds by lane and accounts by client
+        *without parsing bodies*, the server treats headers as the
+        hop-level override, and they mirror the body here, so the two
+        layers always agree.
+        """
         data = None
-        headers = {"Accept": "application/json"}
+        headers = {"Accept": accept}
+        deadline = None
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-            headers.update(self._identity_headers(payload))
-        deadline_ms = payload.get("deadline_ms") if payload else None
-        deadline = None if deadline_ms is None else time.monotonic() + deadline_ms / 1000.0
+            if payload.get("client_id") is not None:
+                headers[CLIENT_HEADER] = payload["client_id"]
+            if payload.get("priority") is not None:
+                headers[PRIORITY_HEADER] = payload["priority"]
+            if payload.get("deadline_ms") is not None:
+                deadline = time.monotonic() + payload["deadline_ms"] / 1000.0
         attempt = 0
         while True:
             try:
-                return self._attempt(method, path, data, headers, deadline)
+                return attempt_once(method, path, data, headers, deadline)
             except (TransportError, UnavailableError) as err:
                 if attempt >= self.retries:
                     raise
@@ -301,6 +324,9 @@ class HttpTransport:
                         f"deadline expired during retry backoff for {method} {path}"
                     ) from err
                 time.sleep(delay)
+
+    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+        return self._with_retries(self._fetch, method, path, payload, "application/json")
 
     def predict(self, request: PredictRequest) -> PredictResponse:
         return PredictResponse.from_json_dict(
@@ -315,51 +341,6 @@ class HttpTransport:
     # ------------------------------------------------------------------
     # MD streaming
     # ------------------------------------------------------------------
-    def _open_md_stream(self, data: bytes, headers: dict, deadline: float | None):
-        """One connection attempt for ``POST /v1/md``; returns it streaming.
-
-        Returns ``(connection, response)`` with the 200 status already
-        consumed, leaving the NDJSON body to be read line by line.
-        Non-200 responses are fully read here and re-raised as the typed
-        error the server sent, exactly like :meth:`_attempt`.
-        """
-        if deadline is not None:
-            remaining_ms = (deadline - time.monotonic()) * 1000.0
-            if remaining_ms <= 0:
-                raise DeadlineExceededError(
-                    "deadline expired client-side before sending POST /v1/md"
-                )
-            headers = dict(headers, **{DEADLINE_HEADER: f"{remaining_ms:.1f}"})
-        connection = HTTPConnection(self._host, self._port, timeout=self.connect_timeout_s)
-        try:
-            try:
-                connection.connect()
-                connection.sock.settimeout(self.read_timeout_s)
-                connection.request(
-                    "POST", self._path_prefix + "/v1/md", body=data, headers=headers
-                )
-                response = connection.getresponse()
-            except TimeoutError as err:
-                raise TransportError(
-                    f"timed out talking to {self.base_url} (POST /v1/md): {err or 'timeout'}"
-                ) from err
-            except (OSError, HTTPException) as err:
-                raise TransportError(f"cannot reach {self.base_url}: {err!r}") from err
-            if response.status == 200:
-                return connection, response
-            body = response.read()
-            retry_after_raw = response.getheader("Retry-After")
-            try:
-                error_payload = ErrorPayload.from_json_dict(json.loads(body.decode("utf-8")))
-            except Exception:  # noqa: BLE001 - non-conforming error body
-                raise TransportError(
-                    f"HTTP {response.status} from POST /v1/md: {body[:200]!r}"
-                ) from None
-            raise self._with_retry_hint(error_payload.to_error(), retry_after_raw)
-        except BaseException:
-            connection.close()
-            raise
-
     def md(self, request: MDRequest):
         """Stream ``POST /v1/md``: ``("frame", ...)``/``("summary", ...)``.
 
@@ -372,28 +353,9 @@ class HttpTransport:
         the last frame — that is :meth:`Client.md`'s ``chunk_steps``
         job, because only the caller holds the frames.
         """
-        payload = request.to_json_dict()
-        data = json.dumps(payload).encode("utf-8")
-        headers = {"Accept": "application/x-ndjson", "Content-Type": "application/json"}
-        headers.update(self._identity_headers(payload))
-        deadline_ms = payload.get("deadline_ms")
-        deadline = None if deadline_ms is None else time.monotonic() + deadline_ms / 1000.0
-        attempt = 0
-        while True:
-            try:
-                connection, response = self._open_md_stream(data, headers, deadline)
-                break
-            except (TransportError, UnavailableError) as err:
-                if attempt >= self.retries:
-                    raise
-                attempt += 1
-                self.retried += 1
-                delay = self._retry_delay(attempt, err)
-                if deadline is not None and time.monotonic() + delay >= deadline:
-                    raise DeadlineExceededError(
-                        "deadline expired during retry backoff for POST /v1/md"
-                    ) from err
-                time.sleep(delay)
+        connection, response = self._with_retries(
+            self._send, "POST", "/v1/md", request.to_json_dict(), "application/x-ndjson"
+        )
         try:
             terminal = False
             while True:
@@ -441,7 +403,7 @@ class HttpTransport:
         return self._request("GET", "/v1/healthz")
 
     def close(self) -> None:
-        """Nothing to release: urllib connections are per-request."""
+        """Nothing to release: each request opens its own ``http.client`` connection."""
 
 
 class ClientTrajectory:
@@ -599,12 +561,7 @@ class MDRun:
                 self.resumes += 1
                 if last is not None:
                     done = last.step - offset0
-                    structure = StructurePayload(
-                        atomic_numbers=structure.atomic_numbers,
-                        positions=last.positions,
-                        cell=structure.cell,
-                        pbc=structure.pbc,
-                    )
+                    structure = _moved_to(structure, last.positions)
                     velocities = last.velocities
                 continue
             stalled = 0
@@ -613,25 +570,14 @@ class MDRun:
             rebuilds += segment_result.neighbor_rebuilds
             reuses += segment_result.neighbor_reuses
             if done < total:
-                structure = StructurePayload(
-                    atomic_numbers=structure.atomic_numbers,
-                    positions=last.positions,
-                    cell=structure.cell,
-                    pbc=structure.pbc,
-                )
+                structure = _moved_to(structure, last.positions)
                 velocities = last.velocities
-        final = summary.to_result()
-        self.result = MDResult(
+        # The last segment's state, with the counters of the whole run.
+        self.result = dataclasses.replace(
+            summary.to_result(),
             steps=done,
             first_step=offset0,
-            final_step=final.final_step,
             frames=frames,
-            energy=final.energy,
-            kinetic_energy=final.kinetic_energy,
-            temperature_k=final.temperature_k,
-            thermostat=final.thermostat,
-            n_atoms=final.n_atoms,
-            physical_units=final.physical_units,
             neighbor_rebuilds=rebuilds,
             neighbor_reuses=reuses,
         )
@@ -796,26 +742,13 @@ class Client:
             remaining -= segment.steps
             if segment.converged or remaining <= 0:
                 break
-            # Resume the next segment from the accepted positions; the
-            # old payload's edges (if any) are stale for the new
-            # geometry, so the server's skin list rebuilds from scratch.
-            payload = StructurePayload(
-                atomic_numbers=payload.atomic_numbers,
-                positions=segment.positions,
-                cell=payload.cell,
-                pbc=payload.pbc,
-            )
-        return RelaxResult(
-            converged=segment.converged,
-            reason=segment.reason,
+            # Resume the next segment from the accepted positions.
+            payload = _moved_to(payload, segment.positions)
+        # The last segment's state, with the counters of the whole descent.
+        return dataclasses.replace(
+            segment,
             steps=steps,
-            energy=segment.energy,
             energy_initial=first.energy_initial,
-            fmax=segment.fmax,
-            positions=segment.positions,
-            forces=segment.forces,
-            n_atoms=segment.n_atoms,
-            physical_units=segment.physical_units,
             neighbor_rebuilds=rebuilds,
             neighbor_reuses=reuses,
         )

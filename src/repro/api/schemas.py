@@ -20,6 +20,15 @@ misinterpreting each other.  Two design rules:
   in-process.  The golden files under ``tests/api/golden/`` pin this
   encoding.
 
+**A field is declared once.**  Each field of each type is one
+``name: type = row(kind, ...)`` line: its wire key, its
+:class:`~repro.api.kinds.Kind` (JSON type, bounds, encoding) and how it
+may be absent.  The codec in :mod:`repro.api.codec` walks those rows
+for ``to_json_dict``, ``from_json_dict`` and the ``from_result`` /
+``to_result`` bridges to the serving dataclasses.  Rules that relate
+two fields (forces has ``n_atoms`` rows, pbc needs a cell) are explicit
+checks in the type's ``_check``.
+
 In schema ``v1`` a :class:`StructurePayload` does *not* carry edges:
 connectivity is derived (radius cutoff + periodic images), so the wire
 format ships only the physical inputs — positions, atomic numbers, cell,
@@ -37,27 +46,34 @@ responses stay ``v1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from repro.api.codec import (
+    DEFAULT, NULL, OMIT, Many, Row, Wire, from_mirror, row, to_mirror,
+)  # fmt: skip
+from repro.api.errors import (  # noqa: F401 - the taxonomy is re-exported from here
+    ERROR_TYPES, ApiError, DeadlineExceededError, MDDivergedError, NotFound, OverloadedError,
+    RequestTimeout, SchemaError, TransportError, UnavailableError, UnknownModelError,
+)  # fmt: skip
+from repro.api.kinds import (
+    BOOL, CELL, COUNT, FINITE, MATRIX, NON_NEGATIVE, NUMBER, POSITIVE, STR, UNCHECKED, Kind,
+    enum, expect_keys, expect_rows, float_matrix, integer, matrix_to_json, scalar,
+)  # fmt: skip
 from repro.graph.atoms import AtomGraph
 from repro.graph.radius import build_edges
-from repro.serving.md import (
-    MAX_MD_STEP_OFFSET,
-    MAX_MD_STEPS,
-    MD_THERMOSTATS,
-    MDFrame,
-    MDResult,
-    MDSettings,
-)
 from repro.serving.batcher import DEFAULT_LANE, LANES
+from repro.serving.md import (
+    MAX_MD_STEP_OFFSET, MAX_MD_STEPS, MD_THERMOSTATS, MDFrame, MDResult, MDSettings,
+)  # fmt: skip
 from repro.serving.relax import MAX_RELAX_STEPS, RelaxResult, RelaxSettings
 from repro.serving.service import PredictionResult
 from repro.tensor.core import DEFAULT_DTYPE
-
-SCHEMA_VERSION = "v1"
+from repro.wire import (  # noqa: F401 - the header names are re-exported from here
+    CLIENT_HEADER, DEADLINE_HEADER, PRIORITY_HEADER, SCHEMA_VERSION, error_envelope,
+)  # fmt: skip
 
 #: Request versions the server accepts.  ``v2`` = ``v1`` + optional
 #: precomputed edges per structure; responses are always ``v1``.
@@ -72,151 +88,9 @@ DEFAULT_CUTOFF = 5.0
 #: admission decision, not a bulk-import channel.
 MAX_STRUCTURES_PER_REQUEST = 1024
 
-
-# ----------------------------------------------------------------------
-# Typed errors (the wire contract's failure half)
-# ----------------------------------------------------------------------
-class ApiError(Exception):
-    """Base class for every error the API maps onto an HTTP status."""
-
-    code = "internal_error"
-    http_status = 500
-    #: Honest backoff hint (seconds) on retryable rejections; instances
-    #: carrying one shadow this class default.
-    retry_after_s: float | None = None
-
-
-class SchemaError(ApiError):
-    """The payload is malformed: wrong keys, types, shapes, or values."""
-
-    code = "invalid_request"
-    http_status = 400
-
-
-class UnknownModelError(ApiError):
-    """The request named a model the registry does not serve."""
-
-    code = "unknown_model"
-    http_status = 404
-
-
-class NotFound(ApiError):
-    """No such endpoint (route-level 404, distinct from unknown model)."""
-
-    code = "not_found"
-    http_status = 404
-
-
-class OverloadedError(ApiError):
-    """Admission control rejected the request; retry with backoff."""
-
-    code = "overloaded"
-    http_status = 429
-
-
-class RequestTimeout(ApiError):
-    """The request was admitted but not served within the timeout."""
-
-    code = "timeout"
-    http_status = 504
-
-
-class DeadlineExceededError(ApiError):
-    """The request's propagated deadline expired before it was served.
-
-    Distinct from :class:`RequestTimeout` (the server's own wait bound):
-    this is the *client's* budget, carried as ``deadline_ms`` in the
-    body and ``X-Repro-Deadline-Ms`` on the wire, expiring somewhere on
-    the path.  The server drops expired work instead of executing it, so
-    receiving this guarantees no forward was burned on your behalf.
-    """
-
-    code = "deadline_exceeded"
-    http_status = 504
-
-
-class UnavailableError(ApiError):
-    """No backend can take the request right now (draining or down).
-
-    Raised by the replica router when it is draining for shutdown or has
-    no healthy replica; unlike :class:`OverloadedError` (the service is
-    up but full — back off) this means "try another endpoint or wait for
-    the fleet to recover".
-    """
-
-    code = "unavailable"
-    http_status = 503
-
-
-class TransportError(ApiError):
-    """The HTTP transport could not reach or understand the server."""
-
-    code = "transport_error"
-    http_status = 502
-
-
-class MDDivergedError(ApiError):
-    """The MD integration blew up (non-finite positions or velocities).
-
-    A verdict, not a transient: the requested ``timestep_fs`` is too
-    large for the served force field, so retrying or resuming the same
-    run is pointless.  Streaming responses deliver this as a terminal
-    ``error`` line (the 200 status is already on the wire when the blowup
-    happens mid-run).
-    """
-
-    code = "md_diverged"
-    http_status = 500
-
-
-#: code → class, for rebuilding the typed error client-side.
-ERROR_TYPES = {
-    cls.code: cls
-    for cls in (
-        ApiError,
-        SchemaError,
-        UnknownModelError,
-        NotFound,
-        OverloadedError,
-        RequestTimeout,
-        DeadlineExceededError,
-        TransportError,
-        UnavailableError,
-        MDDivergedError,
-    )
-}
-
-#: HTTP header carrying the request's *remaining* deadline budget in
-#: milliseconds (gRPC-timeout style: relative, re-stamped per hop).  The
-#: header wins over the body's ``deadline_ms`` so proxies can decrement
-#: the budget without re-serializing the body.
-DEADLINE_HEADER = "X-Repro-Deadline-Ms"
-
 #: Bound on ``deadline_ms`` — anything longer than an hour is a config
 #: error, not a latency budget.
 MAX_DEADLINE_MS = 3_600_000.0
-
-
-def validate_deadline_ms(value, where: str) -> float | None:
-    """Validate an optional ``deadline_ms`` value (body field or header)."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number of milliseconds")
-    if not (math.isfinite(value) and 0 < value <= MAX_DEADLINE_MS):
-        raise SchemaError(f"{where}: must be in (0, {MAX_DEADLINE_MS:.0f}] ms")
-    return float(value)
-
-
-#: HTTP header carrying the request's ``client_id`` for quota accounting
-#: (additive; the header wins over the body field so front doors can
-#: attribute traffic without parsing bodies).
-CLIENT_HEADER = "X-Repro-Client"
-
-#: HTTP header carrying the request's priority lane.  Like
-#: :data:`CLIENT_HEADER` it mirrors a body field so the router can make
-#: lane-level shedding decisions without parsing request bodies.
-PRIORITY_HEADER = "X-Repro-Priority"
 
 #: Valid ``priority`` values, highest priority first (the batcher's
 #: scheduling lanes; see :mod:`repro.serving.batcher`).
@@ -227,6 +101,23 @@ DEFAULT_PRIORITY = DEFAULT_LANE
 
 #: Bound on ``client_id`` length — it is an accounting key, not a payload.
 MAX_CLIENT_ID_CHARS = 128
+
+#: ``reason`` values a relax response may carry.
+RELAX_REASONS = ("fmax", "step", "max_steps")
+
+
+# ----------------------------------------------------------------------
+# Checks only these schemas have
+# ----------------------------------------------------------------------
+def validate_deadline_ms(value, where: str) -> float | None:
+    """Validate an optional ``deadline_ms`` value (body field or header)."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number of milliseconds")
+    if not (math.isfinite(value) and 0 < value <= MAX_DEADLINE_MS):
+        raise SchemaError(f"{where}: must be in (0, {MAX_DEADLINE_MS:.0f}] ms")
+    return float(value)
 
 
 def validate_client_id(value, where: str) -> str | None:
@@ -240,68 +131,61 @@ def validate_client_id(value, where: str) -> str | None:
     return value
 
 
+_PRIORITY = enum(PRIORITY_LANES)
+
+
 def validate_priority(value, where: str) -> str | None:
     """Validate an optional ``priority`` lane (body field or header)."""
-    if value is None:
-        return None
-    if not isinstance(value, str) or value not in PRIORITY_LANES:
-        raise SchemaError(f"{where}: expected one of {list(PRIORITY_LANES)}")
-    return value
+    return None if value is None else _PRIORITY.decode(value, where)
 
 
-# ----------------------------------------------------------------------
-# Validation helpers
-# ----------------------------------------------------------------------
-def _expect_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    missing = required - obj.keys()
-    if missing:
-        raise SchemaError(f"{where}: missing required key(s) {sorted(missing)}")
-    unknown = obj.keys() - required - optional
-    if unknown:
-        raise SchemaError(f"{where}: unknown key(s) {sorted(unknown)}")
+def _atomic_numbers(value: Any, where: str) -> np.ndarray:
+    # type() rather than isinstance(): one C-speed pass over the list,
+    # and bool (an int subclass) fails it without a second test.
+    if not isinstance(value, list) or not value or set(map(type, value)) != {int}:
+        raise SchemaError(f"{where}: expected a non-empty list of ints")
+    if min(value) < 1 or max(value) > 118:
+        raise SchemaError(f"{where}: element numbers must be in [1, 118]")
+    return np.asarray(value, dtype=np.int64)
 
 
-def _expect_version(
-    obj: dict, where: str, supported: tuple[str, ...] = (SCHEMA_VERSION,)
-) -> str:
-    version = obj.get("schema_version")
-    if version not in supported:
-        expected = supported[0] if len(supported) == 1 else f"one of {list(supported)}"
-        raise SchemaError(
-            f"{where}: unsupported schema_version {version!r} (expected {expected})"
-        )
-    return version
+def _pbc(value: Any, where: str) -> tuple[bool, bool, bool]:
+    if (
+        not isinstance(value, list)
+        or len(value) != 3
+        or any(not isinstance(flag, bool) for flag in value)
+    ):
+        raise SchemaError(f"{where}: expected three booleans")
+    return (value[0], value[1], value[2])
 
 
-def _float_matrix(value: Any, shape: tuple[int | None, int], where: str) -> np.ndarray:
-    """Validate a nested list of finite numbers into a float64 array."""
-    if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
-        raise SchemaError(f"{where}: expected a list of {shape[1]}-element rows")
-    rows = shape[0] if shape[0] is not None else len(value)
-    if len(value) != rows:
-        raise SchemaError(f"{where}: expected {rows} rows, got {len(value)}")
-    for index, row in enumerate(value):
-        if len(row) != shape[1]:
-            raise SchemaError(f"{where}[{index}]: expected {shape[1]} components")
-        for component in row:
-            if isinstance(component, bool) or not isinstance(component, (int, float)):
-                raise SchemaError(f"{where}[{index}]: non-numeric component {component!r}")
-            if not math.isfinite(component):
-                raise SchemaError(f"{where}[{index}]: non-finite component {component!r}")
-    return np.asarray(value, dtype=np.float64).reshape(len(value), shape[1])
+def _strings(value: Any, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or any(not isinstance(item, str) for item in value):
+        raise SchemaError(f"{where}: expected a list of strings")
+    return tuple(value)
 
 
-def _matrix_to_json(array: np.ndarray) -> list[list[float]]:
-    return [[float(component) for component in row] for row in np.asarray(array)]
+_ATOMIC_NUMBERS = Kind(
+    _atomic_numbers,
+    lambda value: np.asarray(value, dtype=np.int64),
+    lambda value: np.asarray(value, dtype=np.int64).tolist(),
+)
+_PBC = Kind(
+    _pbc,
+    lambda value: tuple(bool(flag) for flag in value),
+    # All-false is the absent default: molecules keep their v1 bytes.
+    lambda value: [bool(flag) for flag in value] if any(value) else None,
+)
+_POSITIVE_INT = integer(1)
+_ANY_INT = integer()
+_OBJECT = scalar(dict, "an object")
 
 
 def _edges_from_json(
     obj: Any, n_atoms: int, periodic: bool, where: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a v2 ``edges`` block into (edge_index, edge_shift) arrays."""
-    _expect_keys(obj, {"edge_index", "edge_shift"}, set(), where)
+    expect_keys(obj, {"edge_index", "edge_shift"}, set(), where)
     pairs = obj["edge_index"]
     if (
         not isinstance(pairs, list)
@@ -319,7 +203,7 @@ def _edges_from_json(
                     f"{where}.edge_index: index {value} out of range [0, {n_atoms})"
                 )
     count = len(pairs[0])
-    shift = _float_matrix(obj["edge_shift"], (count, 3), f"{where}.edge_shift")
+    shift = float_matrix(obj["edge_shift"], (count, 3), f"{where}.edge_shift")
     if not periodic and count and bool(np.any(shift != 0.0)):
         raise SchemaError(f"{where}.edge_shift: nonzero shift on a non-periodic structure")
     # Cartesian image shifts live as DEFAULT_DTYPE in graphs; clients send
@@ -334,7 +218,7 @@ def _edges_from_json(
 # Structures
 # ----------------------------------------------------------------------
 @dataclass
-class StructurePayload:
+class StructurePayload(Wire):
     """One atomistic structure as it crosses the wire.
 
     The projection of :class:`AtomGraph` onto physical inputs: atomic
@@ -345,12 +229,17 @@ class StructurePayload:
     edges verbatim and skips neighbor search.
     """
 
-    atomic_numbers: np.ndarray
-    positions: np.ndarray
-    cell: np.ndarray | None = None
-    pbc: tuple[bool, bool, bool] = (False, False, False)
+    atomic_numbers: np.ndarray = row(_ATOMIC_NUMBERS)
+    positions: np.ndarray = row(MATRIX)
+    cell: np.ndarray | None = row(CELL, OMIT)
+    pbc: tuple[bool, bool, bool] = row(_PBC, OMIT, default=(False, False, False))
     edge_index: np.ndarray | None = None
     edge_shift: np.ndarray | None = None
+
+    _where = "structure"
+    # One wire block for the edge_index/edge_shift pair: written from the
+    # ``edges`` property, validated and split by ``_check``.
+    _extra_rows = (Row(UNCHECKED, OMIT, "edges", "edges"),)
 
     @classmethod
     def from_graph(cls, graph: AtomGraph, include_edges: bool = False) -> "StructurePayload":
@@ -366,6 +255,16 @@ class StructurePayload:
     @property
     def has_edges(self) -> bool:
         return self.edge_index is not None
+
+    @property
+    def edges(self) -> dict | None:
+        """The schema-v2 ``edges`` block, when both halves are present."""
+        if self.edge_index is None or self.edge_shift is None:
+            return None
+        return {
+            "edge_index": np.asarray(self.edge_index, dtype=np.int64).tolist(),
+            "edge_shift": matrix_to_json(self.edge_shift),
+        }
 
     def to_graph(
         self, cutoff: float = DEFAULT_CUTOFF, max_neighbors: int | None = None
@@ -388,93 +287,87 @@ class StructurePayload:
             source="api",
         )
 
-    def to_json_dict(self) -> dict:
-        payload: dict[str, Any] = {
-            "atomic_numbers": [int(z) for z in self.atomic_numbers],
-            "positions": _matrix_to_json(self.positions),
-        }
-        if self.cell is not None:
-            payload["cell"] = _matrix_to_json(self.cell)
-        if any(self.pbc):
-            payload["pbc"] = [bool(flag) for flag in self.pbc]
-        if self.edge_index is not None and self.edge_shift is not None:
-            payload["edges"] = {
-                "edge_index": [
-                    [int(index) for index in side] for side in np.asarray(self.edge_index)
-                ],
-                "edge_shift": _matrix_to_json(self.edge_shift),
-            }
-        return payload
-
     @classmethod
     def from_json_dict(
         cls, obj: dict, where: str = "structure", allow_edges: bool = False
     ) -> "StructurePayload":
-        _expect_keys(obj, {"atomic_numbers", "positions"}, {"cell", "pbc", "edges"}, where)
-        if obj.get("edges") is not None and not allow_edges:
-            raise SchemaError(
-                f"{where}.edges: precomputed edges require schema_version 'v2'"
-            )
-        numbers = obj["atomic_numbers"]
-        if (
-            not isinstance(numbers, list)
-            or not numbers
-            or any(isinstance(z, bool) or not isinstance(z, int) for z in numbers)
-        ):
-            raise SchemaError(f"{where}.atomic_numbers: expected a non-empty list of ints")
-        if any(z < 1 or z > 118 for z in numbers):
-            raise SchemaError(f"{where}.atomic_numbers: element numbers must be in [1, 118]")
-        positions = _float_matrix(obj["positions"], (len(numbers), 3), f"{where}.positions")
-        cell = None
-        if "cell" in obj and obj["cell"] is not None:
-            cell = _float_matrix(obj["cell"], (3, 3), f"{where}.cell")
-        pbc: tuple[bool, bool, bool] = (False, False, False)
-        if "pbc" in obj and obj["pbc"] is not None:
-            flags = obj["pbc"]
-            if (
-                not isinstance(flags, list)
-                or len(flags) != 3
-                or any(not isinstance(flag, bool) for flag in flags)
-            ):
-                raise SchemaError(f"{where}.pbc: expected three booleans")
-            pbc = (flags[0], flags[1], flags[2])
-        if any(pbc) and cell is None:
+        return cls._decode(obj, where, "v2" if allow_edges else SCHEMA_VERSION)
+
+    @classmethod
+    def _check(cls, values, where, version):
+        n_atoms = len(values["atomic_numbers"])
+        expect_rows(values["positions"], n_atoms, f"{where}.positions")
+        periodic = any(values.get("pbc", ()))
+        if periodic and values.get("cell") is None:
             raise SchemaError(f"{where}: pbc set but no cell given")
-        edge_index = edge_shift = None
-        if obj.get("edges") is not None:
-            edge_index, edge_shift = _edges_from_json(
-                obj["edges"], len(numbers), any(pbc), f"{where}.edges"
+        edges = values.pop("edges", None)
+        if edges is not None:
+            if version != "v2":
+                raise SchemaError(f"{where}.edges: precomputed edges require schema_version 'v2'")
+            values["edge_index"], values["edge_shift"] = _edges_from_json(
+                edges, n_atoms, periodic, f"{where}.edges"
             )
-        return cls(
-            atomic_numbers=np.asarray(numbers, dtype=np.int64),
-            positions=positions,
-            cell=cell,
-            pbc=pbc,
-            edge_index=edge_index,
-            edge_shift=edge_shift,
-        )
 
 
 # ----------------------------------------------------------------------
-# Predict request / response
+# Requests: one envelope, three bodies
 # ----------------------------------------------------------------------
-@dataclass
-class PredictRequest:
-    """``POST /v1/predict`` body: one or many structures, optional model."""
+@dataclass(kw_only=True)
+class _RequestEnvelope(Wire):
+    """What ``/v1/predict``, ``/v1/relax`` and ``/v1/md`` bodies share.
 
-    structures: list[StructurePayload]
-    model: str | None = None
+    A subclass declares the structure field first and then its knobs:
+    optional overrides of the server's settings, ``None`` when unset.
+    """
+
+    model: str | None = row(STR, OMIT)
     #: Optional latency budget in milliseconds, relative to send time
     #: (additive v1 field).  Work still unserved when it runs out is
     #: dropped with a typed ``deadline_exceeded`` 504 instead of
-    #: executing; see :data:`DEADLINE_HEADER` for the hop-by-hop form.
-    deadline_ms: float | None = None
+    #: executing — a relax or MD run re-checks it before every force
+    #: evaluation; see :data:`DEADLINE_HEADER` for the hop-by-hop form.
+    deadline_ms: float | None = row(Kind(validate_deadline_ms, float), OMIT)
     #: Optional caller identity for per-client quota accounting
     #: (additive v1 field; :data:`CLIENT_HEADER` is the header form).
-    client_id: str | None = None
+    #: One relax or MD run is one admission decision, not one per force
+    #: evaluation.
+    client_id: str | None = row(Kind(validate_client_id), OMIT)
     #: Optional priority lane (additive v1 field; one of
     #: :data:`PRIORITY_LANES`, default ``interactive`` server-side).
-    priority: str | None = None
+    priority: str | None = row(_PRIORITY, OMIT)
+
+    _versions = SUPPORTED_VERSIONS
+
+    @classmethod
+    def _order(cls, rows):
+        # The key order v1 bodies have always had: ``model`` follows the
+        # structure, deadline and identity close the body.
+        (model, *tail), (structure, *knobs) = rows[:4], rows[4:]
+        return (structure, model, *knobs, *tail)
+
+    def _structures(self) -> list[StructurePayload]:
+        return [self.structure]
+
+    def _wire_version(self) -> str:
+        # Emit the lowest version that can carry the payload: v2 only
+        # when some structure ships precomputed edges.
+        return "v2" if any(s.has_edges for s in self._structures()) else SCHEMA_VERSION
+
+    def _overrides(self) -> dict:
+        """The knobs this request sets, to lay over the server's defaults."""
+        knobs = list(type(self).__annotations__)[1:]
+        return {name: value for name in knobs if (value := getattr(self, name)) is not None}
+
+
+@dataclass
+class PredictRequest(_RequestEnvelope):
+    """``POST /v1/predict`` body: one or many structures, optional model."""
+
+    structures: list[StructurePayload] = row(
+        Many(StructurePayload, 1, MAX_STRUCTURES_PER_REQUEST)
+    )
+
+    _where = "request"
 
     @classmethod
     def from_graphs(
@@ -482,199 +375,12 @@ class PredictRequest:
     ) -> "PredictRequest":
         return cls(structures=[StructurePayload.from_graph(g) for g in graphs], model=model)
 
-    def to_json_dict(self) -> dict:
-        # Emit the lowest version that can carry the payload: v2 only
-        # when some structure ships precomputed edges.
-        version = "v2" if any(s.has_edges for s in self.structures) else SCHEMA_VERSION
-        payload: dict[str, Any] = {
-            "schema_version": version,
-            "structures": [structure.to_json_dict() for structure in self.structures],
-        }
-        if self.model is not None:
-            payload["model"] = self.model
-        if self.deadline_ms is not None:
-            payload["deadline_ms"] = float(self.deadline_ms)
-        if self.client_id is not None:
-            payload["client_id"] = self.client_id
-        if self.priority is not None:
-            payload["priority"] = self.priority
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PredictRequest":
-        _expect_keys(
-            obj,
-            {"schema_version", "structures"},
-            {"model", "deadline_ms", "client_id", "priority"},
-            "request",
-        )
-        version = _expect_version(obj, "request", supported=SUPPORTED_VERSIONS)
-        structures = obj["structures"]
-        if not isinstance(structures, list) or not structures:
-            raise SchemaError("request.structures: expected a non-empty list")
-        if len(structures) > MAX_STRUCTURES_PER_REQUEST:
-            raise SchemaError(
-                f"request.structures: at most {MAX_STRUCTURES_PER_REQUEST} structures "
-                f"per request, got {len(structures)}"
-            )
-        model = obj.get("model")
-        if model is not None and not isinstance(model, str):
-            raise SchemaError("request.model: expected a string")
-        return cls(
-            structures=[
-                StructurePayload.from_json_dict(
-                    entry,
-                    where=f"request.structures[{index}]",
-                    allow_edges=(version == "v2"),
-                )
-                for index, entry in enumerate(structures)
-            ],
-            model=model,
-            deadline_ms=validate_deadline_ms(obj.get("deadline_ms"), "request.deadline_ms"),
-            client_id=validate_client_id(obj.get("client_id"), "request.client_id"),
-            priority=validate_priority(obj.get("priority"), "request.priority"),
-        )
+    def _structures(self) -> list[StructurePayload]:
+        return self.structures
 
 
 @dataclass
-class PredictionPayload:
-    """One structure's prediction as it crosses the wire.
-
-    Mirrors :class:`~repro.serving.service.PredictionResult` — energy,
-    forces, and the serving provenance (cache hit? batch size? physical
-    or normalized units?) a client needs to interpret and debug it.
-    """
-
-    key: str
-    energy: float
-    forces: np.ndarray
-    n_atoms: int
-    cached: bool
-    batch_graphs: int
-    physical_units: bool
-    latency_s: float = 0.0
-
-    @classmethod
-    def from_result(cls, result: PredictionResult) -> "PredictionPayload":
-        return cls(
-            key=result.key,
-            energy=float(result.energy),
-            forces=np.asarray(result.forces, dtype=np.float64),
-            n_atoms=result.n_atoms,
-            cached=result.cached,
-            batch_graphs=result.batch_graphs,
-            physical_units=result.physical_units,
-            latency_s=float(result.latency_s),
-        )
-
-    def to_result(self) -> PredictionResult:
-        """Rebuild the in-process result type clients already consume."""
-        return PredictionResult(
-            key=self.key,
-            energy=self.energy,
-            forces=np.asarray(self.forces, dtype=np.float64),
-            n_atoms=self.n_atoms,
-            cached=self.cached,
-            latency_s=self.latency_s,
-            batch_graphs=self.batch_graphs,
-            physical_units=self.physical_units,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "energy": float(self.energy),
-            "forces": _matrix_to_json(self.forces),
-            "n_atoms": int(self.n_atoms),
-            "cached": bool(self.cached),
-            "batch_graphs": int(self.batch_graphs),
-            "physical_units": bool(self.physical_units),
-            "latency_s": float(self.latency_s),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, where: str = "result") -> "PredictionPayload":
-        _expect_keys(
-            obj,
-            {"key", "energy", "forces", "n_atoms", "cached", "batch_graphs", "physical_units"},
-            {"latency_s"},
-            where,
-        )
-        if not isinstance(obj["key"], str):
-            raise SchemaError(f"{where}.key: expected a string")
-        energy = obj["energy"]
-        if isinstance(energy, bool) or not isinstance(energy, (int, float)):
-            raise SchemaError(f"{where}.energy: expected a number")
-        n_atoms = obj["n_atoms"]
-        if isinstance(n_atoms, bool) or not isinstance(n_atoms, int) or n_atoms < 1:
-            raise SchemaError(f"{where}.n_atoms: expected a positive int")
-        forces = _float_matrix(obj["forces"], (n_atoms, 3), f"{where}.forces")
-        for flag in ("cached", "physical_units"):
-            if not isinstance(obj[flag], bool):
-                raise SchemaError(f"{where}.{flag}: expected a boolean")
-        if isinstance(obj["batch_graphs"], bool) or not isinstance(obj["batch_graphs"], int):
-            raise SchemaError(f"{where}.batch_graphs: expected an int")
-        return cls(
-            key=obj["key"],
-            energy=float(energy),
-            forces=forces,
-            n_atoms=n_atoms,
-            cached=obj["cached"],
-            batch_graphs=obj["batch_graphs"],
-            physical_units=obj["physical_units"],
-            latency_s=float(obj.get("latency_s", 0.0)),
-        )
-
-
-@dataclass
-class PredictResponse:
-    """``POST /v1/predict`` success body: results in request order."""
-
-    model: str
-    results: list[PredictionPayload]
-
-    @classmethod
-    def from_results(
-        cls, model: str, results: list[PredictionResult]
-    ) -> "PredictResponse":
-        return cls(model=model, results=[PredictionPayload.from_result(r) for r in results])
-
-    def to_results(self) -> list[PredictionResult]:
-        return [payload.to_result() for payload in self.results]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "results": [payload.to_json_dict() for payload in self.results],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PredictResponse":
-        _expect_keys(obj, {"schema_version", "model", "results"}, set(), "response")
-        _expect_version(obj, "response")
-        if not isinstance(obj["model"], str):
-            raise SchemaError("response.model: expected a string")
-        if not isinstance(obj["results"], list):
-            raise SchemaError("response.results: expected a list")
-        return cls(
-            model=obj["model"],
-            results=[
-                PredictionPayload.from_json_dict(entry, where=f"response.results[{index}]")
-                for index, entry in enumerate(obj["results"])
-            ],
-        )
-
-
-# ----------------------------------------------------------------------
-# Relax request / response
-# ----------------------------------------------------------------------
-#: ``reason`` values a relax response may carry.
-RELAX_REASONS = ("fmax", "step", "max_steps")
-
-
-@dataclass
-class RelaxRequest:
+class RelaxRequest(_RequestEnvelope):
     """``POST /v1/relax`` body: one structure plus optional relax knobs.
 
     Unset knobs take the server's :class:`~repro.serving.relax.RelaxSettings`
@@ -682,257 +388,21 @@ class RelaxRequest:
     request connectivity the model was not trained on).
     """
 
-    structure: StructurePayload
-    model: str | None = None
-    max_steps: int | None = None
-    fmax: float | None = None
-    max_step: float | None = None
-    skin: float | None = None
-    #: Optional latency budget in ms (see :class:`PredictRequest`);
-    #: a descent re-checks it before every force evaluation.
-    deadline_ms: float | None = None
-    #: Optional identity / lane (see :class:`PredictRequest`); one relax
-    #: is one admission decision, not one per force evaluation.
-    client_id: str | None = None
-    priority: str | None = None
+    structure: StructurePayload = row(StructurePayload)
+    max_steps: int | None = row(integer(1, MAX_RELAX_STEPS), OMIT)
+    fmax: float | None = row(POSITIVE, OMIT)
+    max_step: float | None = row(POSITIVE, OMIT)
+    skin: float | None = row(POSITIVE, OMIT)
+
+    _where = "relax request"
 
     def to_settings(self, cutoff: float, max_neighbors: int | None = None) -> RelaxSettings:
         """Server-side settings: request overrides on top of defaults."""
-        overrides = {
-            name: value
-            for name in ("max_steps", "fmax", "max_step", "skin")
-            if (value := getattr(self, name)) is not None
-        }
-        return RelaxSettings(cutoff=cutoff, max_neighbors=max_neighbors, **overrides)
-
-    def to_json_dict(self) -> dict:
-        version = "v2" if self.structure.has_edges else SCHEMA_VERSION
-        payload: dict[str, Any] = {
-            "schema_version": version,
-            "structure": self.structure.to_json_dict(),
-        }
-        if self.model is not None:
-            payload["model"] = self.model
-        for name in ("max_steps", "fmax", "max_step", "skin", "deadline_ms", "client_id", "priority"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = value
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RelaxRequest":
-        _expect_keys(
-            obj,
-            {"schema_version", "structure"},
-            {"model", "max_steps", "fmax", "max_step", "skin", "deadline_ms", "client_id", "priority"},
-            "relax request",
-        )
-        version = _expect_version(obj, "relax request", supported=SUPPORTED_VERSIONS)
-        model = obj.get("model")
-        if model is not None and not isinstance(model, str):
-            raise SchemaError("relax request.model: expected a string")
-        max_steps = obj.get("max_steps")
-        if max_steps is not None:
-            if isinstance(max_steps, bool) or not isinstance(max_steps, int):
-                raise SchemaError("relax request.max_steps: expected an int")
-            if not 1 <= max_steps <= MAX_RELAX_STEPS:
-                raise SchemaError(
-                    f"relax request.max_steps: must be in [1, {MAX_RELAX_STEPS}]"
-                )
-        for name in ("fmax", "max_step", "skin"):
-            value = obj.get(name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"relax request.{name}: expected a number")
-            if not (math.isfinite(value) and value > 0):
-                raise SchemaError(f"relax request.{name}: must be positive and finite")
-        return cls(
-            structure=StructurePayload.from_json_dict(
-                obj["structure"],
-                where="relax request.structure",
-                allow_edges=(version == "v2"),
-            ),
-            model=model,
-            max_steps=max_steps,
-            fmax=None if obj.get("fmax") is None else float(obj["fmax"]),
-            max_step=None if obj.get("max_step") is None else float(obj["max_step"]),
-            skin=None if obj.get("skin") is None else float(obj["skin"]),
-            deadline_ms=validate_deadline_ms(
-                obj.get("deadline_ms"), "relax request.deadline_ms"
-            ),
-            client_id=validate_client_id(obj.get("client_id"), "relax request.client_id"),
-            priority=validate_priority(obj.get("priority"), "relax request.priority"),
-        )
+        return RelaxSettings(cutoff=cutoff, max_neighbors=max_neighbors, **self._overrides())
 
 
 @dataclass
-class RelaxationPayload:
-    """One relaxation outcome as it crosses the wire.
-
-    Mirrors :class:`~repro.serving.relax.RelaxResult` field for field,
-    including the skin-list counters — a client can tell how much of the
-    descent rode the incremental neighbor-list path.
-    """
-
-    converged: bool
-    reason: str
-    steps: int
-    energy: float
-    energy_initial: float
-    fmax: float
-    positions: np.ndarray
-    forces: np.ndarray
-    n_atoms: int
-    physical_units: bool
-    neighbor_rebuilds: int
-    neighbor_reuses: int
-
-    @classmethod
-    def from_result(cls, result: RelaxResult) -> "RelaxationPayload":
-        return cls(
-            converged=result.converged,
-            reason=result.reason,
-            steps=result.steps,
-            energy=float(result.energy),
-            energy_initial=float(result.energy_initial),
-            fmax=float(result.fmax),
-            positions=np.asarray(result.positions, dtype=np.float64),
-            forces=np.asarray(result.forces, dtype=np.float64),
-            n_atoms=result.n_atoms,
-            physical_units=result.physical_units,
-            neighbor_rebuilds=result.neighbor_rebuilds,
-            neighbor_reuses=result.neighbor_reuses,
-        )
-
-    def to_result(self) -> RelaxResult:
-        """Rebuild the in-process result type clients already consume."""
-        return RelaxResult(
-            converged=self.converged,
-            reason=self.reason,
-            steps=self.steps,
-            energy=self.energy,
-            energy_initial=self.energy_initial,
-            fmax=self.fmax,
-            positions=np.asarray(self.positions, dtype=np.float64),
-            forces=np.asarray(self.forces, dtype=np.float64),
-            n_atoms=self.n_atoms,
-            physical_units=self.physical_units,
-            neighbor_rebuilds=self.neighbor_rebuilds,
-            neighbor_reuses=self.neighbor_reuses,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "converged": bool(self.converged),
-            "reason": self.reason,
-            "steps": int(self.steps),
-            "energy": float(self.energy),
-            "energy_initial": float(self.energy_initial),
-            "fmax": float(self.fmax),
-            "positions": _matrix_to_json(self.positions),
-            "forces": _matrix_to_json(self.forces),
-            "n_atoms": int(self.n_atoms),
-            "physical_units": bool(self.physical_units),
-            "neighbor_rebuilds": int(self.neighbor_rebuilds),
-            "neighbor_reuses": int(self.neighbor_reuses),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, where: str = "relaxation") -> "RelaxationPayload":
-        _expect_keys(
-            obj,
-            {
-                "converged",
-                "reason",
-                "steps",
-                "energy",
-                "energy_initial",
-                "fmax",
-                "positions",
-                "forces",
-                "n_atoms",
-                "physical_units",
-                "neighbor_rebuilds",
-                "neighbor_reuses",
-            },
-            set(),
-            where,
-        )
-        for flag in ("converged", "physical_units"):
-            if not isinstance(obj[flag], bool):
-                raise SchemaError(f"{where}.{flag}: expected a boolean")
-        if obj["reason"] not in RELAX_REASONS:
-            raise SchemaError(f"{where}.reason: expected one of {list(RELAX_REASONS)}")
-        for name in ("steps", "n_atoms", "neighbor_rebuilds", "neighbor_reuses"):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise SchemaError(f"{where}.{name}: expected a non-negative int")
-        if obj["n_atoms"] < 1:
-            raise SchemaError(f"{where}.n_atoms: expected a positive int")
-        for name in ("energy", "energy_initial", "fmax"):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{where}.{name}: expected a number")
-            if not math.isfinite(value):
-                raise SchemaError(f"{where}.{name}: non-finite value {value!r}")
-        n_atoms = obj["n_atoms"]
-        return cls(
-            converged=obj["converged"],
-            reason=obj["reason"],
-            steps=obj["steps"],
-            energy=float(obj["energy"]),
-            energy_initial=float(obj["energy_initial"]),
-            fmax=float(obj["fmax"]),
-            positions=_float_matrix(obj["positions"], (n_atoms, 3), f"{where}.positions"),
-            forces=_float_matrix(obj["forces"], (n_atoms, 3), f"{where}.forces"),
-            n_atoms=n_atoms,
-            physical_units=obj["physical_units"],
-            neighbor_rebuilds=obj["neighbor_rebuilds"],
-            neighbor_reuses=obj["neighbor_reuses"],
-        )
-
-
-@dataclass
-class RelaxResponse:
-    """``POST /v1/relax`` success body."""
-
-    model: str
-    result: RelaxationPayload
-
-    @classmethod
-    def from_result(cls, model: str, result: RelaxResult) -> "RelaxResponse":
-        return cls(model=model, result=RelaxationPayload.from_result(result))
-
-    def to_result(self) -> RelaxResult:
-        return self.result.to_result()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "result": self.result.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RelaxResponse":
-        _expect_keys(obj, {"schema_version", "model", "result"}, set(), "relax response")
-        _expect_version(obj, "relax response")
-        if not isinstance(obj["model"], str):
-            raise SchemaError("relax response.model: expected a string")
-        return cls(
-            model=obj["model"],
-            result=RelaxationPayload.from_json_dict(
-                obj["result"], where="relax response.result"
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
-# MD request / streamed frames / terminal summary
-# ----------------------------------------------------------------------
-@dataclass
-class MDRequest:
+class MDRequest(_RequestEnvelope):
     """``POST /v1/md`` body: one structure plus optional integrator knobs.
 
     Unset knobs take the server's :class:`~repro.serving.md.MDSettings`
@@ -947,145 +417,146 @@ class MDRequest:
     chunk client-side (``Client.md(chunk_steps=...)``).
     """
 
-    structure: StructurePayload
-    model: str | None = None
-    n_steps: int | None = None
-    timestep_fs: float | None = None
-    thermostat: str | None = None
-    temperature_k: float | None = None
-    friction: float | None = None
-    tau_fs: float | None = None
-    seed: int | None = None
-    frame_interval: int | None = None
-    step_offset: int | None = None
-    velocities: np.ndarray | None = None
-    skin: float | None = None
-    deadline_ms: float | None = None
-    #: Optional identity / lane (see :class:`PredictRequest`); one MD run
-    #: is one admission decision, not one per force evaluation.
-    client_id: str | None = None
-    priority: str | None = None
+    structure: StructurePayload = row(StructurePayload)
+    n_steps: int | None = row(integer(1, MAX_MD_STEPS), OMIT)
+    timestep_fs: float | None = row(POSITIVE, OMIT)
+    thermostat: str | None = row(enum(MD_THERMOSTATS), OMIT)
+    temperature_k: float | None = row(NON_NEGATIVE, OMIT)
+    friction: float | None = row(POSITIVE, OMIT)
+    tau_fs: float | None = row(POSITIVE, OMIT)
+    seed: int | None = row(integer(0, 2**63 - 1), OMIT)
+    frame_interval: int | None = row(integer(1, MAX_MD_STEPS), OMIT)
+    step_offset: int | None = row(integer(0, MAX_MD_STEP_OFFSET), OMIT)
+    skin: float | None = row(POSITIVE, OMIT)
+    velocities: np.ndarray | None = row(MATRIX, OMIT)
 
-    _KNOBS = (
-        "n_steps",
-        "timestep_fs",
-        "thermostat",
-        "temperature_k",
-        "friction",
-        "tau_fs",
-        "seed",
-        "frame_interval",
-        "step_offset",
-        "skin",
-    )
+    _where = "md request"
+
+    @classmethod
+    def _order(cls, rows):
+        # The resume velocities were added after the envelope, and v1
+        # bodies keep them there.
+        *head, velocities, deadline_ms, client_id, priority = super()._order(rows)
+        return (*head, deadline_ms, client_id, priority, velocities)
 
     def to_settings(self, cutoff: float, max_neighbors: int | None = None) -> MDSettings:
         """Server-side settings: request overrides on top of defaults."""
-        overrides = {
-            name: value
-            for name in self._KNOBS
-            if (value := getattr(self, name)) is not None
-        }
-        return MDSettings(
-            cutoff=cutoff,
-            max_neighbors=max_neighbors,
-            velocities=self.velocities,
-            **overrides,
-        )
-
-    def to_json_dict(self) -> dict:
-        version = "v2" if self.structure.has_edges else SCHEMA_VERSION
-        payload: dict[str, Any] = {
-            "schema_version": version,
-            "structure": self.structure.to_json_dict(),
-        }
-        if self.model is not None:
-            payload["model"] = self.model
-        for name in self._KNOBS + ("deadline_ms", "client_id", "priority"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = value
-        if self.velocities is not None:
-            payload["velocities"] = _matrix_to_json(self.velocities)
-        return payload
+        return MDSettings(cutoff=cutoff, max_neighbors=max_neighbors, **self._overrides())
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "MDRequest":
-        _expect_keys(
-            obj,
-            {"schema_version", "structure"},
-            set(cls._KNOBS) | {"model", "velocities", "deadline_ms", "client_id", "priority"},
-            "md request",
-        )
-        version = _expect_version(obj, "md request", supported=SUPPORTED_VERSIONS)
-        model = obj.get("model")
-        if model is not None and not isinstance(model, str):
-            raise SchemaError("md request.model: expected a string")
-        bounds = {
-            "n_steps": (1, MAX_MD_STEPS),
-            "seed": (0, 2**63 - 1),
-            "frame_interval": (1, MAX_MD_STEPS),
-            "step_offset": (0, MAX_MD_STEP_OFFSET),
-        }
-        for name, (low, high) in bounds.items():
-            value = obj.get(name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SchemaError(f"md request.{name}: expected an int")
-            if not low <= value <= high:
-                raise SchemaError(f"md request.{name}: must be in [{low}, {high}]")
-        for name in ("timestep_fs", "friction", "tau_fs", "skin"):
-            value = obj.get(name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"md request.{name}: expected a number")
-            if not (math.isfinite(value) and value > 0):
-                raise SchemaError(f"md request.{name}: must be positive and finite")
-        thermostat = obj.get("thermostat")
-        if thermostat is not None and thermostat not in MD_THERMOSTATS:
-            raise SchemaError(
-                f"md request.thermostat: expected one of {list(MD_THERMOSTATS)}"
-            )
-        temperature_k = obj.get("temperature_k")
-        if temperature_k is not None:
-            if isinstance(temperature_k, bool) or not isinstance(temperature_k, (int, float)):
-                raise SchemaError("md request.temperature_k: expected a number")
-            if not (math.isfinite(temperature_k) and temperature_k >= 0):
-                raise SchemaError("md request.temperature_k: must be finite and >= 0")
-        structure = StructurePayload.from_json_dict(
-            obj["structure"], where="md request.structure", allow_edges=(version == "v2")
-        )
-        velocities = None
-        if obj.get("velocities") is not None:
-            velocities = _float_matrix(
-                obj["velocities"],
-                (len(structure.atomic_numbers), 3),
-                "md request.velocities",
-            )
-        return cls(
-            structure=structure,
-            model=model,
-            n_steps=obj.get("n_steps"),
-            timestep_fs=None if obj.get("timestep_fs") is None else float(obj["timestep_fs"]),
-            thermostat=thermostat,
-            temperature_k=None if temperature_k is None else float(temperature_k),
-            friction=None if obj.get("friction") is None else float(obj["friction"]),
-            tau_fs=None if obj.get("tau_fs") is None else float(obj["tau_fs"]),
-            seed=obj.get("seed"),
-            frame_interval=obj.get("frame_interval"),
-            step_offset=obj.get("step_offset"),
-            velocities=velocities,
-            skin=None if obj.get("skin") is None else float(obj["skin"]),
-            deadline_ms=validate_deadline_ms(obj.get("deadline_ms"), "md request.deadline_ms"),
-            client_id=validate_client_id(obj.get("client_id"), "md request.client_id"),
-            priority=validate_priority(obj.get("priority"), "md request.priority"),
-        )
+    def _check(cls, values, where, version):
+        if "velocities" in values:
+            n_atoms = len(values["structure"].atomic_numbers)
+            expect_rows(values["velocities"], n_atoms, f"{where}.velocities")
+
+
+# ----------------------------------------------------------------------
+# Predict / relax responses
+# ----------------------------------------------------------------------
+@dataclass
+class PredictionPayload(Wire):
+    """One structure's prediction as it crosses the wire.
+
+    Mirrors :class:`~repro.serving.service.PredictionResult` — energy,
+    forces, and the serving provenance (cache hit? batch size? physical
+    or normalized units?) a client needs to interpret and debug it.
+    """
+
+    key: str = row(STR)
+    energy: float = row(NUMBER)
+    forces: np.ndarray = row(MATRIX)
+    n_atoms: int = row(_POSITIVE_INT)
+    cached: bool = row(BOOL)
+    batch_graphs: int = row(_ANY_INT)
+    physical_units: bool = row(BOOL)
+    latency_s: float = row(NUMBER, DEFAULT, default=0.0)
+
+    _where = "result"
+    _mirrors = PredictionResult
+    from_result = classmethod(from_mirror)
+    to_result = to_mirror
+
+    @classmethod
+    def _check(cls, values, where, version):
+        expect_rows(values["forces"], values["n_atoms"], f"{where}.forces")
 
 
 @dataclass
-class MDFramePayload:
+class PredictResponse(Wire):
+    """``POST /v1/predict`` success body: results in request order."""
+
+    model: str = row(STR)
+    results: list[PredictionPayload] = row(Many(PredictionPayload))
+
+    _where = "response"
+    _versions = (SCHEMA_VERSION,)
+
+    @classmethod
+    def from_results(
+        cls, model: str, results: list[PredictionResult]
+    ) -> "PredictResponse":
+        return cls(model=model, results=[PredictionPayload.from_result(r) for r in results])
+
+    def to_results(self) -> list[PredictionResult]:
+        return [payload.to_result() for payload in self.results]
+
+
+@dataclass
+class RelaxationPayload(Wire):
+    """One relaxation outcome as it crosses the wire.
+
+    Mirrors :class:`~repro.serving.relax.RelaxResult` field for field,
+    including the skin-list counters — a client can tell how much of the
+    descent rode the incremental neighbor-list path.
+    """
+
+    converged: bool = row(BOOL)
+    reason: str = row(enum(RELAX_REASONS))
+    steps: int = row(COUNT)
+    energy: float = row(FINITE)
+    energy_initial: float = row(FINITE)
+    fmax: float = row(FINITE)
+    positions: np.ndarray = row(MATRIX)
+    forces: np.ndarray = row(MATRIX)
+    n_atoms: int = row(_POSITIVE_INT)
+    physical_units: bool = row(BOOL)
+    neighbor_rebuilds: int = row(COUNT)
+    neighbor_reuses: int = row(COUNT)
+
+    _where = "relaxation"
+    _mirrors = RelaxResult
+    from_result = classmethod(from_mirror)
+    to_result = to_mirror
+
+    @classmethod
+    def _check(cls, values, where, version):
+        expect_rows(values["positions"], values["n_atoms"], f"{where}.positions")
+        expect_rows(values["forces"], values["n_atoms"], f"{where}.forces")
+
+
+@dataclass
+class RelaxResponse(Wire):
+    """``POST /v1/relax`` success body."""
+
+    model: str = row(STR)
+    result: RelaxationPayload = row(RelaxationPayload)
+
+    _where = "relax response"
+    _versions = (SCHEMA_VERSION,)
+
+    @classmethod
+    def from_result(cls, model: str, result: RelaxResult) -> "RelaxResponse":
+        return cls(model=model, result=RelaxationPayload.from_result(result))
+
+    def to_result(self) -> RelaxResult:
+        return self.result.to_result()
+
+
+# ----------------------------------------------------------------------
+# MD streamed frames / terminal summary
+# ----------------------------------------------------------------------
+@dataclass
+class MDFramePayload(Wire):
     """One streamed trajectory snapshot (an NDJSON ``frame`` line).
 
     Mirrors :class:`~repro.serving.md.MDFrame`.  Positions are Å;
@@ -1094,84 +565,27 @@ class MDFramePayload:
     frame reproduces the uninterrupted trajectory exactly.
     """
 
-    step: int
-    energy: float
-    kinetic_energy: float
-    temperature_k: float
-    positions: np.ndarray
-    velocities: np.ndarray
+    step: int = row(COUNT)
+    energy: float = row(FINITE)
+    kinetic_energy: float = row(FINITE)
+    temperature_k: float = row(FINITE)
+    positions: np.ndarray = row(MATRIX)
+    velocities: np.ndarray = row(MATRIX)
+
+    _where = "md frame"
+    _versions = (SCHEMA_VERSION,)
+    _wrapper = "frame"
+    _mirrors = MDFrame
+    from_frame = classmethod(from_mirror)
+    to_frame = to_mirror
 
     @classmethod
-    def from_frame(cls, frame: MDFrame) -> "MDFramePayload":
-        return cls(
-            step=int(frame.step),
-            energy=float(frame.energy),
-            kinetic_energy=float(frame.kinetic_energy),
-            temperature_k=float(frame.temperature_k),
-            positions=np.asarray(frame.positions, dtype=np.float64),
-            velocities=np.asarray(frame.velocities, dtype=np.float64),
-        )
-
-    def to_frame(self) -> MDFrame:
-        """Rebuild the in-process frame type clients already consume."""
-        return MDFrame(
-            step=self.step,
-            energy=self.energy,
-            kinetic_energy=self.kinetic_energy,
-            temperature_k=self.temperature_k,
-            positions=np.asarray(self.positions, dtype=np.float64),
-            velocities=np.asarray(self.velocities, dtype=np.float64),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "frame": {
-                "step": int(self.step),
-                "energy": float(self.energy),
-                "kinetic_energy": float(self.kinetic_energy),
-                "temperature_k": float(self.temperature_k),
-                "positions": _matrix_to_json(self.positions),
-                "velocities": _matrix_to_json(self.velocities),
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MDFramePayload":
-        _expect_keys(obj, {"schema_version", "frame"}, set(), "md frame")
-        _expect_version(obj, "md frame")
-        body = obj["frame"]
-        _expect_keys(
-            body,
-            {"step", "energy", "kinetic_energy", "temperature_k", "positions", "velocities"},
-            set(),
-            "md frame.frame",
-        )
-        step = body["step"]
-        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-            raise SchemaError("md frame.frame.step: expected a non-negative int")
-        for name in ("energy", "kinetic_energy", "temperature_k"):
-            value = body[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"md frame.frame.{name}: expected a number")
-            if not math.isfinite(value):
-                raise SchemaError(f"md frame.frame.{name}: non-finite value {value!r}")
-        positions = _float_matrix(body["positions"], (None, 3), "md frame.frame.positions")
-        velocities = _float_matrix(
-            body["velocities"], (len(positions), 3), "md frame.frame.velocities"
-        )
-        return cls(
-            step=step,
-            energy=float(body["energy"]),
-            kinetic_energy=float(body["kinetic_energy"]),
-            temperature_k=float(body["temperature_k"]),
-            positions=positions,
-            velocities=velocities,
-        )
+    def _check(cls, values, where, version):
+        expect_rows(values["velocities"], len(values["positions"]), f"{where}.velocities")
 
 
 @dataclass
-class MDResultPayload:
+class MDResultPayload(Wire):
     """Terminal MD summary as it crosses the wire.
 
     Mirrors :class:`~repro.serving.md.MDResult` field for field,
@@ -1179,131 +593,27 @@ class MDResultPayload:
     payload so clients read one vocabulary.
     """
 
-    steps: int
-    first_step: int
-    final_step: int
-    frames: int
-    energy: float
-    kinetic_energy: float
-    temperature_k: float
-    thermostat: str
-    n_atoms: int
-    physical_units: bool
-    neighbor_rebuilds: int
-    neighbor_reuses: int
+    steps: int = row(COUNT)
+    first_step: int = row(COUNT)
+    final_step: int = row(COUNT)
+    frames: int = row(COUNT)
+    energy: float = row(FINITE)
+    kinetic_energy: float = row(FINITE)
+    temperature_k: float = row(FINITE)
+    thermostat: str = row(enum(MD_THERMOSTATS))
+    n_atoms: int = row(_POSITIVE_INT)
+    physical_units: bool = row(BOOL)
+    neighbor_rebuilds: int = row(COUNT)
+    neighbor_reuses: int = row(COUNT)
 
-    @classmethod
-    def from_result(cls, result: MDResult) -> "MDResultPayload":
-        return cls(
-            steps=int(result.steps),
-            first_step=int(result.first_step),
-            final_step=int(result.final_step),
-            frames=int(result.frames),
-            energy=float(result.energy),
-            kinetic_energy=float(result.kinetic_energy),
-            temperature_k=float(result.temperature_k),
-            thermostat=result.thermostat,
-            n_atoms=int(result.n_atoms),
-            physical_units=bool(result.physical_units),
-            neighbor_rebuilds=int(result.neighbor_rebuilds),
-            neighbor_reuses=int(result.neighbor_reuses),
-        )
-
-    def to_result(self) -> MDResult:
-        return MDResult(
-            steps=self.steps,
-            first_step=self.first_step,
-            final_step=self.final_step,
-            frames=self.frames,
-            energy=self.energy,
-            kinetic_energy=self.kinetic_energy,
-            temperature_k=self.temperature_k,
-            thermostat=self.thermostat,
-            n_atoms=self.n_atoms,
-            physical_units=self.physical_units,
-            neighbor_rebuilds=self.neighbor_rebuilds,
-            neighbor_reuses=self.neighbor_reuses,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "steps": int(self.steps),
-            "first_step": int(self.first_step),
-            "final_step": int(self.final_step),
-            "frames": int(self.frames),
-            "energy": float(self.energy),
-            "kinetic_energy": float(self.kinetic_energy),
-            "temperature_k": float(self.temperature_k),
-            "thermostat": self.thermostat,
-            "n_atoms": int(self.n_atoms),
-            "physical_units": bool(self.physical_units),
-            "neighbor_rebuilds": int(self.neighbor_rebuilds),
-            "neighbor_reuses": int(self.neighbor_reuses),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, where: str = "md summary") -> "MDResultPayload":
-        _expect_keys(
-            obj,
-            {
-                "steps",
-                "first_step",
-                "final_step",
-                "frames",
-                "energy",
-                "kinetic_energy",
-                "temperature_k",
-                "thermostat",
-                "n_atoms",
-                "physical_units",
-                "neighbor_rebuilds",
-                "neighbor_reuses",
-            },
-            set(),
-            where,
-        )
-        for name in (
-            "steps",
-            "first_step",
-            "final_step",
-            "frames",
-            "n_atoms",
-            "neighbor_rebuilds",
-            "neighbor_reuses",
-        ):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise SchemaError(f"{where}.{name}: expected a non-negative int")
-        if obj["n_atoms"] < 1:
-            raise SchemaError(f"{where}.n_atoms: expected a positive int")
-        if obj["thermostat"] not in MD_THERMOSTATS:
-            raise SchemaError(f"{where}.thermostat: expected one of {list(MD_THERMOSTATS)}")
-        if not isinstance(obj["physical_units"], bool):
-            raise SchemaError(f"{where}.physical_units: expected a boolean")
-        for name in ("energy", "kinetic_energy", "temperature_k"):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{where}.{name}: expected a number")
-            if not math.isfinite(value):
-                raise SchemaError(f"{where}.{name}: non-finite value {value!r}")
-        return cls(
-            steps=obj["steps"],
-            first_step=obj["first_step"],
-            final_step=obj["final_step"],
-            frames=obj["frames"],
-            energy=float(obj["energy"]),
-            kinetic_energy=float(obj["kinetic_energy"]),
-            temperature_k=float(obj["temperature_k"]),
-            thermostat=obj["thermostat"],
-            n_atoms=obj["n_atoms"],
-            physical_units=obj["physical_units"],
-            neighbor_rebuilds=obj["neighbor_rebuilds"],
-            neighbor_reuses=obj["neighbor_reuses"],
-        )
+    _where = "md summary"
+    _mirrors = MDResult
+    from_result = classmethod(from_mirror)
+    to_result = to_mirror
 
 
 @dataclass
-class MDResponse:
+class MDResponse(Wire):
     """``POST /v1/md`` terminal summary (the stream's last NDJSON line).
 
     The ``summary`` key is the stream-integrity marker: a well-formed
@@ -1313,8 +623,11 @@ class MDResponse:
     treat it as a transport error (and resume from the last frame).
     """
 
-    model: str
-    result: MDResultPayload
+    model: str = row(STR)
+    result: MDResultPayload = row(MDResultPayload, key="summary")
+
+    _where = "md response"
+    _versions = (SCHEMA_VERSION,)
 
     @classmethod
     def from_result(cls, model: str, result: MDResult) -> "MDResponse":
@@ -1323,40 +636,26 @@ class MDResponse:
     def to_result(self) -> MDResult:
         return self.result.to_result()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "summary": self.result.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MDResponse":
-        _expect_keys(obj, {"schema_version", "model", "summary"}, set(), "md response")
-        _expect_version(obj, "md response")
-        if not isinstance(obj["model"], str):
-            raise SchemaError("md response.model: expected a string")
-        return cls(
-            model=obj["model"],
-            result=MDResultPayload.from_json_dict(obj["summary"], where="md response.summary"),
-        )
-
 
 # ----------------------------------------------------------------------
 # Errors, server info, stats
 # ----------------------------------------------------------------------
 @dataclass
-class ErrorPayload:
+class ErrorPayload(Wire):
     """JSON body every non-2xx response carries."""
 
-    code: str
-    message: str
-    status: int
+    code: str = row(STR)
+    message: str = row(STR)
+    status: int = row(_ANY_INT)
     #: Honest backoff hint in seconds, carried on retryable rejections
     #: (429/503) alongside the HTTP ``Retry-After`` header — in the body
     #: too so the hint survives transports that drop response headers
     #: (additive v1 field).
-    retry_after_s: float | None = None
+    retry_after_s: float | None = row(NON_NEGATIVE, OMIT)
+
+    _where = "error payload"
+    _versions = (SCHEMA_VERSION,)
+    _wrapper = "error"
 
     @classmethod
     def from_error(cls, error: ApiError) -> "ErrorPayload":
@@ -1377,82 +676,36 @@ class ErrorPayload:
         return error
 
     def to_json_dict(self) -> dict:
-        body: dict[str, Any] = {
-            "code": self.code,
-            "message": self.message,
-            "status": self.status,
-        }
-        if self.retry_after_s is not None:
-            body["retry_after_s"] = float(self.retry_after_s)
-        return {"schema_version": SCHEMA_VERSION, "error": body}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ErrorPayload":
-        _expect_keys(obj, {"schema_version", "error"}, set(), "error payload")
-        _expect_version(obj, "error payload")
-        body = obj["error"]
-        _expect_keys(
-            body, {"code", "message", "status"}, {"retry_after_s"}, "error payload.error"
-        )
-        if not isinstance(body["code"], str) or not isinstance(body["message"], str):
-            raise SchemaError("error payload: code and message must be strings")
-        if isinstance(body["status"], bool) or not isinstance(body["status"], int):
-            raise SchemaError("error payload: status must be an int")
-        retry_after = body.get("retry_after_s")
-        if retry_after is not None:
-            if isinstance(retry_after, bool) or not isinstance(retry_after, (int, float)):
-                raise SchemaError("error payload: retry_after_s must be a number")
-            if not (math.isfinite(retry_after) and retry_after >= 0):
-                raise SchemaError("error payload: retry_after_s must be finite and >= 0")
-        return cls(
-            code=body["code"],
-            message=body["message"],
-            status=body["status"],
-            retry_after_s=None if retry_after is None else float(retry_after),
-        )
+        # The envelope is also authored below the api package (the
+        # replica router), so its one builder lives in repro.wire.
+        return error_envelope(**vars(self))
 
 
 @dataclass
-class ServerInfo:
+class ServerInfo(Wire):
     """``GET /v1/models`` body: what this server serves and where."""
 
-    models: list[dict]
-    default_model: str | None = None
-    endpoints: tuple[str, ...] = (
-        "POST /v1/predict",
-        "POST /v1/relax",
-        "POST /v1/md",
-        "GET /v1/models",
-        "GET /v1/healthz",
-        "GET /v1/stats",
+    models: list[dict] = row(scalar(list, "a list"))
+    default_model: str | None = row(STR, NULL)
+    endpoints: tuple[str, ...] = row(
+        Kind(_strings, tuple, list),
+        DEFAULT,
+        default=(
+            "POST /v1/predict",
+            "POST /v1/relax",
+            "POST /v1/md",
+            "GET /v1/models",
+            "GET /v1/healthz",
+            "GET /v1/stats",
+        ),
     )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "models": self.models,
-            "default_model": self.default_model,
-            "endpoints": list(self.endpoints),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ServerInfo":
-        _expect_keys(obj, {"schema_version", "models"}, {"default_model", "endpoints"}, "info")
-        _expect_version(obj, "info")
-        if not isinstance(obj["models"], list):
-            raise SchemaError("info.models: expected a list")
-        default_model = obj.get("default_model")
-        if default_model is not None and not isinstance(default_model, str):
-            raise SchemaError("info.default_model: expected a string")
-        return cls(
-            models=obj["models"],
-            default_model=default_model,
-            endpoints=tuple(obj.get("endpoints", ())),
-        )
+    _where = "info"
+    _versions = (SCHEMA_VERSION,)
 
 
 @dataclass
-class StatsSnapshot:
+class StatsSnapshot(Wire):
     """``GET /v1/stats`` body: per-model serving telemetry.
 
     Each model's entry carries the service's telemetry sections
@@ -1486,63 +739,17 @@ class StatsSnapshot:
     unknown sections inside each model entry.
     """
 
-    models: dict[str, dict] = field(default_factory=dict)
-    uptime_s: float | None = None
-    pid: int | None = None
-    replicas: dict[str, dict] | None = None
-    router: dict | None = None
-    watchdog: dict | None = None
+    models: dict[str, dict] = row(
+        scalar(dict, "an object keyed by model name"), default_factory=dict
+    )
+    uptime_s: float | None = row(NUMBER, OMIT)
+    pid: int | None = row(_ANY_INT, OMIT)
+    replicas: dict[str, dict] | None = row(scalar(dict, "an object keyed by replica id"), OMIT)
+    router: dict | None = row(_OBJECT, OMIT)
+    watchdog: dict | None = row(_OBJECT, OMIT)
 
-    def to_json_dict(self) -> dict:
-        payload: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "models": self.models}
-        if self.uptime_s is not None:
-            payload["uptime_s"] = float(self.uptime_s)
-        if self.pid is not None:
-            payload["pid"] = int(self.pid)
-        if self.replicas is not None:
-            payload["replicas"] = self.replicas
-        if self.router is not None:
-            payload["router"] = self.router
-        if self.watchdog is not None:
-            payload["watchdog"] = self.watchdog
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "StatsSnapshot":
-        _expect_keys(
-            obj,
-            {"schema_version", "models"},
-            {"uptime_s", "pid", "replicas", "router", "watchdog"},
-            "stats",
-        )
-        _expect_version(obj, "stats")
-        if not isinstance(obj["models"], dict):
-            raise SchemaError("stats.models: expected an object keyed by model name")
-        uptime_s = obj.get("uptime_s")
-        if uptime_s is not None and (
-            isinstance(uptime_s, bool) or not isinstance(uptime_s, (int, float))
-        ):
-            raise SchemaError("stats.uptime_s: expected a number")
-        pid = obj.get("pid")
-        if pid is not None and (isinstance(pid, bool) or not isinstance(pid, int)):
-            raise SchemaError("stats.pid: expected an int")
-        replicas = obj.get("replicas")
-        if replicas is not None and not isinstance(replicas, dict):
-            raise SchemaError("stats.replicas: expected an object keyed by replica id")
-        router = obj.get("router")
-        if router is not None and not isinstance(router, dict):
-            raise SchemaError("stats.router: expected an object")
-        watchdog = obj.get("watchdog")
-        if watchdog is not None and not isinstance(watchdog, dict):
-            raise SchemaError("stats.watchdog: expected an object")
-        return cls(
-            models=obj["models"],
-            uptime_s=None if uptime_s is None else float(uptime_s),
-            pid=pid,
-            replicas=replicas,
-            router=router,
-            watchdog=watchdog,
-        )
+    _where = "stats"
+    _versions = (SCHEMA_VERSION,)
 
 
 def structures_from_json(obj: Any) -> list[StructurePayload]:

@@ -45,17 +45,15 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from repro.api.schemas import (
-    CLIENT_HEADER,
-    DEADLINE_HEADER,
     DEFAULT_CUTOFF,
     DEFAULT_PRIORITY,
     MAX_STRUCTURES_PER_REQUEST,
-    PRIORITY_HEADER,
     ApiError,
     DeadlineExceededError,
     ErrorPayload,
@@ -85,10 +83,18 @@ from repro.serving.faults import FaultPlan
 from repro.serving.md import MDDiverged
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import PredictionService, ServiceConfig
+from repro.wire import (
+    CLIENT_HEADER,
+    DEADLINE_HEADER,
+    PRIORITY_HEADER,
+    SCHEMA_VERSION,
+    content_length,
+)
 
-#: Request bodies above this are rejected before JSON parsing; at ~100
-#: bytes per atom on the wire this is far beyond any sane micro-batch.
-MAX_BODY_BYTES = 64 * 1024 * 1024
+
+def _as_api_error(error: Exception) -> ApiError:
+    """The HTTP boundary's catch-all: untyped failures are 500s, never HTML tracebacks."""
+    return error if isinstance(error, ApiError) else ApiError(f"internal error: {error}")
 
 
 def _as_overloaded(error: ServiceOverloaded) -> OverloadedError:
@@ -165,25 +171,64 @@ class ApiGateway:
             return len(self._inflight), round(now - min(self._inflight.values()), 3)
 
     @staticmethod
-    def _deadline_from_ms(deadline_ms: float | None) -> float | None:
-        """Stamp a relative ms budget as an absolute monotonic instant."""
-        if deadline_ms is None:
-            return None
-        return time.monotonic() + deadline_ms / 1000.0
+    def _stamp(request, deadline_ms, client_id, priority) -> dict:
+        """Resolve one request's deadline, client and lane at admission.
 
-    @staticmethod
-    def _identity(request, client_id: str | None, priority: str | None) -> tuple:
-        """Resolve ``(client_id, lane)``: hop-level override wins over body.
-
-        Mirrors the deadline contract — the HTTP handler passes the
-        ``X-Repro-Client``/``X-Repro-Priority`` headers here, and they
-        win over the body's ``client_id``/``priority`` fields; either
-        may also be absent (anonymous, default lane).
+        The hop-level overrides — the HTTP handler passes the
+        ``X-Repro-*`` headers here — win over the body's fields; either
+        may be absent (no deadline, anonymous, default lane).  The
+        relative ms budget is stamped against the monotonic clock *now*.
+        Returns the keywords every ``PredictionService`` entry point takes.
         """
-        if client_id is None:
-            client_id = getattr(request, "client_id", None)
-        lane = priority if priority is not None else getattr(request, "priority", None)
-        return client_id, lane if lane is not None else DEFAULT_PRIORITY
+        budget = deadline_ms if deadline_ms is not None else request.deadline_ms
+        lane = priority if priority is not None else request.priority
+        return {
+            "deadline": None if budget is None else time.monotonic() + budget / 1000.0,
+            "client_id": client_id if client_id is not None else request.client_id,
+            "lane": lane if lane is not None else DEFAULT_PRIORITY,
+        }
+
+    @contextmanager
+    def _in_flight(self):
+        """Count one request in flight and type whatever the service raises."""
+        token = self._begin_request()
+        try:
+            yield
+        except MDDiverged as error:
+            raise MDDivergedError(str(error)) from error
+        except DeadlineExceeded as error:
+            raise DeadlineExceededError(str(error)) from error
+        except ServiceOverloaded as error:
+            raise _as_overloaded(error) from error
+        except TimeoutError as error:
+            raise RequestTimeout(str(error)) from error
+        finally:
+            self._end_request(token)
+
+    def _trajectory_inputs(self, request):
+        """Settings and graph for a relax / MD request.
+
+        The session's skin neighbor list owns connectivity for the whole
+        run, so the request structure's edges (if any) are not searched
+        here — the graph hands over only the physical inputs.
+        """
+        try:
+            settings = request.to_settings(self.cutoff, self.max_neighbors)
+        except ValueError as error:
+            # LocalTransport callers skip wire validation; map the
+            # dataclass's ValueError onto the same 400 HTTP callers get.
+            raise SchemaError(str(error)) from error
+        structure = request.structure
+        graph = AtomGraph(
+            atomic_numbers=structure.atomic_numbers,
+            positions=structure.positions,
+            edge_index=np.zeros((2, 0), dtype=np.int64),
+            edge_shift=np.zeros((0, 3)),
+            cell=structure.cell,
+            pbc=structure.pbc,
+            source="api",
+        )
+        return settings, graph
 
     # ------------------------------------------------------------------
     # model resolution
@@ -272,12 +317,8 @@ class ApiGateway:
                 f"request.structures: at most {MAX_STRUCTURES_PER_REQUEST} structures "
                 f"per request, got {len(request.structures)}"
             )
-        deadline = self._deadline_from_ms(
-            deadline_ms if deadline_ms is not None else request.deadline_ms
-        )
-        client_id, lane = self._identity(request, client_id, priority)
-        token = self._begin_request()
-        try:
+        call = self._stamp(request, deadline_ms, client_id, priority)
+        with self._in_flight():
             if self.faults is not None:
                 self.faults.on_request()
             name = self.resolve_model(request.model)
@@ -286,19 +327,7 @@ class ApiGateway:
                 payload.to_graph(self.cutoff, self.max_neighbors)
                 for payload in request.structures
             ]
-            try:
-                results = service.predict_many(
-                    graphs, deadline=deadline, lane=lane, client_id=client_id
-                )
-            except DeadlineExceeded as error:
-                raise DeadlineExceededError(str(error)) from error
-            except ServiceOverloaded as error:
-                raise _as_overloaded(error) from error
-            except TimeoutError as error:
-                raise RequestTimeout(str(error)) from error
-            return PredictResponse.from_results(name, results)
-        finally:
-            self._end_request(token)
+            return PredictResponse.from_results(name, service.predict_many(graphs, **call))
 
     def relax(
         self,
@@ -309,52 +338,18 @@ class ApiGateway:
     ) -> RelaxResponse:
         """Relax one structure on served forces; raises typed errors.
 
-        The relax session's skin neighbor list owns connectivity for the
-        whole descent, so the request structure's edges (if any) are not
-        searched here — the graph hands over only the physical inputs.
         Every force evaluation inside rides the same micro-batcher and
         plan cache as ``/v1/predict`` traffic, and the deadline (header
         override or body field) is re-checked before each one.
         """
-        deadline = self._deadline_from_ms(
-            deadline_ms if deadline_ms is not None else request.deadline_ms
-        )
-        client_id, lane = self._identity(request, client_id, priority)
-        token = self._begin_request()
-        try:
+        call = self._stamp(request, deadline_ms, client_id, priority)
+        with self._in_flight():
             if self.faults is not None:
                 self.faults.on_request()
             name = self.resolve_model(request.model)
-            try:
-                settings = request.to_settings(self.cutoff, self.max_neighbors)
-            except ValueError as error:
-                # LocalTransport callers skip wire validation; map the
-                # dataclass's ValueError onto the same 400 HTTP callers get.
-                raise SchemaError(str(error)) from error
-            service = self._service(name)
-            structure = request.structure
-            graph = AtomGraph(
-                atomic_numbers=structure.atomic_numbers,
-                positions=structure.positions,
-                edge_index=np.zeros((2, 0), dtype=np.int64),
-                edge_shift=np.zeros((0, 3)),
-                cell=structure.cell,
-                pbc=structure.pbc,
-                source="api",
-            )
-            try:
-                result = service.relax(
-                    graph, settings, deadline=deadline, lane=lane, client_id=client_id
-                )
-            except DeadlineExceeded as error:
-                raise DeadlineExceededError(str(error)) from error
-            except ServiceOverloaded as error:
-                raise _as_overloaded(error) from error
-            except TimeoutError as error:
-                raise RequestTimeout(str(error)) from error
+            settings, graph = self._trajectory_inputs(request)
+            result = self._service(name).relax(graph, settings, **call)
             return RelaxResponse.from_result(name, result)
-        finally:
-            self._end_request(token)
 
     def md(
         self,
@@ -373,60 +368,28 @@ class ApiGateway:
         ``("result", MDResult)``; failures *during* integration (deadline
         expiry, overload, divergence) raise typed errors out of the
         generator, which the HTTP layer turns into a terminal ``error``
-        line on the already-open stream.  Like relax, the session's skin
-        neighbor list owns connectivity — the request structure hands
-        over only physical inputs.
+        line on the already-open stream.
         """
-        deadline = self._deadline_from_ms(
-            deadline_ms if deadline_ms is not None else request.deadline_ms
-        )
-        client_id, lane = self._identity(request, client_id, priority)
+        call = self._stamp(request, deadline_ms, client_id, priority)
         if self.faults is not None:
             self.faults.on_request()
         name = self.resolve_model(request.model)
-        try:
-            settings = request.to_settings(self.cutoff, self.max_neighbors)
-        except ValueError as error:
-            # LocalTransport callers skip wire validation; map the
-            # dataclass's ValueError onto the same 400 HTTP callers get.
-            raise SchemaError(str(error)) from error
-        structure = request.structure
-        if settings.velocities is not None and settings.velocities.shape != tuple(
-            np.asarray(structure.positions).shape
-        ):
+        settings, graph = self._trajectory_inputs(request)
+        positions_shape = np.asarray(request.structure.positions).shape
+        if settings.velocities is not None and settings.velocities.shape != positions_shape:
             raise SchemaError(
                 f"md request.velocities: shape {settings.velocities.shape} does not "
-                f"match positions shape {np.asarray(structure.positions).shape}"
+                f"match positions shape {positions_shape}"
             )
         service = self._service(name)
-        graph = AtomGraph(
-            atomic_numbers=structure.atomic_numbers,
-            positions=structure.positions,
-            edge_index=np.zeros((2, 0), dtype=np.int64),
-            edge_shift=np.zeros((0, 3)),
-            cell=structure.cell,
-            pbc=structure.pbc,
-            source="api",
-        )
 
         def events():
-            token = self._begin_request()
-            try:
-                yield from service.md(
-                    graph, settings, deadline=deadline, lane=lane, client_id=client_id
-                )
-            except MDDiverged as error:
-                raise MDDivergedError(str(error)) from error
-            except DeadlineExceeded as error:
-                raise DeadlineExceededError(str(error)) from error
-            except ServiceOverloaded as error:
-                raise _as_overloaded(error) from error
-            except TimeoutError as error:
-                raise RequestTimeout(str(error)) from error
-            except ValueError as error:
-                raise SchemaError(str(error)) from error
-            finally:
-                self._end_request(token)
+            # The in-flight token lives as long as the stream does.
+            with self._in_flight():
+                try:
+                    yield from service.md(graph, settings, **call)
+                except ValueError as error:
+                    raise SchemaError(str(error)) from error
 
         return name, events()
 
@@ -481,7 +444,7 @@ class ApiGateway:
             closed = self._closed
         inflight, oldest_s = self._inflight_snapshot()
         return {
-            "schema_version": "v1",
+            "schema_version": SCHEMA_VERSION,
             "status": "shutting_down" if closed else "ok",
             "models": self.registry.names(),
             "active_services": active,
@@ -506,6 +469,28 @@ class ApiGateway:
             service.stop()
 
 
+#: POST route → (request schema, gateway method).
+_POST_ROUTES = {
+    "/v1/predict": (PredictRequest, ApiGateway.predict),
+    "/v1/relax": (RelaxRequest, ApiGateway.relax),
+    "/v1/md": (MDRequest, ApiGateway.md),
+}
+
+#: GET route → what the gateway answers it with.
+_GET_ROUTES = {
+    "/v1/healthz": ApiGateway.healthz,
+    "/v1/models": lambda gateway: gateway.server_info().to_json_dict(),
+    "/v1/stats": lambda gateway: gateway.stats().to_json_dict(),
+}
+
+#: Hop-level overrides: gateway keyword → (header, check on its raw text).
+_HOP_HEADERS = {
+    "deadline_ms": (DEADLINE_HEADER, lambda raw, where: validate_deadline_ms(float(raw), where)),
+    "client_id": (CLIENT_HEADER, validate_client_id),
+    "priority": (PRIORITY_HEADER, validate_priority),
+}
+
+
 class _ApiRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP onto the gateway; all bodies are JSON."""
 
@@ -520,9 +505,25 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(
-        self, status: int, payload: dict, extra_headers: dict | None = None
+        self,
+        status: int,
+        payload: dict,
+        extra_headers: dict | None = None,
+        corruptible: bool = False,
     ) -> None:
+        """Send one JSON body.
+
+        ``corruptible`` bodies (predict/relax successes) run through the
+        fault plan's corruption if armed — at the byte layer, after
+        serialization, so the client sees garbage on an otherwise-healthy
+        connection, exactly what a flaky proxy or truncated read
+        produces.  Error bodies and the probe endpoints stay clean so
+        the watchdog's view stays honest.
+        """
         body = json.dumps(payload).encode("utf-8")
+        faults = self.server.gateway.faults
+        if corruptible and faults is not None:
+            body = faults.corrupt(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -536,7 +537,9 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_payload(self, error: ApiError) -> None:
+    def _send_error_payload(self, error: Exception) -> None:
+        """Answer with the typed JSON error; anything untyped is a 500."""
+        error = _as_api_error(error)
         # Every retryable rejection (429 overloaded, 503 unavailable)
         # carries a Retry-After header — the server's honest hint when it
         # has one, the protocol-minimum "1" when it does not.
@@ -547,22 +550,34 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             error.http_status, ErrorPayload.from_error(error).to_json_dict(), headers
         )
 
+    def _hop_overrides(self) -> dict:
+        """Parse the ``X-Repro-*`` headers; each wins over its body field."""
+        overrides = {}
+        for keyword, (header, check) in _HOP_HEADERS.items():
+            raw = self.headers.get(header)
+            try:
+                overrides[keyword] = None if raw is None else check(raw, header)
+            except (ValueError, SchemaError) as err:
+                # Rejecting before the body is read leaves bytes on the
+                # socket; drop the connection like _read_json_body does.
+                self.close_connection = True
+                if isinstance(err, SchemaError):
+                    raise
+                raise SchemaError(f"{header}: expected a number, got {raw!r}") from None
+        return overrides
+
     def _read_json_body(self) -> dict:
         # Rejections below leave the body unread on the socket, which
         # would desync a keep-alive connection (the leftover bytes get
         # parsed as the next request line) — so every early exit must
         # drop the connection instead of keeping it alive.
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = content_length(self.headers.get("Content-Length"))
+            if length == 0:
+                raise ValueError("request body required (Content-Length missing or 0)")
         except ValueError as err:
             self.close_connection = True
-            raise SchemaError(f"malformed Content-Length header: {err}") from err
-        if length <= 0:
-            self.close_connection = True
-            raise SchemaError("request body required (Content-Length missing or 0)")
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise SchemaError(f"request body too large ({length} > {MAX_BODY_BYTES} bytes)")
+            raise SchemaError(str(err)) from None
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
@@ -573,78 +588,31 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
     # routes
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        gateway = self.server.gateway
         try:
-            if self.path == "/v1/healthz":
-                self._send_json(200, gateway.healthz())
-            elif self.path == "/v1/models":
-                self._send_json(200, gateway.server_info().to_json_dict())
-            elif self.path == "/v1/stats":
-                self._send_json(200, gateway.stats().to_json_dict())
-            else:
+            route = _GET_ROUTES.get(self.path)
+            if route is None:
                 raise NotFound(f"no such endpoint: GET {self.path}")
-        except ApiError as error:
+            self._send_json(200, route(self.server.gateway))
+        except Exception as error:  # noqa: BLE001 - typed by _send_error_payload
             self._send_error_payload(error)
-        except Exception as error:  # noqa: BLE001 - boundary: no HTML tracebacks
-            self._send_error_payload(ApiError(f"internal error: {error}"))
 
-    def _deadline_header_ms(self) -> float | None:
-        """Parse ``X-Repro-Deadline-Ms`` (wins over the body field)."""
-        raw = self.headers.get(DEADLINE_HEADER)
-        if raw is None:
-            return None
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
-            return validate_deadline_ms(float(raw), DEADLINE_HEADER)
-        except (ValueError, SchemaError) as err:
-            # Rejecting before the body is read leaves bytes on the
-            # socket; drop the connection like _read_json_body does.
-            self.close_connection = True
-            if isinstance(err, SchemaError):
-                raise
-            raise SchemaError(f"{DEADLINE_HEADER}: expected a number, got {raw!r}") from None
-
-    def _client_header(self) -> str | None:
-        """Parse ``X-Repro-Client`` (wins over the body's ``client_id``)."""
-        raw = self.headers.get(CLIENT_HEADER)
-        if raw is None:
-            return None
-        try:
-            return validate_client_id(raw, CLIENT_HEADER)
-        except SchemaError:
-            # Same keep-alive discipline as the deadline header: the body
-            # is still unread, so the connection must drop.
-            self.close_connection = True
-            raise
-
-    def _priority_header(self) -> str | None:
-        """Parse ``X-Repro-Priority`` (wins over the body's ``priority``)."""
-        raw = self.headers.get(PRIORITY_HEADER)
-        if raw is None:
-            return None
-        try:
-            return validate_priority(raw, PRIORITY_HEADER)
-        except SchemaError:
-            self.close_connection = True
-            raise
-
-    def _send_success(self, payload: dict) -> None:
-        """Send a 200, running the body through fault corruption if armed.
-
-        Corruption happens at the byte layer, after serialization — the
-        client sees garbage on an otherwise-healthy connection, which is
-        exactly the failure a flaky proxy or truncated read produces.
-        Only predict/relax successes are eligible; error bodies and the
-        probe endpoints stay clean so the watchdog's view stays honest.
-        """
-        faults = self.server.gateway.faults
-        body = json.dumps(payload).encode("utf-8")
-        if faults is not None:
-            body = faults.corrupt(body)
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+            if self.path not in _POST_ROUTES:
+                raise NotFound(f"no such endpoint: POST {self.path}")
+            schema, endpoint = _POST_ROUTES[self.path]
+            overrides = self._hop_overrides()
+            request = schema.from_json_dict(self._read_json_body())
+            # For md, pre-stream failures (bad knobs, unknown model)
+            # raise here and become ordinary typed statuses; once
+            # _stream_md starts, failures ride the stream instead.
+            outcome = endpoint(self.server.gateway, request, **overrides)
+            if schema is MDRequest:
+                self._stream_md(*outcome)
+            else:
+                self._send_json(200, outcome.to_json_dict(), corruptible=True)
+        except Exception as error:  # noqa: BLE001 - typed by _send_error_payload
+            self._send_error_payload(error)
 
     def _stream_md(self, model: str, events) -> None:
         """Stream MD frames as NDJSON; the last line is the verdict.
@@ -663,82 +631,25 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Connection", "close")
         self.end_headers()
+
+        def write_line(payload) -> None:
+            self.wfile.write(json.dumps(payload.to_json_dict()).encode("utf-8") + b"\n")
+
         try:
             try:
                 for kind, payload in events:
                     if kind == "frame":
-                        line = MDFramePayload.from_frame(payload).to_json_dict()
+                        write_line(MDFramePayload.from_frame(payload))
                     else:
-                        line = MDResponse.from_result(model, payload).to_json_dict()
-                    self.wfile.write(json.dumps(line).encode("utf-8") + b"\n")
+                        write_line(MDResponse.from_result(model, payload))
                     self.wfile.flush()
-            except ApiError as error:
-                self.wfile.write(
-                    json.dumps(ErrorPayload.from_error(error).to_json_dict()).encode("utf-8")
-                    + b"\n"
-                )
-            except Exception as error:  # noqa: BLE001 - boundary: no HTML tracebacks
-                self.wfile.write(
-                    json.dumps(
-                        ErrorPayload.from_error(ApiError(f"internal error: {error}")).to_json_dict()
-                    ).encode("utf-8")
-                    + b"\n"
-                )
+            except Exception as error:  # noqa: BLE001 - typed by _as_api_error
+                write_line(ErrorPayload.from_error(_as_api_error(error)))
         except OSError:
             # The client hung up mid-stream; there is no one left to
             # tell, and the events generator's finally already released
             # the in-flight token.
             pass
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            if self.path == "/v1/predict":
-                deadline_ms = self._deadline_header_ms()
-                client_id = self._client_header()
-                priority = self._priority_header()
-                request = PredictRequest.from_json_dict(self._read_json_body())
-                self._send_success(
-                    self.server.gateway.predict(
-                        request,
-                        deadline_ms=deadline_ms,
-                        client_id=client_id,
-                        priority=priority,
-                    ).to_json_dict()
-                )
-            elif self.path == "/v1/relax":
-                deadline_ms = self._deadline_header_ms()
-                client_id = self._client_header()
-                priority = self._priority_header()
-                relax = RelaxRequest.from_json_dict(self._read_json_body())
-                self._send_success(
-                    self.server.gateway.relax(
-                        relax,
-                        deadline_ms=deadline_ms,
-                        client_id=client_id,
-                        priority=priority,
-                    ).to_json_dict()
-                )
-            elif self.path == "/v1/md":
-                deadline_ms = self._deadline_header_ms()
-                client_id = self._client_header()
-                priority = self._priority_header()
-                md = MDRequest.from_json_dict(self._read_json_body())
-                # Pre-stream failures (bad knobs, unknown model) raise
-                # here and become ordinary typed statuses; once
-                # _stream_md starts, failures ride the stream instead.
-                model, events = self.server.gateway.md(
-                    md,
-                    deadline_ms=deadline_ms,
-                    client_id=client_id,
-                    priority=priority,
-                )
-                self._stream_md(model, events)
-            else:
-                raise NotFound(f"no such endpoint: POST {self.path}")
-        except ApiError as error:
-            self._send_error_payload(error)
-        except Exception as error:  # noqa: BLE001 - boundary: no HTML tracebacks
-            self._send_error_payload(ApiError(f"internal error: {error}"))
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):

@@ -39,9 +39,9 @@ guarded by one lock so the supervisor (plain threads) and the loop can
 both touch it.
 
 This module deliberately does **not** import :mod:`repro.api` — the api
-package sits on top of serving, and the few JSON envelopes the router
-authors itself (error bodies, health, aggregated stats) are spelled out
-inline against the same v1 contract the schemas pin.
+package sits on top of serving.  What the router must share with it (the
+schema version, the hop headers, the body limit, the error envelope it
+authors itself) comes from the dependency-free :mod:`repro.wire`.
 """
 
 from __future__ import annotations
@@ -55,29 +55,19 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.serving.admission import merge_admission_telemetry, retry_after_header
-
-#: Mirrors ``repro.api.schemas.SCHEMA_VERSION`` (serving must not import
-#: api); ``tests/serving/test_replicas.py`` pins the two together.
-SCHEMA_VERSION = "v1"
-
-#: Mirrors ``repro.api.server.MAX_BODY_BYTES`` — the router must not
-#: buffer more than the replica behind it would accept.
-MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: Mirrors ``repro.api.schemas.DEADLINE_HEADER`` (serving must not
-#: import api); pinned together by ``tests/serving/test_replicas.py``.
-DEADLINE_HEADER = "X-Repro-Deadline-Ms"
-
-#: Mirror ``repro.api.schemas.CLIENT_HEADER``/``PRIORITY_HEADER`` (same
-#: no-api-import stance); pinned together by ``tests/serving/test_replicas.py``.
-#: The priority header exists precisely so this router can shed by lane
-#: without parsing request bodies.
-CLIENT_HEADER = "X-Repro-Client"
-PRIORITY_HEADER = "X-Repro-Priority"
+from repro.wire import (
+    CLIENT_HEADER,
+    DEADLINE_HEADER,
+    PRIORITY_HEADER,
+    SCHEMA_VERSION,
+    content_length,
+    error_envelope,
+)
 
 #: Front-door shedding: the minimum fleet-wide brownout level at which a
-#: lane is rejected here instead of crossing the wire to a replica that
-#: would shed it anyway.  Mirrors the admission controller's shedding
+#: lane (read from the priority *header* — bodies are opaque here) is
+#: rejected instead of crossing the wire to a replica that would shed
+#: it anyway.  Mirrors the admission controller's shedding
 #: order — background first, then bulk, never interactive.
 _LANE_SHED_LEVEL = {"background": 1, "bulk": 2}
 
@@ -126,23 +116,20 @@ class ReplicaState:
         return payload
 
 
-def _error_body(
+class _BadFraming(Exception):
+    """The request's framing headers cannot be honoured (answered with a 400)."""
+
+
+def _rejection(
     code: str, message: str, status: int, retry_after_s: float | None = None
-) -> bytes:
-    """A v1 ``ErrorPayload`` body, byte-compatible with the api package."""
-    error: dict = {"code": code, "message": message, "status": status}
-    if retry_after_s is not None:
-        error["retry_after_s"] = float(retry_after_s)
-    return json.dumps(
-        {"schema_version": SCHEMA_VERSION, "error": error}
-    ).encode("utf-8")
+) -> tuple[int, dict, dict]:
+    """A router-authored failure as ``(status, v1 error envelope, headers)``.
 
-
-def _retryable_headers(status: int, retry_after_s: float | None = None) -> dict:
-    """``Retry-After`` for router-authored 429/503 envelopes, else nothing."""
-    if status in (429, 503):
-        return {"Retry-After": retry_after_header(retry_after_s)}
-    return {}
+    The retryable statuses (429/503) carry ``Retry-After``, like a
+    replica's own.
+    """
+    headers = {"Retry-After": retry_after_header(retry_after_s)} if status in (429, 503) else {}
+    return status, error_envelope(code, message, status, retry_after_s), headers
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +617,14 @@ class Router:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadFraming as error:
+                    # Same typed 400 a replica gives; the body (if any) is
+                    # unread, so the connection cannot be kept.
+                    status, envelope, _ = _rejection("invalid_request", str(error), 400)
+                    await self._write_response(writer, status, envelope, False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -640,9 +634,9 @@ class Router:
                         method, path, headers, body
                     )
                 except Exception as error:  # noqa: BLE001 - boundary
-                    status = 500
-                    payload = _error_body("internal_error", f"router error: {error}", 500)
-                    response_headers = {}
+                    status, payload, response_headers = _rejection(
+                        "internal_error", f"router error: {error}", 500
+                    )
                 await self._write_response(
                     writer, status, payload, keep_alive, response_headers
                 )
@@ -679,9 +673,10 @@ class Router:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ValueError(f"invalid Content-Length {length}")
+        try:
+            length = content_length(headers.get("content-length"))
+        except ValueError as error:
+            raise _BadFraming(str(error)) from None
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 
@@ -713,45 +708,39 @@ class Router:
             if payload["status"] == "unavailable":
                 # Zero healthy replicas: a typed 503 so load balancers
                 # and the retrying client both read it unambiguously.
-                body_bytes = _error_body(
+                return _rejection(
                     "unavailable",
                     f"no healthy replica ({payload['total_replicas']} registered)",
                     503,
                 )
-                return 503, body_bytes, _retryable_headers(503)
             return 200, payload, {}
         if method == "GET" and path == "/v1/stats":
             payload = await self.stats_payload()
             if not payload["models"] and not any(
                 entry["healthy"] for entry in payload["replicas"].values()
             ):
-                body_bytes = _error_body(
+                return _rejection(
                     "unavailable",
                     f"no healthy replica to aggregate stats from "
                     f"({len(payload['replicas'])} registered)",
                     503,
                 )
-                return 503, body_bytes, _retryable_headers(503)
             return 200, payload, {}
         if method == "GET" and path == "/v1/models":
             return await self._proxy_any("GET", "/v1/models")
-        return 404, _error_body("not_found", f"no such endpoint: {method} {path}", 404), {}
+        return _rejection("not_found", f"no such endpoint: {method} {path}", 404)
 
     async def _post(
         self, path: str, headers: dict, body: bytes
-    ) -> tuple[int, bytes, dict]:
+    ) -> tuple[int, object, dict]:
         # One body, one replica: a relax request pins its whole descent —
         # and an md request its whole segment — to the replica it lands
         # on (the trajectory's plan bucket and skin neighbor list stay
         # hot there), exactly like a predict pins its one forward.
         if not self.admitting:
             self._count("rejected")
-            return (
-                503,
-                _error_body(
-                    "unavailable", "router is draining; not admitting new requests", 503
-                ),
-                _retryable_headers(503),
+            return _rejection(
+                "unavailable", "router is draining; not admitting new requests", 503
             )
         # Front-door brownout shed: when every available replica reports
         # a brownout level that sheds this request's lane, reject here —
@@ -765,16 +754,11 @@ class Router:
             hint = self._fleet_shed_hint(shed_level)
             if hint is not None:
                 self._count("brownout_shed")
-                return (
+                return _rejection(
+                    "overloaded",
+                    f"fleet brownout: {lane_raw} lane is shedding at the router; retry later",
                     429,
-                    _error_body(
-                        "overloaded",
-                        f"fleet brownout: {lane_raw} lane is shedding at the "
-                        "router; retry later",
-                        429,
-                        retry_after_s=round(hint, 3),
-                    ),
-                    _retryable_headers(429, hint),
+                    retry_after_s=round(hint, 3),
                 )
         self._count("requests")
         client_raw = headers.get(CLIENT_HEADER.lower())
@@ -804,24 +788,18 @@ class Router:
                 remaining_s = deadline - time.monotonic()
                 if remaining_s <= 0:
                     self._count("deadline_expired")
-                    return 504, _error_body(
+                    return _rejection(
                         "deadline_exceeded",
                         "deadline expired at the router before a replica answered",
                         504,
-                    ), {}
+                    )
                 extra_headers[DEADLINE_HEADER] = f"{remaining_s * 1000.0:.1f}"
                 timeout_s = min(timeout_s, remaining_s)
             state = self._acquire(tried)
             if state is None:
                 self._count("proxy_errors")
-                return (
-                    503,
-                    _error_body(
-                        "unavailable",
-                        f"no healthy replica available ({len(tried)} tried)",
-                        503,
-                    ),
-                    _retryable_headers(503),
+                return _rejection(
+                    "unavailable", f"no healthy replica available ({len(tried)} tried)", 503
                 )
             try:
                 status, payload, response_headers = await asyncio.wait_for(
@@ -833,19 +811,18 @@ class Router:
             except (asyncio.TimeoutError, TimeoutError):
                 if deadline is not None and time.monotonic() >= deadline:
                     self._count("deadline_expired")
-                    return 504, _error_body(
+                    return _rejection(
                         "deadline_exceeded",
                         f"deadline expired while replica {state.replica_id} was serving",
                         504,
-                    ), {}
+                    )
                 # The replica is alive but slow; retrying elsewhere would
                 # double the fleet's load exactly when it is slowest.
-                return 504, _error_body(
+                return _rejection(
                     "timeout",
-                    f"replica {state.replica_id} did not answer "
-                    f"within {self.proxy_timeout_s}s",
+                    f"replica {state.replica_id} did not answer within {self.proxy_timeout_s}s",
                     504,
-                ), {}
+                )
             except (ConnectionError, asyncio.IncompleteReadError, OSError, ValueError):
                 # Connection-level failure: the replica is gone or
                 # incoherent.  Mark it down, feed its circuit breaker,
@@ -858,14 +835,10 @@ class Router:
             finally:
                 self._release(state)
 
-    async def _proxy_any(self, method: str, path: str) -> tuple[int, bytes, dict]:
+    async def _proxy_any(self, method: str, path: str) -> tuple[int, object, dict]:
         state = self._acquire(set())
         if state is None:
-            return (
-                503,
-                _error_body("unavailable", "no healthy replica available", 503),
-                _retryable_headers(503),
-            )
+            return _rejection("unavailable", "no healthy replica available", 503)
         try:
             result = await asyncio.wait_for(
                 self._proxy(state, method, path), timeout=self.proxy_timeout_s
@@ -881,9 +854,7 @@ class Router:
             ValueError,
         ) as error:
             self._count("proxy_errors")
-            return 502, _error_body(
-                "transport_error", f"replica {state.replica_id}: {error}", 502
-            ), {}
+            return _rejection("transport_error", f"replica {state.replica_id}: {error}", 502)
         finally:
             self._release(state)
 

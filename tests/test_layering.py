@@ -1,0 +1,62 @@
+"""Import layering, checked on the source text (nothing is imported).
+
+``repro.wire`` is the part of the wire contract every hop shares, so it
+may depend on nothing else in the package; and ``repro.api`` sits on top
+of ``repro.serving`` — the replica router forwards v1 bodies without
+importing the schemas that type them.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def imports_of(source: str, package: tuple[str, ...]) -> set[str]:
+    """Absolute dotted names of everything ``source`` imports, at any depth.
+
+    ``package`` is the package the module lives in, which is what its
+    relative imports are relative to.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join((*base, *filter(None, [node.module])))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def imports_of_file(path: Path) -> set[str]:
+    return imports_of(path.read_text(), ("repro", *path.relative_to(PACKAGE).parts[:-1]))
+
+
+def is_under(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+def test_the_walk_resolves_relative_and_nested_imports():
+    source = "def f():\n    from ..api import schemas\n    import repro.api.client\n"
+    found = imports_of(source, ("repro", "serving"))
+    assert found == {"repro.api", "repro.api.schemas", "repro.api.client"}
+
+
+def test_wire_imports_nothing_from_the_package():
+    offenders = {m for m in imports_of_file(PACKAGE / "wire.py") if is_under(m, "repro")}
+    assert offenders == set()
+
+
+def test_serving_never_imports_the_api_package():
+    sources = sorted((PACKAGE / "serving").rglob("*.py"))
+    assert (PACKAGE / "serving" / "router.py") in sources
+    offenders = {
+        (path.name, module)
+        for path in sources
+        for module in imports_of_file(path)
+        if is_under(module, "repro.api")
+    }
+    assert offenders == set()
+    assert "repro.wire" in imports_of_file(PACKAGE / "serving" / "router.py")
