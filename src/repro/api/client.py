@@ -74,6 +74,34 @@ def _moved_to(structure: StructurePayload, positions: np.ndarray) -> StructurePa
     return dataclasses.replace(structure, positions=positions, edge_index=None, edge_shift=None)
 
 
+class _RunTally:
+    """A chunked relax or MD run's step budget and counters, summed over its segments."""
+
+    def __init__(self, total: int, chunk_steps: int | None) -> None:
+        self.total = total
+        self.chunk_steps = chunk_steps
+        self.steps = self.rebuilds = self.reuses = 0
+
+    def next_steps(self) -> int:
+        """The next segment's step budget."""
+        return min(self.chunk_steps or self.total, self.total - self.steps)
+
+    def add(self, segment) -> None:
+        self.steps += segment.steps
+        self.rebuilds += segment.neighbor_rebuilds
+        self.reuses += segment.neighbor_reuses
+
+    def whole_run(self, last, **fields):
+        """The last segment's state, with the counters of the whole run."""
+        return dataclasses.replace(
+            last,
+            steps=self.steps,
+            neighbor_rebuilds=self.rebuilds,
+            neighbor_reuses=self.reuses,
+            **fields,
+        )
+
+
 class LocalTransport:
     """In-process transport: request objects straight into the gateway."""
 
@@ -517,14 +545,12 @@ class MDRun:
         final_step = offset0 + total
         structure = self._structure
         velocities = self._velocities
-        done = 0
+        run = _RunTally(total, self._chunk_steps)
         stalled = 0
         frames = 0
-        rebuilds = reuses = 0
         last: MDFramePayload | None = None
         summary: MDResponse | None = None
-        while done < total:
-            segment = min(self._chunk_steps or total, total - done)
+        while run.steps < total:
             request = MDRequest(
                 structure=structure,
                 model=self._model,
@@ -532,7 +558,7 @@ class MDRun:
                 deadline_ms=self._deadline_ms,
                 client_id=self._client_id,
                 priority=self._priority,
-                **dict(knobs, n_steps=segment, step_offset=offset0 + done),
+                **dict(knobs, n_steps=run.next_steps(), step_offset=offset0 + run.steps),
             )
             progressed = False
             try:
@@ -560,27 +586,16 @@ class MDRun:
                         raise
                 self.resumes += 1
                 if last is not None:
-                    done = last.step - offset0
+                    run.steps = last.step - offset0
                     structure = _moved_to(structure, last.positions)
                     velocities = last.velocities
                 continue
             stalled = 0
-            segment_result = summary.to_result()
-            done += segment_result.steps
-            rebuilds += segment_result.neighbor_rebuilds
-            reuses += segment_result.neighbor_reuses
-            if done < total:
+            run.add(summary.to_result())
+            if run.steps < total:
                 structure = _moved_to(structure, last.positions)
                 velocities = last.velocities
-        # The last segment's state, with the counters of the whole run.
-        self.result = dataclasses.replace(
-            summary.to_result(),
-            steps=done,
-            first_step=offset0,
-            frames=frames,
-            neighbor_rebuilds=rebuilds,
-            neighbor_reuses=reuses,
-        )
+        self.result = run.whole_run(summary.to_result(), first_step=offset0, frames=frames)
 
     def frames(self) -> list[MDFrame]:
         """Drain the run and return every frame (small runs, tests)."""
@@ -717,15 +732,15 @@ class Client:
         if chunk_steps < 1:
             raise ValueError("chunk_steps must be >= 1")
 
-        total = max_steps if max_steps is not None else RelaxSettings().max_steps
-        remaining = total
+        run = _RunTally(
+            max_steps if max_steps is not None else RelaxSettings().max_steps, chunk_steps
+        )
         first: RelaxResult | None = None
-        steps = rebuilds = reuses = 0
         while True:
             request = RelaxRequest(
                 structure=payload,
                 model=model,
-                max_steps=min(chunk_steps, remaining),
+                max_steps=run.next_steps(),
                 fmax=fmax,
                 max_step=max_step,
                 skin=skin,
@@ -736,22 +751,12 @@ class Client:
             segment = self.transport.relax(request).to_result()
             if first is None:
                 first = segment
-            steps += segment.steps
-            rebuilds += segment.neighbor_rebuilds
-            reuses += segment.neighbor_reuses
-            remaining -= segment.steps
-            if segment.converged or remaining <= 0:
+            run.add(segment)
+            if segment.converged or run.steps >= run.total:
                 break
             # Resume the next segment from the accepted positions.
             payload = _moved_to(payload, segment.positions)
-        # The last segment's state, with the counters of the whole descent.
-        return dataclasses.replace(
-            segment,
-            steps=steps,
-            energy_initial=first.energy_initial,
-            neighbor_rebuilds=rebuilds,
-            neighbor_reuses=reuses,
-        )
+        return run.whole_run(segment, energy_initial=first.energy_initial)
 
     # ------------------------------------------------------------------
     # molecular dynamics

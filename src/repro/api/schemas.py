@@ -708,17 +708,9 @@ class ServerInfo(Wire):
 class StatsSnapshot(Wire):
     """``GET /v1/stats`` body: per-model serving telemetry.
 
-    Each model's entry carries the service's telemetry sections
-    (``serving``, ``result_cache``, ``buffer_pool``, ``batching``,
-    ``engine``), a ``plans`` section with the execution-plan cache
-    counters (``enabled``, ``plans_compiled``, ``plan_hits``,
-    ``plan_misses``, ``plan_fallbacks``, ``plan_hit_rate``,
-    ``cached_plans``), a ``relax`` section with trajectory-workload
-    counters (``sessions``, ``steps``, ``converged``,
-    ``neighbor_rebuilds``, ``neighbor_reuses``, ``neighbor_reuse_rate``),
-    and an ``md`` section with molecular-dynamics counters (``sessions``,
-    ``steps``, ``steps_per_s``, the same skin-list trio as ``relax``,
-    and a ``thermostats`` breakdown by kind).
+    Each model's entry carries the service's telemetry sections; their
+    fields — and how a router merges each across replicas — are
+    declared once, in :data:`repro.serving.telemetry.MODEL`.
     Additive top-level fields, still schema ``v1``:
 
     - ``uptime_s`` / ``pid`` — how long this server has been up and its

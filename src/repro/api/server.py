@@ -83,6 +83,7 @@ from repro.serving.faults import FaultPlan
 from repro.serving.md import MDDiverged
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import PredictionService, ServiceConfig
+from repro.serving.telemetry import SATURATION, merge
 from repro.wire import (
     CLIENT_HEADER,
     DEADLINE_HEADER,
@@ -421,22 +422,7 @@ class ApiGateway:
         """
         with self._lock:
             services = list(self._services.values())
-        merged = {
-            "queue_depth": 0,
-            "estimated_wait_s": 0.0,
-            "brownout_level": 0,
-            "brownout_state": "normal",
-        }
-        for service in services:
-            gauges = service.saturation()
-            merged["queue_depth"] += gauges["queue_depth"]
-            merged["estimated_wait_s"] = max(
-                merged["estimated_wait_s"], gauges["estimated_wait_s"]
-            )
-            if gauges["brownout_level"] > merged["brownout_level"]:
-                merged["brownout_level"] = gauges["brownout_level"]
-                merged["brownout_state"] = gauges["brownout_state"]
-        return merged
+        return merge([service.saturation() for service in services], SATURATION)
 
     def healthz(self) -> dict:
         with self._lock:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from repro.serving.batcher import DEFAULT_LANE, LANES, ServiceOverloaded
 from repro.serving.stats import percentile
+from repro.serving.telemetry import MODEL, TOP_CLIENTS, merge
 
 #: Brownout levels, in shedding order: level 1 sheds ``background``,
 #: level 2 sheds ``bulk`` as well.  ``interactive`` is never shed.
@@ -279,7 +280,7 @@ class AdmissionController:
     """
 
     #: How many clients the telemetry top-k lists.
-    TOP_K = 8
+    TOP_K = TOP_CLIENTS
 
     def __init__(self, config: AdmissionConfig | None = None) -> None:
         self.config = config or AdmissionConfig()
@@ -434,69 +435,11 @@ class AdmissionController:
 def merge_admission_telemetry(sections: list[dict]) -> dict:
     """Fleet-aggregate per-replica ``admission`` telemetry sections.
 
-    Counters sum; lane depths sum (they are instantaneous gauges but the
-    fleet total is the meaningful number); the brownout view reports the
-    *worst* replica level plus summed transitions; per-client top-k is
-    re-ranked over the union.  Used by the router's ``/v1/stats``
-    aggregation — kept here so the merge lives next to the shape it
-    merges, and re-exported dependency-free by the router.
+    Lane counters and depths sum, the brownout view reports the *worst*
+    replica's level, the per-client top-k is re-ranked over the union —
+    each by the rule declared in :data:`repro.serving.telemetry.MODEL`.
     """
-    merged_lanes = {
-        lane: {"admitted": 0, "shed": 0, "depth": 0} for lane in LANES
-    }
-    shed: dict[str, int] = {}
-    clients: dict[str, dict] = {}
-    transitions = 0
-    worst_level = 0
-    worst_state = BROWNOUT_STATES[0]
-    p95 = 0.0
-    enabled = False
-    for section in sections:
-        for lane, entry in (section.get("lanes") or {}).items():
-            slot = merged_lanes.setdefault(
-                lane, {"admitted": 0, "shed": 0, "depth": 0}
-            )
-            for key in ("admitted", "shed", "depth"):
-                slot[key] += int(entry.get(key, 0))
-        for reason, count in (section.get("shed") or {}).items():
-            shed[reason] = shed.get(reason, 0) + int(count)
-        for entry in ((section.get("clients") or {}).get("top") or []):
-            slot = clients.setdefault(
-                entry.get("client"), {"requests": 0, "shed": 0}
-            )
-            slot["requests"] += int(entry.get("requests", 0))
-            slot["shed"] += int(entry.get("shed", 0))
-        brownout = section.get("brownout") or {}
-        enabled = enabled or bool(brownout.get("enabled"))
-        transitions += int(brownout.get("transitions", 0))
-        level = int(brownout.get("level", 0))
-        if level >= worst_level:
-            worst_level = level
-            worst_state = brownout.get("state", worst_state)
-        p95 = max(p95, float(brownout.get("queue_age_p95_s", 0.0)))
-    top = sorted(clients.items(), key=lambda item: (-item[1]["requests"], item[0]))
-    active = max(
-        (int((section.get("clients") or {}).get("active", 0)) for section in sections),
-        default=0,
-    )
-    return {
-        "lanes": merged_lanes,
-        "shed": shed,
-        "clients": {
-            "active": active,
-            "top": [
-                {"client": client, **counts}
-                for client, counts in top[: AdmissionController.TOP_K]
-            ],
-        },
-        "brownout": {
-            "enabled": enabled,
-            "state": worst_state,
-            "level": worst_level,
-            "transitions": transitions,
-            "queue_age_p95_s": p95,
-        },
-    }
+    return merge(sections, MODEL["admission"])
 
 
 def retry_after_header(retry_after_s: float | None) -> str:

@@ -151,6 +151,7 @@ def relax_positions(
     predict: Callable[[AtomGraph], object],
     graph: AtomGraph,
     settings: RelaxSettings | None = None,
+    on_step: Callable[[int, int], None] | None = None,
 ) -> RelaxResult:
     """Relax ``graph``'s geometry by backtracking descent on served forces.
 
@@ -159,7 +160,7 @@ def relax_positions(
     :class:`~repro.serving.service.PredictionResult` in production.  The
     input graph's edges are ignored; every evaluated geometry gets its
     edges from the session's skin list (which builds them from scratch
-    exactly once, on the first call).
+    exactly once, on the first call); ``on_step`` is passed through to it.
     """
     settings = settings or RelaxSettings()
     session = TrajectorySession(
@@ -170,6 +171,7 @@ def relax_positions(
         cutoff=settings.cutoff,
         skin=settings.skin,
         max_neighbors=settings.max_neighbors,
+        on_step=on_step,
     )
 
     def evaluate(positions: np.ndarray):

@@ -54,7 +54,8 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.serving.admission import merge_admission_telemetry, retry_after_header
+from repro.serving.admission import retry_after_header
+from repro.serving.telemetry import merge
 from repro.wire import (
     CLIENT_HEADER,
     DEADLINE_HEADER,
@@ -135,184 +136,24 @@ def _rejection(
 # ----------------------------------------------------------------------
 # Telemetry aggregation
 # ----------------------------------------------------------------------
-def _weighted_mean(pairs: list[tuple[float, float]]) -> float:
-    """Mean of (value, weight) pairs; 0.0 when nothing has weight."""
-    total = sum(weight for _, weight in pairs)
-    if total <= 0:
-        return 0.0
-    return sum(value * weight for value, weight in pairs) / total
-
-
 def aggregate_model_telemetry(per_replica: list[dict]) -> dict:
     """Merge per-replica ``/v1/stats`` model sections into fleet totals.
 
     Input: each element is one replica's ``models`` mapping (model name →
-    telemetry dict with ``serving``/``result_cache``/``buffer_pool``/
-    ``plans``/``relax``/``md``/``batching``/``engine`` sections).  Counters are
-    summed and derived rates recomputed from the sums; latency percentiles are
-    request-weighted means of the replicas' percentiles (an
-    approximation — the exact fleet percentile would need the raw
-    per-request records, which stay replica-local by design).  Missing
-    sections are tolerated: replicas running older code simply
+    telemetry entry).  Every field merges by the rule declared beside it
+    in :data:`repro.serving.telemetry.MODEL` — counters sum, derived
+    rates are recomputed from the sums, latency percentiles are
+    request-weighted means (an approximation, see ``mean_by`` there).
+    Missing sections are tolerated: replicas running older code simply
     contribute nothing to the sections they lack.
     """
     by_model: dict[str, list[dict]] = {}
     for models in per_replica:
-        for name, telemetry in models.items():
-            by_model.setdefault(name, []).append(telemetry)
-    return {name: _merge_model(entries) for name, entries in by_model.items()}
-
-
-def _merge_model(entries: list[dict]) -> dict:
-    def sec(entry: dict, section: str) -> dict:
-        value = entry.get(section)
-        return value if isinstance(value, dict) else {}
-
-    def total(section: str, key: str) -> float:
-        return sum(sec(entry, section).get(key, 0) or 0 for entry in entries)
-
-    requests = total("serving", "requests")
-    cache_hits = total("serving", "cache_hits")
-    batches = total("serving", "batches")
-    plan_hits = total("plans", "plan_hits")
-    plan_misses = total("plans", "plan_misses")
-    rc_hits = total("result_cache", "hits")
-    rc_misses = total("result_cache", "misses")
-    bp_hits = total("buffer_pool", "hits")
-    bp_misses = total("buffer_pool", "misses")
-    nl_rebuilds = total("relax", "neighbor_rebuilds")
-    nl_reuses = total("relax", "neighbor_reuses")
-    md_rebuilds = total("md", "neighbor_rebuilds")
-    md_reuses = total("md", "neighbor_reuses")
-    flush_reasons: dict[str, int] = {}
-    for entry in entries:
-        for reason, count in sec(entry, "batching").get("flush_reasons", {}).items():
-            flush_reasons[reason] = flush_reasons.get(reason, 0) + count
-    md_thermostats: dict[str, int] = {}
-    for entry in entries:
-        for kind, count in sec(entry, "md").get("thermostats", {}).items():
-            md_thermostats[kind] = md_thermostats.get(kind, 0) + count
-
-    def latency(key: str) -> float:
-        return _weighted_mean(
-            [
-                (sec(entry, "serving").get(key, 0.0), sec(entry, "serving").get("requests", 0))
-                for entry in entries
-            ]
-        )
-
-    first = entries[0]
+        for name, entry in models.items():
+            by_model.setdefault(name, []).append(entry)
     return {
-        "replica_count": len(entries),
-        "serving": {
-            "requests": int(requests),
-            "cache_hits": int(cache_hits),
-            "cache_hit_rate": cache_hits / requests if requests else 0.0,
-            "batches": int(batches),
-            "mean_batch_graphs": _weighted_mean(
-                [
-                    (
-                        sec(entry, "serving").get("mean_batch_graphs", 0.0),
-                        sec(entry, "serving").get("batches", 0),
-                    )
-                    for entry in entries
-                ]
-            ),
-            "mean_batch_atoms": _weighted_mean(
-                [
-                    (
-                        sec(entry, "serving").get("mean_batch_atoms", 0.0),
-                        sec(entry, "serving").get("batches", 0),
-                    )
-                    for entry in entries
-                ]
-            ),
-            "p50_latency_s": latency("p50_latency_s"),
-            "p95_latency_s": latency("p95_latency_s"),
-            "mean_latency_s": latency("mean_latency_s"),
-            "wall_time_s": max(
-                (sec(entry, "serving").get("wall_time_s", 0.0) for entry in entries),
-                default=0.0,
-            ),
-            "requests_per_s": total("serving", "requests_per_s"),
-            "atoms_per_s": total("serving", "atoms_per_s"),
-        },
-        "result_cache": {
-            "hits": int(rc_hits),
-            "misses": int(rc_misses),
-            "evictions": int(total("result_cache", "evictions")),
-            "hit_rate": rc_hits / (rc_hits + rc_misses) if (rc_hits + rc_misses) else 0.0,
-        },
-        "buffer_pool": {
-            "hits": int(bp_hits),
-            "misses": int(bp_misses),
-            "evictions": int(total("buffer_pool", "evictions")),
-            "hit_rate": bp_hits / (bp_hits + bp_misses) if (bp_hits + bp_misses) else 0.0,
-            "reserved_bytes": int(total("buffer_pool", "reserved_bytes")),
-            "idle_buffers": int(total("buffer_pool", "idle_buffers")),
-        },
-        "plans": {
-            "enabled": any(sec(entry, "plans").get("enabled", False) for entry in entries),
-            "plans_compiled": int(total("plans", "plans_compiled")),
-            "plan_hits": int(plan_hits),
-            "plan_misses": int(plan_misses),
-            "plan_fallbacks": int(total("plans", "plan_fallbacks")),
-            "plan_hit_rate": (
-                plan_hits / (plan_hits + plan_misses) if (plan_hits + plan_misses) else 0.0
-            ),
-            "cached_plans": int(total("plans", "cached_plans")),
-        },
-        "batching": {
-            # Config knobs are fleet-uniform (the supervisor launches
-            # every replica with the same args) — report the first's.
-            "max_atoms": sec(first, "batching").get("max_atoms"),
-            "max_graphs": sec(first, "batching").get("max_graphs"),
-            "flush_interval_s": sec(first, "batching").get("flush_interval_s"),
-            "max_pending": sec(first, "batching").get("max_pending"),
-            "rejected": int(total("batching", "rejected")),
-            "expired": int(total("batching", "expired")),
-            "shed_predicted": int(total("batching", "shed_predicted")),
-            "flush_reasons": flush_reasons,
-        },
-        # Fleet-wide overload-protection view: lane counters and shed
-        # reasons sum, the brownout level reports the worst replica, and
-        # the per-client top-k is re-ranked over the union.
-        "admission": merge_admission_telemetry(
-            [sec(entry, "admission") for entry in entries if sec(entry, "admission")]
-        ),
-        "relax": {
-            "sessions": int(total("relax", "sessions")),
-            "steps": int(total("relax", "steps")),
-            "converged": int(total("relax", "converged")),
-            "neighbor_rebuilds": int(nl_rebuilds),
-            "neighbor_reuses": int(nl_reuses),
-            "neighbor_reuse_rate": (
-                nl_reuses / (nl_rebuilds + nl_reuses) if (nl_rebuilds + nl_reuses) else 0.0
-            ),
-        },
-        "md": {
-            "sessions": int(total("md", "sessions")),
-            "steps": int(total("md", "steps")),
-            # Fleet throughput is the sum of per-replica rates (replicas
-            # integrate concurrently), same stance as requests_per_s.
-            "steps_per_s": total("md", "steps_per_s"),
-            "neighbor_rebuilds": int(md_rebuilds),
-            "neighbor_reuses": int(md_reuses),
-            "neighbor_reuse_rate": (
-                md_reuses / (md_rebuilds + md_reuses) if (md_rebuilds + md_reuses) else 0.0
-            ),
-            "thermostats": md_thermostats,
-        },
-        "engine": {
-            "backend": sec(first, "engine").get("backend"),
-            "physical_units": sec(first, "engine").get("physical_units"),
-            "autotune_decisions": int(
-                max(
-                    (sec(entry, "engine").get("autotune_decisions", 0) for entry in entries),
-                    default=0,
-                )
-            ),
-        },
+        name: {"replica_count": len(entries), **merge(entries)}
+        for name, entries in by_model.items()
     }
 
 

@@ -54,6 +54,7 @@ from repro.serving.hashing import structure_hash
 from repro.serving.md import MDSettings, run_md
 from repro.serving.relax import RelaxResult, RelaxSettings, TrajectorySession, relax_positions
 from repro.serving.stats import ServingStats, StatsSummary
+from repro.serving.telemetry import MODEL, derive
 from repro.tensor.allocator import BufferPool, use_pool
 from repro.tensor.autotune import default_autotuner
 from repro.tensor.kernels import available_backends, use_backend
@@ -135,6 +136,77 @@ class ServiceConfig:
     lane_aging_s: float | None = None
 
 
+def _session_counters(**extra) -> dict:
+    """Lifetime counters of one session workload, keyed as its stats section.
+
+    ``seconds`` is what MD's ``steps_per_s`` divides by; relax keeps it too
+    (one block, used twice) and does not publish a rate.
+    """
+    return {
+        "sessions": 0,
+        "steps": 0,
+        "seconds": 0.0,
+        "neighbor_rebuilds": 0,
+        "neighbor_reuses": 0,
+        **extra,
+    }
+
+
+class _ForceSession:
+    """One admitted relax / MD / trajectory run: every force evaluation it makes.
+
+    Admission runs once, here — a session is one request, not one per
+    force evaluation.  :meth:`predict` is what the integrator drives:
+    the deadline is re-checked before every evaluation (a long run stops
+    between steps rather than holding a worker past its budget), then
+    the call inherits the lane for scheduling but never re-charges
+    quotas.  :meth:`on_step` counts evaluations, skin-list outcomes and
+    elapsed time as they happen, so an aborted run keeps its progress
+    and ``steps`` never runs ahead of ``seconds``; :meth:`close` belongs
+    in the caller's ``finally``.
+    """
+
+    def __init__(
+        self, service, counters, what, deadline, lane, client_id, initial: int = 0
+    ) -> None:
+        self._lease = service.admission.admit(client_id, lane)
+        self._service = service
+        self._counters = counters
+        self._what = what
+        self._call = {"deadline": deadline, "lane": lane, "client_id": client_id, "admit": False}
+        self._initial = initial  # leading evaluations that are not steps (MD's first forces)
+        self._mark = time.perf_counter()
+        self._fold(sessions=1)
+
+    def _fold(self, **amounts) -> None:
+        now = time.perf_counter()
+        with self._service._counter_lock:
+            self._counters["seconds"] += now - self._mark
+            for name, amount in amounts.items():
+                self._counters[name] += amount
+        self._mark = now
+
+    def predict(self, graph: AtomGraph) -> PredictionResult:
+        deadline = self._call["deadline"]
+        if deadline is not None and time.monotonic() >= deadline:
+            self._service._count_expired(1)
+            raise DeadlineExceeded(f"{self._what} deadline expired between force evaluations")
+        return self._service.predict(graph, **self._call)
+
+    def on_step(self, rebuilds: int, reuses: int) -> None:
+        if self._initial:
+            self._initial -= 1
+            steps = 0
+        else:
+            steps = 1
+        self._fold(steps=steps, neighbor_rebuilds=rebuilds, neighbor_reuses=reuses)
+
+    def close(self, **totals) -> None:
+        """Release the lease; fold the elapsed tail and the run's closing ``totals``."""
+        self._lease.release()
+        self._fold(**totals)
+
+
 class PredictionService:
     """Dynamic-batching inference front end over one :class:`HydraModel`."""
 
@@ -169,22 +241,12 @@ class PredictionService:
                 brownout_dwell_s=self.config.brownout_dwell_s,
             )
         )
-        # Trajectory-workload counters (relax loops + trajectory sessions);
-        # written from whichever thread runs the loop, hence the lock.
-        self._relax_lock = threading.Lock()
-        self._relax_sessions = 0
-        self._relax_steps = 0
-        self._relax_converged = 0
-        self._neighbor_rebuilds = 0
-        self._neighbor_reuses = 0
-        # MD-workload counters, guarded by the same lock (MD steps run on
-        # whichever thread drains the frame stream).
-        self._md_sessions = 0
-        self._md_steps = 0
-        self._md_seconds = 0.0
-        self._md_rebuilds = 0
-        self._md_reuses = 0
-        self._md_thermostats: dict[str, int] = {}
+        # Session-workload counters (relax loops + trajectory sessions, MD
+        # runs) and the service-side ``expired`` count, written from
+        # whichever thread drives the session — hence the one lock.
+        self._counter_lock = threading.Lock()
+        self._relax = _session_counters(converged=0)
+        self._md = _session_counters(thermostats={})
         # No model lock: the engine's grad mode, pool stack, and kernel
         # dispatch are thread-local, and the shared BufferPool is
         # internally locked, so N workers run N model forwards truly
@@ -280,7 +342,7 @@ class PredictionService:
             for reason, count in self._batcher.flush_reasons.items():
                 self._flush_reasons[reason] = self._flush_reasons.get(reason, 0) + count
             self._rejected += self._batcher.rejected
-            self._expired += self._batcher.expired
+            self._count_expired(self._batcher.expired)
             self._shed_predicted += self._batcher.shed_predicted
             self._workers.clear()
             self._batcher = None
@@ -417,7 +479,7 @@ class PredictionService:
                 error = DeadlineExceeded(
                     "deadline expired between inline chunks; remaining structures dropped"
                 )
-                self._expired += sum(1 for request in chunk if not request.done())
+                self._count_expired(sum(1 for request in chunk if not request.done()))
                 for request in chunk:
                     if not request.done():
                         request.fail(error)
@@ -433,11 +495,10 @@ class PredictionService:
     # ------------------------------------------------------------------
     # trajectory workloads (relaxation, MD-style sessions)
     # ------------------------------------------------------------------
-    def _record_trajectory_step(self, rebuilds: int, reuses: int) -> None:
-        with self._relax_lock:
-            self._relax_steps += 1
-            self._neighbor_rebuilds += rebuilds
-            self._neighbor_reuses += reuses
+    def _count_expired(self, count: int) -> None:
+        """The one writer of the service-side ``expired`` counter."""
+        with self._counter_lock:
+            self._expired += count
 
     def trajectory(
         self,
@@ -455,19 +516,20 @@ class PredictionService:
         when displacements exceed the skin bound) and predicts through
         this service — micro-batcher, result cache, and plan cache
         included.  Sessions keep one shape bucket hot, so plan replays
-        dominate after the first step.
+        dominate after the first step.  The caller owns the dynamics, so
+        the session is anonymous, interactive and has no deadline; it
+        counts under ``relax``.
         """
-        with self._relax_lock:
-            self._relax_sessions += 1
+        session = _ForceSession(self, self._relax, "trajectory", None, DEFAULT_LANE, None)
         return TrajectorySession(
-            self.predict,
+            session.predict,
             atomic_numbers,
             cell=cell,
             pbc=pbc,
             cutoff=cutoff,
             skin=skin,
             max_neighbors=max_neighbors,
-            on_step=self._record_trajectory_step,
+            on_step=session.on_step,
         )
 
     def relax(
@@ -484,37 +546,18 @@ class PredictionService:
         mode it rides the micro-batcher alongside interactive traffic,
         and consecutive steps replay the same traced plan bucket.  The
         input graph's edges are ignored; the relax session's skin list
-        owns connectivity for the whole descent.  A ``deadline``
-        (absolute monotonic instant) is re-checked before every force
-        evaluation, so a long descent stops between steps rather than
-        holding a worker past its budget.  Admission policy runs once
-        for the whole descent (a relax is one request, not one per force
-        evaluation); the inner predicts inherit the lane for scheduling
-        but never re-charge quotas.
+        owns connectivity for the whole descent.  Admission and the
+        ``deadline`` (absolute monotonic instant) work as
+        :class:`_ForceSession` describes.
         """
-        lease = self.admission.admit(client_id, lane)
-
-        def predict(graph, _deadline=deadline):  # deadline-guarded, lane-tagged shim
-            if _deadline is not None and time.monotonic() >= _deadline:
-                with self._relax_lock:
-                    self._expired += 1
-                raise DeadlineExceeded("relax deadline expired between force evaluations")
-            return self.predict(
-                graph, deadline=_deadline, lane=lane, client_id=client_id, admit=False
-            )
-
+        session = _ForceSession(self, self._relax, "relax", deadline, lane, client_id)
+        converged = False
         try:
-            result = relax_positions(predict, graph, settings)
+            result = relax_positions(session.predict, graph, settings, on_step=session.on_step)
+            converged = result.converged
+            return result
         finally:
-            lease.release()
-        with self._relax_lock:
-            self._relax_sessions += 1
-            self._relax_steps += result.steps
-            if result.converged:
-                self._relax_converged += 1
-            self._neighbor_rebuilds += result.neighbor_rebuilds
-            self._neighbor_reuses += result.neighbor_reuses
-        return result
+            session.close(converged=int(converged))
 
     def md(
         self,
@@ -529,49 +572,22 @@ class PredictionService:
         A generator of ``("frame", MDFrame)`` events ending with one
         ``("result", MDResult)`` — drained lazily so the HTTP layer can
         stream frames as they are produced.  Like :meth:`relax`, every
-        force evaluation is a regular :meth:`predict` (micro-batcher,
-        result cache, and plan bucket included) and the session's skin
-        neighbor list persists across steps.  A ``deadline`` (absolute
-        monotonic instant) is re-checked before every force evaluation,
-        so a long run stops between steps rather than holding a worker
-        past its budget — chunked clients resume from the last frame.
+        force evaluation is a regular :meth:`predict` inside one
+        :class:`_ForceSession`, and the session's skin neighbor list
+        persists across steps; a run stopped by its ``deadline`` keeps
+        the steps it made — chunked clients resume from the last frame.
         """
-        lease = self.admission.admit(client_id, lane)
-
-        def predict(graph, _deadline=deadline):  # deadline-guarded, lane-tagged shim
-            if _deadline is not None and time.monotonic() >= _deadline:
-                with self._relax_lock:
-                    self._expired += 1
-                raise DeadlineExceeded("md deadline expired between force evaluations")
-            return self.predict(
-                graph, deadline=_deadline, lane=lane, client_id=client_id, admit=False
-            )
-
         settings = settings or MDSettings()
-        with self._relax_lock:
-            self._md_sessions += 1
-            key = settings.thermostat
-            self._md_thermostats[key] = self._md_thermostats.get(key, 0) + 1
-
-        evals = [0]  # session force evaluations == steps + 1 (initial eval)
-
-        def record_step(rebuilds: int, reuses: int) -> None:
-            evals[0] += 1
-            with self._relax_lock:
-                self._md_rebuilds += rebuilds
-                self._md_reuses += reuses
+        session = _ForceSession(self, self._md, "md", deadline, lane, client_id, initial=1)
+        with self._counter_lock:
+            kinds = self._md["thermostats"]
+            kinds[settings.thermostat] = kinds.get(settings.thermostat, 0) + 1
 
         def events():
-            start = time.perf_counter()
             try:
-                yield from run_md(predict, graph, settings, on_step=record_step)
+                yield from run_md(session.predict, graph, settings, on_step=session.on_step)
             finally:
-                lease.release()
-                # Counted from force evaluations, not the terminal result,
-                # so a deadline-aborted run still records its progress.
-                with self._relax_lock:
-                    self._md_steps += max(0, evals[0] - 1)
-                    self._md_seconds += time.perf_counter() - start
+                session.close()
 
         return events()
 
@@ -725,36 +741,13 @@ class PredictionService:
             payload.update(plans.telemetry())
         return payload
 
-    def _relax_telemetry(self) -> dict:
-        """Relax/trajectory counters, including skin-list hit rates."""
-        with self._relax_lock:
-            rebuilds = self._neighbor_rebuilds
-            reuses = self._neighbor_reuses
-            updates = rebuilds + reuses
-            return {
-                "sessions": self._relax_sessions,
-                "steps": self._relax_steps,
-                "converged": self._relax_converged,
-                "neighbor_rebuilds": rebuilds,
-                "neighbor_reuses": reuses,
-                "neighbor_reuse_rate": (reuses / updates) if updates else 0.0,
-            }
-
-    def _md_telemetry(self) -> dict:
-        """MD counters — skin-list fields mirror the relax section."""
-        with self._relax_lock:
-            rebuilds = self._md_rebuilds
-            reuses = self._md_reuses
-            updates = rebuilds + reuses
-            return {
-                "sessions": self._md_sessions,
-                "steps": self._md_steps,
-                "steps_per_s": (self._md_steps / self._md_seconds) if self._md_seconds else 0.0,
-                "neighbor_rebuilds": rebuilds,
-                "neighbor_reuses": reuses,
-                "neighbor_reuse_rate": (reuses / updates) if updates else 0.0,
-                "thermostats": dict(self._md_thermostats),
-            }
+    def _session_telemetry(self) -> dict:
+        """The ``relax`` and ``md`` sections: declared keys, skin hit rates derived."""
+        with self._counter_lock:
+            relax = dict(self._relax)
+            md = dict(self._md, thermostats=dict(self._md["thermostats"]))
+        md["steps_per_s"] = (md["steps"] / md["seconds"]) if md["seconds"] else 0.0
+        return {"relax": derive(MODEL["relax"], relax), "md": derive(MODEL["md"], md)}
 
     def saturation(self) -> dict:
         """Cheap load gauges for the healthz probe (no full telemetry walk).
@@ -786,8 +779,7 @@ class PredictionService:
             "result_cache": self.cache.stats.as_dict(),
             "buffer_pool": self.pool.snapshot(),
             "plans": self._plan_telemetry(),
-            "relax": self._relax_telemetry(),
-            "md": self._md_telemetry(),
+            **self._session_telemetry(),
             "batching": {
                 "max_atoms": self.config.max_atoms,
                 "max_graphs": self.config.max_graphs,

@@ -1,12 +1,15 @@
 """Import layering, checked on the source text (nothing is imported).
 
 ``repro.wire`` is the part of the wire contract every hop shares, so it
-may depend on nothing else in the package; and ``repro.api`` sits on top
+may depend on nothing else in the package; ``repro.api`` sits on top
 of ``repro.serving`` — the replica router forwards v1 bodies without
-importing the schemas that type them.
+importing the schemas that type them; and the ``/v1/stats`` table in
+``serving/telemetry.py`` is standard library only, so the router and
+offline readers of server-emitted stats can import it alone.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -47,6 +50,13 @@ def test_the_walk_resolves_relative_and_nested_imports():
 def test_wire_imports_nothing_from_the_package():
     offenders = {m for m in imports_of_file(PACKAGE / "wire.py") if is_under(m, "repro")}
     assert offenders == set()
+
+
+def test_the_telemetry_table_imports_only_the_standard_library():
+    modules = imports_of_file(PACKAGE / "serving" / "telemetry.py")
+    offenders = {m for m in modules if m.split(".")[0] not in sys.stdlib_module_names}
+    assert offenders == set()
+    assert "repro.serving.telemetry" in imports_of_file(PACKAGE / "serving" / "router.py")
 
 
 def test_serving_never_imports_the_api_package():
