@@ -137,11 +137,11 @@ MODEL = {
         "rejected": SUM,
         "expired": SUM,
         "shed_predicted": SUM,
-        "estimated_wait_s": LOCAL,
+        "estimated_wait_s": MAX_S,
         "flush_reasons": COUNTS,
     },
     "admission": {
-        "config": LOCAL,
+        "config": {"client_rate": FIRST, "client_burst": FIRST, "client_concurrency": FIRST},
         "lanes": {"interactive": _LANE, "bulk": _LANE, "background": _LANE},
         "shed": COUNTS,
         "clients": {"active": MAX, "top": top_k("client", ("requests", "shed"), TOP_CLIENTS)},
@@ -151,9 +151,9 @@ MODEL = {
             "level": MAX,
             "transitions": SUM,
             "queue_age_p95_s": MAX_S,
-            "enter_age_s": LOCAL,
-            "exit_age_s": LOCAL,
-            "history": LOCAL,
+            "enter_age_s": FIRST,
+            "exit_age_s": FIRST,
+            "history": LOCAL,  # each replica's own transitions, in its own time
         },
     },
     "relax": {"sessions": SUM, "steps": SUM, "converged": SUM, **_SKIN},

@@ -116,6 +116,30 @@ class TestTableIsTheShape:
             else:
                 at(fleet, path)  # present
 
+    def test_what_the_fleet_view_used_to_drop_is_merged_by_a_declared_rule(self):
+        """``estimated_wait_s``, ``admission.config`` and the brownout
+        thresholds vanished in the hand-written merge; only the transition
+        history is replica-local, and that is said in the table."""
+        assert [path for path, rule in leaves(MODEL) if rule is LOCAL] == [
+            ("admission", "brownout", "history")
+        ]
+        config = {"client_rate": 5.0, "client_burst": 10.0, "client_concurrency": 2}
+        thresholds = {"enter_age_s": 0.5, "exit_age_s": 0.25}
+        history = [{"from": "normal", "to": "shed_background", "queue_age_p95_s": 0.7}]
+        idle = {
+            "batching": {"estimated_wait_s": 0.0},
+            "admission": {"config": config, "brownout": dict(thresholds, history=[])},
+        }
+        busy = {
+            "batching": {"estimated_wait_s": 0.25},
+            "admission": {"config": config, "brownout": dict(thresholds, history=history)},
+        }
+        fleet = merge([idle, busy])
+        assert fleet["batching"]["estimated_wait_s"] == 0.25  # the worst replica's
+        assert fleet["admission"]["config"] == config  # fleet-uniform: the first's
+        assert {k: fleet["admission"]["brownout"][k] for k in thresholds} == thresholds
+        assert "history" not in fleet["admission"]["brownout"]
+
     def test_top_client_records_carry_the_ranked_counters(self, live_service):
         top = live_service.telemetry()["admission"]["clients"]["top"]
         assert top == [{"client": "alice", "requests": 1, "shed": 0}]
@@ -193,7 +217,9 @@ ORDER_FREE = [path for path, rule in leaves(MODEL) if rule not in (FIRST, LOCAL)
 GROUP_FREE = [
     path
     for path, rule in leaves(MODEL)
-    if rule in (SUM, MAX, MAX_S, ANY, COUNTS) or path[-1].endswith("_rate") or path[-1] == "state"
+    if rule in (SUM, MAX, MAX_S, ANY, COUNTS)
+    or (path[-1].endswith("_rate") and rule is not FIRST)  # the ratios of sums
+    or path[-1] == "state"
 ]
 
 
