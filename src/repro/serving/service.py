@@ -54,7 +54,7 @@ from repro.serving.hashing import structure_hash
 from repro.serving.md import MDSettings, run_md
 from repro.serving.relax import RelaxResult, RelaxSettings, TrajectorySession, relax_positions
 from repro.serving.stats import ServingStats, StatsSummary
-from repro.serving.telemetry import MODEL, derive
+from repro.serving.telemetry import MODEL, add_counts, derive
 from repro.tensor.allocator import BufferPool, use_pool
 from repro.tensor.autotune import default_autotuner
 from repro.tensor.kernels import available_backends, use_backend
@@ -339,8 +339,7 @@ class PredictionService:
                 thread.join()
             # Fold the session's flush counters into the service before
             # the batcher goes away, so post-session telemetry keeps them.
-            for reason, count in self._batcher.flush_reasons.items():
-                self._flush_reasons[reason] = self._flush_reasons.get(reason, 0) + count
+            self._flush_reasons = self._all_flush_reasons()
             self._rejected += self._batcher.rejected
             self._count_expired(self._batcher.expired)
             self._shed_predicted += self._batcher.shed_predicted
@@ -726,12 +725,9 @@ class PredictionService:
 
     def _all_flush_reasons(self) -> dict[str, int]:
         """Accumulated flush counters plus the live session's, if any."""
-        reasons = dict(self._flush_reasons)
         batcher = self._batcher  # captured: concurrent stop() nulls the attribute
-        if batcher is not None:
-            for reason, count in batcher.flush_reasons.items():
-                reasons[reason] = reasons.get(reason, 0) + count
-        return reasons
+        live = batcher.flush_reasons if batcher is not None else {}
+        return add_counts([self._flush_reasons, live])
 
     def _plan_telemetry(self) -> dict:
         """Plan-cache counters for this service's model (JSON-ready)."""

@@ -23,7 +23,8 @@ def fieldwise(fold, zero):
     return lambda key, sections: fold([section.get(key) or zero for section in sections])
 
 
-def _add_counts(histograms):
+def add_counts(histograms) -> dict:
+    """``{name: count}`` histograms, added key-wise."""
     merged: dict = {}
     for histogram in histograms:
         for name, count in histogram.items():
@@ -31,11 +32,14 @@ def _add_counts(histograms):
     return merged
 
 
+def _largest(zero):
+    return fieldwise(lambda values: max(values, default=zero), zero)
+
+
 SUM = fieldwise(sum, 0)  # counters, and rates replicas earn concurrently
 ANY = fieldwise(any, False)
-MAX = fieldwise(lambda values: max(values, default=0), 0)
-MAX_S = fieldwise(lambda values: max(values, default=0.0), 0.0)  # seconds: a float zero
-COUNTS = fieldwise(_add_counts, {})  # ``{name: count}`` histograms add key-wise
+MAX, MAX_S = _largest(0), _largest(0.0)  # MAX_S: seconds, so the empty fleet reads 0.0
+COUNTS = fieldwise(add_counts, {})
 
 
 def FIRST(key, sections):

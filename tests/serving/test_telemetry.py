@@ -1,12 +1,19 @@
-"""Fleet ``/v1/stats`` aggregation, pinned against captured replica telemetry.
+"""``/v1/stats`` declared once: the table, the fold, and the sessions that count.
 
-``golden/replica_stats.json`` holds four replicas' ``models`` mappings as
-the router parses them: three live ``PredictionService.telemetry()``
-dicts (predicts, cache hits, an expired deadline, relax, MD under three
-thermostats, a rate-quota shed, a brownout that climbed two levels) and
-one sparse entry from an "older replica".  ``golden/fleet_stats.json`` is
-what ``aggregate_model_telemetry`` answered for them when they were
-captured; the merge must keep answering exactly that.
+- **Golden.**  ``golden/replica_stats.json`` holds four replicas'
+  ``models`` mappings as the router parses them: three live
+  ``PredictionService.telemetry()`` dicts (predicts, cache hits, an
+  expired deadline, relax, MD under three thermostats, a rate-quota
+  shed, a brownout that climbed two levels) and one sparse entry from
+  an "older replica".  ``golden/fleet_stats.json`` is what
+  ``aggregate_model_telemetry`` answers for them — captured from the
+  hand-written merge, since grown only by the four fields that merge
+  used to drop.
+- **Completeness.**  What a live replica emits and what
+  ``repro.serving.telemetry.MODEL`` declares are the same keys.
+- **Properties** of the generic fold: replica order, grouping, gaps.
+- **Sessions.**  Relax, MD and trajectory runs count through one
+  force-evaluation session, aborted runs included.
 """
 
 import json
@@ -223,6 +230,17 @@ GROUP_FREE = [
 ]
 
 
+_HISTOGRAMS = {path[-1] for path, rule in leaves(MODEL) if rule is COUNTS}
+
+
+def _shape(merged: dict) -> dict:
+    """The key skeleton of a merged entry (declared sub-sections only)."""
+    return {
+        key: _shape(value) if isinstance(value, dict) and key not in _HISTOGRAMS else None
+        for key, value in merged.items()
+    }
+
+
 class TestFoldProperties:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(entries=ENTRIES, data=st.data())
@@ -264,17 +282,6 @@ class TestFoldProperties:
         assert empty["admission"]["brownout"]["state"] == "normal"
         assert empty["md"]["thermostats"] == {}
         assert aggregate_model_telemetry([]) == {}
-
-
-def _shape(merged: dict) -> dict:
-    """The key skeleton of a merged entry (declared sub-sections only)."""
-    return {
-        key: _shape(value) if isinstance(value, dict) and key not in _HISTOGRAMS else None
-        for key, value in merged.items()
-    }
-
-
-_HISTOGRAMS = {path[-1] for path, rule in leaves(MODEL) if rule is COUNTS}
 
 
 # ----------------------------------------------------------------------
