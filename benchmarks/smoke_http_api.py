@@ -8,10 +8,9 @@ tiny preset), then asserts the deployment contract end to end:
    (finite energy, `(n_atoms, 3)` finite forces),
 3. a burst beyond `--max-pending 1` returns 429 with a typed
    `overloaded` error body,
-4. a POSTed `/v1/relax` on a perturbed structure (second server, default
-   flush tick so relax steps are not throttled by the admission-control
-   preset above) returns 200 with a schema-valid, *converged*
-   `RelaxResponse`,
+4. a POSTed `/v1/relax` on a perturbed structure (second server, without
+   the admission-control preset above) returns 200 with a schema-valid,
+   *converged* `RelaxResponse`,
 5. a POSTed `/v1/md` (same second server) streams NDJSON: schema-valid
    `frame` lines in step order, ending with exactly one terminal
    `summary` line that parses as a schema-valid `MDResponse`,
@@ -107,7 +106,7 @@ def post_predict(base_url: str, structures: list[dict]):
 def main() -> int:
     cache_path = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
     process, base_url = start_server(
-        cache_path, "--workers", "1", "--max-pending", "1", "--flush-interval", "0.5"
+        cache_path, "--workers", "1", "--max-pending", "1"
     )
     try:
         # 1. Liveness.
@@ -137,6 +136,8 @@ def main() -> int:
         print(f"predict ok: energy={result.energy:+.6f}, model={response.model!r}")
 
         # 3. Burst beyond --max-pending 1 -> 429 with a typed error body.
+        # One call is enqueued as one group, so its second structure finds
+        # the first still queued whatever the worker is doing.
         burst = [
             {
                 "atomic_numbers": [6, 6],
@@ -154,9 +155,8 @@ def main() -> int:
             print("admission control ok: burst rejected with 429/overloaded")
 
         # 4. /v1/relax on a perturbed structure -> 200, schema-valid,
-        # converged.  A second server with the default flush tick: the
-        # admission-control server above runs --flush-interval 0.5, which
-        # would throttle every relax force evaluation to the batcher tick.
+        # converged.  A second server, so the relax and MD checks run
+        # without the --max-pending 1 preset above.
         relax_cache = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
         relax_process, relax_url = start_server(relax_cache, "--workers", "1")
         try:

@@ -510,7 +510,6 @@ def _serve_selftest(args: argparse.Namespace) -> int:
         f"serving {args.requests} requests over {len(corpus.graphs)} unique "
         f"structures with {args.workers} worker(s) "
         f"(budget: {config.max_atoms} atoms / {config.max_graphs} graphs, "
-        f"tick {config.flush_interval_s * 1e3:.1f} ms, "
         f"backend {config.backend or 'default'}, "
         f"plans {'on' if config.plan else 'off'}, "
         f"units {'physical' if normalizer is not None else 'normalized'})"
@@ -688,7 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = unbounded)",
     )
     serve_parser.add_argument(
-        "--flush-interval", type=float, default=0.005, help="timeout tick in seconds"
+        "--flush-interval",
+        type=float,
+        default=0.005,
+        help="no longer delays a batch (a free worker takes queued work at once); "
+        "still reported in /v1/stats and seeds the default --lane-aging",
     )
     serve_parser.add_argument(
         "--client-rate",
@@ -743,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="anti-starvation bound for the weighted-fair lanes: a queued "
         "request older than this is served next regardless of lane "
-        "(default: 10 flush intervals, floored at 50 ms)",
+        "(default: 10 x --flush-interval, floored at 50 ms)",
     )
     serve_parser.add_argument(
         "--fault-spec",

@@ -25,7 +25,7 @@ from repro.serving.batcher import (
     FLUSH_ATOMS,
     FLUSH_CLOSE,
     FLUSH_GRAPHS,
-    FLUSH_TIMEOUT,
+    FLUSH_WORKER,
     LANE_WEIGHTS,
     LANES,
     DeadlineExceeded,
@@ -69,7 +69,7 @@ __all__ = [
     "FLUSH_ATOMS",
     "FLUSH_CLOSE",
     "FLUSH_GRAPHS",
-    "FLUSH_TIMEOUT",
+    "FLUSH_WORKER",
     "LANES",
     "LANE_WEIGHTS",
     "MAX_MD_STEPS",

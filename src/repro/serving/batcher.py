@@ -1,23 +1,33 @@
-"""Dynamic micro-batching: queue requests, flush on budget or timeout.
+"""Dynamic micro-batching: queue requests, hand them to free workers.
 
 The throughput of the fused inference path scales with batch size —
 collating K small structures into one disjoint-union graph amortizes
 per-call overhead across K structures — but serving traffic arrives one
-structure at a time.  The :class:`MicroBatcher` bridges the two: client
-requests accumulate in an ordered queue, and a batch is released to a
-worker when either
+structure at a time.  The :class:`MicroBatcher` bridges the two with one
+rule: *a worker that asks for work takes what is pending now, and takes
+only its share when other workers are also free*.
 
-- the **atom budget** is met (``pending atoms >= max_atoms``, the knob
-  that bounds peak activation memory per forward), or
-- the **graph budget** is met (``pending graphs >= max_graphs``), or
-- the **timeout tick** fires (the oldest request has waited
-  ``flush_interval_s``) — the latency guarantee for a trickle of
-  traffic that never fills a budget.
+- **Free worker.**  Nothing is queued beside an idle worker:
+  :meth:`MicroBatcher.next_batch` returns as soon as anything is
+  pending.  Requests accumulate — and batches form — only while every
+  worker is busy; the next worker to come free takes them in
+  weighted-fair order.
+- **Budgets.**  One take stops at the **atom budget** (``max_atoms``,
+  the knob that bounds peak activation memory per forward) or the
+  **graph budget** (``max_graphs``), whichever comes first.
+- **Share.**  When several workers are free at once (a multi-structure
+  call arriving at an idle service, enqueued whole by
+  :meth:`MicroBatcher.submit_many`), each take's atom budget is cut to
+  ``ceil(pending atoms / free workers)``, so the call becomes that many
+  similar-sized forwards running side by side instead of one large
+  batch and a remainder.
 
-This is the same flush discipline GPU inference servers use (max batch
-size + queue delay); atoms-not-graphs as the primary budget is what a
-variable-size graph workload needs, since forward cost tracks nodes and
-edges, not graph count.
+So queue delay is paid only while every worker is busy; there is no
+flush timer.  ``flush_interval_s`` is still accepted and reported, and
+still seeds the default lane-aging bound, but it no longer delays a
+batch.  Atoms-not-graphs as the primary budget is what a variable-size
+graph workload needs, since forward cost tracks nodes and edges, not
+graph count.
 
 **Priority lanes.**  The queue is split into three lanes —
 ``interactive``, ``bulk``, ``background`` — scheduled by weighted fair
@@ -48,6 +58,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.graph.atoms import AtomGraph
@@ -142,15 +153,17 @@ class ServeRequest:
         return self._result
 
 
-#: Why a batch left the queue (recorded for telemetry/tests).
+#: What bounded a batch when it left the queue (recorded for
+#: telemetry/tests): a full budget's worth was pending, the queue was
+#: draining at close, or a free worker simply took what there was.
 FLUSH_ATOMS = "atoms_budget"
 FLUSH_GRAPHS = "graphs_budget"
-FLUSH_TIMEOUT = "timeout"
 FLUSH_CLOSE = "close"
+FLUSH_WORKER = "free_worker"
 
 
 def first_chunk_size(
-    requests: list[ServeRequest], max_atoms: int, max_graphs: int
+    requests: Iterable[ServeRequest], max_atoms: int, max_graphs: int
 ) -> int:
     """How many leading requests one flush takes (always >= 1).
 
@@ -159,6 +172,7 @@ def first_chunk_size(
     execution modes can never batch differently.  A single structure
     larger than ``max_atoms`` still ships as a batch of one: oversized
     structures must be servable, they just never share a batch.
+    ``requests`` is read lazily, one past the last request taken.
     """
     count = 0
     atoms = 0
@@ -173,7 +187,7 @@ def first_chunk_size(
 
 
 class MicroBatcher:
-    """Bounded accumulation queue with budget- and deadline-based flush."""
+    """Bounded accumulation queue handing budget-sized batches to free workers."""
 
     def __init__(
         self,
@@ -200,8 +214,8 @@ class MicroBatcher:
         self.flush_interval_s = float(flush_interval_s)
         self.max_pending = int(max_pending)
         #: A request older than this jumps the weighted-fair schedule —
-        #: the anti-starvation bound.  Defaults to 10 flush intervals
-        #: (floored at 50 ms so a zero flush interval keeps a real bound).
+        #: the anti-starvation bound.  Defaults to 10 ``flush_interval_s``
+        #: (floored at 50 ms), the one thing that value still decides.
         self.lane_aging_s = (
             float(lane_aging_s)
             if lane_aging_s is not None
@@ -221,6 +235,7 @@ class MicroBatcher:
         self._vtime = 0.0  # virtual clock of the most recent dequeue
         self._pending_count = 0
         self._pending_atoms = 0
+        self._free_workers = 0  # consumers inside next_batch() right now
         #: EWMA of measured per-graph service time (record_service), the
         #: basis of the predicted-wait shed at submit.
         self._per_graph_s: float | None = None
@@ -233,49 +248,70 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def submit(self, request: ServeRequest) -> None:
         """Enqueue one request, or reject it if the queue is at capacity."""
+        self.submit_many([request])
+
+    def submit_many(self, requests: list[ServeRequest]) -> None:
+        """Enqueue a group under one lock hold: a worker sees all of it or none.
+
+        Every request passes the checks of :meth:`submit`, in order.  The
+        first one refused raises its rejection; the requests ahead of it
+        stay queued and run, and it and everything behind it are failed
+        with that rejection — never queued, so never executed, and their
+        ``on_done`` hooks (admission leases) fire exactly once.
+        """
+        if not requests:
+            return  # a call answered wholly by the cache wakes nobody
+        with self._cond:
+            now = time.monotonic()
+            queued = 0
+            try:
+                for request in requests:
+                    self._enqueue_locked(request, now)
+                    queued += 1
+            except BaseException as error:
+                for request in requests[queued:]:
+                    request.fail(error)
+                raise
+            finally:
+                self._cond.notify_all()
+
+    def _enqueue_locked(self, request: ServeRequest, now: float) -> None:
         if request.lane not in self._lanes:
             raise ValueError(f"unknown lane {request.lane!r}; expected one of {LANES}")
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("cannot submit to a closed MicroBatcher")
-            now = time.monotonic()
-            if request.expired(now):
-                # Expired on arrival: reject before it occupies queue
-                # space a live request could use.
+        if self._closed:
+            raise RuntimeError("cannot submit to a closed MicroBatcher")
+        if request.expired(now):
+            # Expired on arrival: reject before it occupies queue
+            # space a live request could use.
+            self.expired += 1
+            raise DeadlineExceeded(f"request {request.key[:12]} arrived past its deadline")
+        if self.max_pending and self._pending_count >= self.max_pending:
+            self.rejected += 1
+            raise ServiceOverloaded(
+                f"pending queue full ({self._pending_count}/{self.max_pending} "
+                "structures); retry later"
+            )
+        if request.deadline is not None:
+            # Predicted-wait shed: if the measured drain rate says the
+            # queue ahead of this request already outlives its
+            # deadline, fail now instead of discovering it at dequeue.
+            wait = self._estimated_wait_locked()
+            if wait > 0.0 and now + wait >= request.deadline:
+                self.shed_predicted += 1
                 self.expired += 1
                 raise DeadlineExceeded(
-                    f"request {request.key[:12]} arrived past its deadline"
+                    f"request {request.key[:12]} predicted to wait {wait:.3f}s "
+                    "in the queue, past its deadline; shed at submit"
                 )
-            if self.max_pending and self._pending_count >= self.max_pending:
-                self.rejected += 1
-                raise ServiceOverloaded(
-                    f"pending queue full ({self._pending_count}/{self.max_pending} "
-                    "structures); retry later"
-                )
-            if request.deadline is not None:
-                # Predicted-wait shed: if the measured drain rate says the
-                # queue ahead of this request already outlives its
-                # deadline, fail now instead of discovering it at dequeue.
-                wait = self._estimated_wait_locked()
-                if wait > 0.0 and now + wait >= request.deadline:
-                    self.shed_predicted += 1
-                    self.expired += 1
-                    raise DeadlineExceeded(
-                        f"request {request.key[:12]} predicted to wait {wait:.3f}s "
-                        "in the queue, past its deadline; shed at submit"
-                    )
-            lane = self._lanes[request.lane]
-            if not lane:
-                # A lane waking from idle starts at the current virtual
-                # clock — it competes fairly from now, it does not cash
-                # in credit accumulated while empty.
-                self._virtual[request.lane] = max(
-                    self._virtual[request.lane], self._vtime
-                )
-            lane.append(request)
-            self._pending_count += 1
-            self._pending_atoms += request.n_atoms
-            self._cond.notify_all()
+        lane = self._lanes[request.lane]
+        if not lane:
+            # A lane waking from idle starts at the current virtual
+            # clock — it competes fairly from now, it does not cash
+            # in credit accumulated while empty.
+            self._virtual[request.lane] = max(self._virtual[request.lane], self._vtime)
+        lane.append(request)
+        self._pending_count += 1
+        self._pending_atoms += request.n_atoms
 
     def close(self) -> None:
         """Stop accepting requests; queued work drains as final batches."""
@@ -324,27 +360,13 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # consumer side
     # ------------------------------------------------------------------
-    def _oldest_submitted_locked(self) -> float | None:
-        oldest: float | None = None
-        for queue in self._lanes.values():
-            if queue and (oldest is None or queue[0].submitted_at < oldest):
-                oldest = queue[0].submitted_at
-        return oldest
-
-    def _flush_reason(self, now: float) -> str | None:
-        """Why the queue should flush right now (``None``: keep waiting)."""
-        if not self._pending_count:
-            return None
+    def _flush_reason(self) -> str:
+        """What bounds the batch about to leave a non-empty queue."""
         if self._pending_atoms >= self.max_atoms:
             return FLUSH_ATOMS
         if self._pending_count >= self.max_graphs:
             return FLUSH_GRAPHS
-        oldest = self._oldest_submitted_locked()
-        if oldest is not None and now - oldest >= self.flush_interval_s:
-            return FLUSH_TIMEOUT
-        if self._closed:
-            return FLUSH_CLOSE
-        return None
+        return FLUSH_CLOSE if self._closed else FLUSH_WORKER
 
     def _select_lane(self, now: float) -> str:
         """Which lane serves next: aged head first, else smallest clock."""
@@ -371,32 +393,34 @@ class MicroBatcher:
         return best
 
     def _take_batch(self, now: float) -> list[ServeRequest]:
-        """Pop requests up to the budgets via weighted-fair selection.
+        """Pop this worker's batch via weighted-fair selection.
 
         Always takes at least one request; FIFO within each lane.  The
-        same budget rule as :func:`first_chunk_size`: stop at
-        ``max_graphs``, or when the next request would push a non-empty
-        batch past ``max_atoms``.
+        budgets are :func:`first_chunk_size`'s, with the atom budget cut
+        to this worker's share of what is pending when other workers are
+        free to take the rest; alone, or under saturation, the share is
+        the whole of ``max_atoms``.
         """
         batch: list[ServeRequest] = []
-        atoms = 0
-        while self._pending_count:
-            lane = self._select_lane(now)
-            head = self._lanes[lane][0]
-            if batch and (
-                len(batch) >= self.max_graphs
-                or atoms + head.n_atoms > self.max_atoms
-            ):
-                break
-            self._lanes[lane].popleft()
-            self._pending_count -= 1
-            self._pending_atoms -= head.n_atoms
-            self._vtime = self._virtual[lane]
-            self._virtual[lane] += 1.0 / LANE_WEIGHTS[lane]
-            batch.append(head)
-            atoms += head.n_atoms
-            if self.on_dequeue_wait is not None:
-                self.on_dequeue_wait(max(0.0, now - head.submitted_at))
+
+        def heads():
+            # first_chunk_size looks one request past its chunk, so a
+            # head is only shown here; asking for the next one takes it.
+            while self._pending_count:
+                lane = self._select_lane(now)
+                head = self._lanes[lane][0]
+                yield head
+                self._lanes[lane].popleft()
+                self._pending_count -= 1
+                self._pending_atoms -= head.n_atoms
+                self._vtime = self._virtual[lane]
+                self._virtual[lane] += 1.0 / LANE_WEIGHTS[lane]
+                batch.append(head)
+                if self.on_dequeue_wait is not None:
+                    self.on_dequeue_wait(max(0.0, now - head.submitted_at))
+
+        share = -(-self._pending_atoms // self._free_workers)
+        first_chunk_size(heads(), min(self.max_atoms, share), self.max_graphs)
         return batch
 
     def _drop_expired(self, now: float) -> None:
@@ -427,25 +451,23 @@ class MicroBatcher:
             self._lanes[lane] = kept
 
     def next_batch(self) -> list[ServeRequest] | None:
-        """Block until a batch is ready; ``None`` once closed and drained.
+        """Block until anything is queued; ``None`` once closed and drained.
 
         Safe to call from many worker threads; each released batch goes
-        to exactly one caller.
+        to exactly one caller, and no caller waits beside queued work.
         """
         with self._cond:
-            while True:
-                now = time.monotonic()
-                self._drop_expired(now)
-                reason = self._flush_reason(now)
-                if reason is not None:
-                    self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-                    return self._take_batch(now)
-                if self._closed and not self._pending_count:
-                    return None
-                if self._pending_count:
-                    # Sleep exactly until the oldest request's deadline.
-                    oldest = self._oldest_submitted_locked()
-                    deadline = oldest + self.flush_interval_s
-                    self._cond.wait(timeout=max(0.0, deadline - now))
-                else:
+            self._free_workers += 1
+            try:
+                while True:
+                    now = time.monotonic()
+                    self._drop_expired(now)
+                    if self._pending_count:
+                        reason = self._flush_reason()
+                        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
+                        return self._take_batch(now)
+                    if self._closed:
+                        return None
                     self._cond.wait()
+            finally:
+                self._free_workers -= 1

@@ -7,7 +7,8 @@
    looked up in the :class:`ResultCache`; a hit returns immediately
    without touching the model.
 2. **Micro-batch** — misses are enqueued into a :class:`MicroBatcher`,
-   which releases batches on an atom/graph budget or a timeout tick.
+   which hands them to a free worker at once and lets them accumulate,
+   up to an atom/graph budget, only while every worker is busy.
 3. **Execute** — a worker collates the batch into one disjoint-union
    :class:`GraphBatch` and runs :meth:`HydraModel.serve` (the zero-
    ``Function``-node ``no_grad`` fast path) under a shared
@@ -90,7 +91,10 @@ class ServiceConfig:
 
     max_atoms: int = 512  # micro-batch atom budget (bounds forward memory)
     max_graphs: int = 64  # micro-batch graph budget
-    flush_interval_s: float = 0.005  # latency bound for trickle traffic
+    #: No longer delays a batch (a free worker takes queued work at
+    #: once); kept because it is reported in ``/v1/stats`` and seeds the
+    #: default ``lane_aging_s``.
+    flush_interval_s: float = 0.005
     cache_capacity: int = 4096  # LRU entries; <=0 disables caching
     hash_decimals: int | None = None  # optional coordinate rounding for keys
     request_timeout_s: float = 30.0  # client-side wait bound in served mode
@@ -132,7 +136,7 @@ class ServiceConfig:
     brownout_dwell_s: float = 0.25
     #: Anti-starvation bound for the batcher's weighted-fair lanes: a
     #: request older than this is served next regardless of lane.
-    #: ``None`` derives 10 flush intervals (floored at 50 ms).
+    #: ``None`` derives 10 x ``flush_interval_s`` (floored at 50 ms).
     lane_aging_s: float | None = None
 
 
@@ -370,6 +374,40 @@ class PredictionService:
     # ------------------------------------------------------------------
     # client API
     # ------------------------------------------------------------------
+    def _prepare(
+        self, graph: AtomGraph, deadline, lane: str, client_id, admit: bool
+    ) -> ServeRequest:
+        """Admission, hashing and the cache lookup: a request ready to enqueue.
+
+        A cache hit comes back already resolved.  Otherwise the request
+        carries its admission lease as ``on_done``, so whoever resolves
+        or fails it — a worker, or the batcher refusing it — frees the
+        concurrency slot, exactly once.
+        """
+        lease = self.admission.admit(client_id, lane) if admit else None
+        try:
+            key = structure_hash(graph, self.config.hash_decimals)
+            request = ServeRequest(
+                graph=graph,
+                key=key,
+                deadline=deadline,
+                lane=lane,
+                client_id=client_id,
+                on_done=lease.release if lease is not None else None,
+            )
+            payload = self.cache.get(key)
+        except BaseException:
+            if lease is not None:
+                lease.release()
+            raise
+        if payload is not None:
+            # A hit is instant — it beats any deadline that hasn't
+            # already passed at the transport layer.  The rate bucket
+            # stays charged; resolving frees only the concurrency slot.
+            request.resolve(self._hit_result(key, graph, payload))
+            self.stats.record_request(latency_s=0.0, cached=True, batch_graphs=1)
+        return request
+
     def submit(
         self,
         graph: AtomGraph,
@@ -397,30 +435,10 @@ class PredictionService:
         batcher = self._batcher
         if batcher is None:
             raise RuntimeError("submit() requires a started service; use predict()")
-        lease = self.admission.admit(client_id, lane) if admit else None
-        try:
-            key = structure_hash(graph, self.config.hash_decimals)
-            request = ServeRequest(
-                graph=graph, key=key, deadline=deadline, lane=lane, client_id=client_id
-            )
-            payload = self.cache.get(key)
-            if payload is not None:
-                # A hit is instant — it beats any deadline that hasn't
-                # already passed at the transport layer.  The rate bucket
-                # was charged above; only the concurrency slot frees now.
-                if lease is not None:
-                    lease.release()
-                request.resolve(self._hit_result(key, graph, payload))
-                self.stats.record_request(latency_s=0.0, cached=True, batch_graphs=1)
-                return request
-            if lease is not None:
-                request.on_done = lease.release
+        request = self._prepare(graph, deadline, lane, client_id, admit)
+        if not request.done():
             batcher.submit(request)
-            return request
-        except BaseException:
-            if lease is not None:
-                lease.release()
-            raise
+        return request
 
     def predict(
         self,
@@ -447,18 +465,27 @@ class PredictionService:
         """Serve a list of structures; results come back in input order.
 
         Inline mode chunks cache misses by the batching budgets and
-        executes them on the calling thread; served mode fans them out
-        to the dispatch workers.  With a ``deadline`` (absolute
-        monotonic instant), expired work is dropped before execution —
-        per-entry at the batcher's dequeue in served mode, per-chunk at
-        chunk boundaries inline.
+        executes them on the calling thread; served mode enqueues them
+        as one group, which the free dispatch workers share between
+        them.  With a ``deadline`` (absolute monotonic instant), expired
+        work is dropped before execution — per-entry at the batcher's
+        dequeue in served mode, per-chunk at chunk boundaries inline.
+        If a structure is refused (quota, queue bound, deadline) the
+        call raises that rejection; the structures ahead of it still
+        run and fill the cache.
         """
-        if self.running:
-            requests = [
-                self.submit(graph, deadline=deadline, lane=lane, client_id=client_id)
-                for graph in graphs
-            ]
-            return [request.wait(self.config.request_timeout_s) for request in requests]
+        batcher = self._batcher  # captured: concurrent stop() nulls the attribute
+        if batcher is not None:
+            give_up = time.monotonic() + self.config.request_timeout_s
+            requests: list[ServeRequest] = []
+            try:
+                for graph in graphs:
+                    requests.append(self._prepare(graph, deadline, lane, client_id, True))
+            finally:
+                # Also when admission refused a later structure: what was
+                # admitted ahead of it is charged, so it runs.
+                batcher.submit_many([request for request in requests if not request.done()])
+            return [request.wait(max(0.0, give_up - time.monotonic())) for request in requests]
 
         results: list[PredictionResult | None] = [None] * len(graphs)
         misses: list[tuple[int, ServeRequest]] = []

@@ -1,11 +1,11 @@
 """Serving telemetry: per-request latency, batch shapes, throughput.
 
 The serving claim worth regressing against is a *distribution* claim —
-dynamic batching trades a little p95 latency (requests wait for the
-flush tick) for a large throughput win — so the tracker keeps raw
-per-request latencies (over a bounded sliding window, so long-running
-replicas hold O(window) memory) and reports percentiles, not just
-means.
+dynamic batching trades a little p95 latency (requests queue while
+every worker is busy) for a large throughput win — so the tracker keeps
+raw per-request latencies (over a bounded sliding window, so
+long-running replicas hold O(window) memory) and reports percentiles,
+not just means.
 """
 
 from __future__ import annotations

@@ -181,8 +181,8 @@ class TestErrorMapping:
             assert ErrorPayload.from_json_dict(json.loads(err.read())).code == "not_found"
 
     def test_overload_is_429(self):
-        """A tiny queue bound + slow flush tick turns the Nth structure into 429."""
-        config = ServiceConfig(max_pending=1, flush_interval_s=0.5)
+        """A tiny queue bound turns the second structure of one call into 429."""
+        config = ServiceConfig(max_pending=1)
         with ApiServer(make_registry(), config=config, workers=1) as server:
             body = json.dumps(predict_body(6)).encode()
             status, error = post_error(server.url + "/v1/predict", body)
@@ -207,7 +207,7 @@ class TestOverloadProtection:
     """Per-client quotas, identity headers, Retry-After, saturation."""
 
     def test_429_carries_retry_after_header(self):
-        config = ServiceConfig(max_pending=1, flush_interval_s=0.5)
+        config = ServiceConfig(max_pending=1)
         with ApiServer(make_registry(), config=config, workers=1) as server:
             body = json.dumps(predict_body(6)).encode()
             status, headers, payload = post_raw(server.url + "/v1/predict", body)

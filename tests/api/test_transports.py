@@ -132,7 +132,7 @@ class TestTypedErrorsAcrossTransports:
 @pytest.mark.parametrize("mode", ["local", "http"])
 def test_overload_raises_overloaded_error(mode):
     """Admission control surfaces as the same typed error on both transports."""
-    config = ServiceConfig(max_pending=1, flush_interval_s=0.5)
+    config = ServiceConfig(max_pending=1)  # one call is one group: its second structure is refused
     graphs = make_molecule_graphs(6, seed=3)
     if mode == "local":
         with Client.local(make_registry(), config=config, workers=1) as client:

@@ -58,3 +58,49 @@ def make_periodic_graphs(count: int = 2, seed: int = 0):
     from repro.data.sources import MPTrjSource
 
     return MPTrjSource().sample(count, seed)
+
+
+class GatedModel:
+    """Wraps a model so every forward waits at a gate: keeps workers busy on cue."""
+
+    def __init__(self, model) -> None:
+        import threading
+
+        self._model = model
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def serve(self, batch, plan=True):
+        self.entered.set()
+        assert self.gate.wait(10.0)
+        return self._model.serve(batch, plan=plan)
+
+
+def wait_for_free_workers(batcher, count: int) -> None:
+    """Return once ``count`` consumers are parked inside ``batcher.next_batch()``."""
+    import time
+
+    give_up = time.monotonic() + 5.0
+    while batcher._free_workers < count and time.monotonic() < give_up:
+        time.sleep(0.001)
+    assert batcher._free_workers == count
+
+
+def predicted_split(group, free: int, max_atoms: int, max_graphs: int):
+    """How ``free`` idle workers share ``group``: the batcher's rule, spelled out.
+
+    Each take's atom budget is its share of what is still pending,
+    capped by ``max_atoms``, handed to ``first_chunk_size``.
+    """
+    from repro.serving.batcher import first_chunk_size
+
+    chunks, rest = [], list(group)
+    while rest and free:
+        share = -(-sum(request.n_atoms for request in rest) // free)
+        count = first_chunk_size(rest, min(max_atoms, share), max_graphs)
+        chunks.append(rest[:count])
+        rest, free = rest[count:], free - 1
+    return chunks

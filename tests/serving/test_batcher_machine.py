@@ -13,7 +13,6 @@ import threading
 from collections import deque
 from itertools import combinations
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -81,9 +80,6 @@ def _failure(request: ServeRequest) -> BaseException | None:
 
 
 class BatcherMachine(RuleBasedStateMachine):
-    #: Checked only where the batcher claims it (see the bottom of the file).
-    work_conserving = False
-
     def __init__(self) -> None:
         super().__init__()
         self.clock = _Clock()
@@ -225,31 +221,37 @@ class BatcherMachine(RuleBasedStateMachine):
             lane=lane or draw(st.sampled_from(LANES)),
         )
 
-    def _submit(self, requests: list[ServeRequest]) -> None:
+    def _submit(self, requests: list[ServeRequest], enqueue) -> None:
         self.submitted.extend(requests)
-        enqueued = 0
         try:
-            for request in requests:
-                self.batcher.submit(request)
-                enqueued += 1
-        except (ServiceOverloaded, DeadlineExceeded, RuntimeError):
-            self.rejected.update(id(request) for request in requests[enqueued:])
-        for request in requests[:enqueued]:
-            self.lanes[request.lane].append(request)
+            enqueue()
+        except (ServiceOverloaded, DeadlineExceeded, RuntimeError) as error:
+            # The refused request and everything behind it in its group
+            # carry the rejection itself; the prefix stays queued.
+            refused = [request for request in requests if _failure(request) is error]
+            assert refused and refused == requests[-len(refused) :]
+            self.rejected.update(id(request) for request in refused)
+        for request in requests:
+            if id(request) not in self.rejected:
+                self.lanes[request.lane].append(request)
         self._settle()
+
+    def _submit_group(self, requests: list[ServeRequest]) -> None:
+        self._submit(requests, lambda: self.batcher.submit_many(requests))
 
     @rule(data=st.data())
     def submit(self, data):
-        self._submit([self._request(data.draw)])
+        request = self._request(data.draw)
+        self._submit([request], lambda: self.batcher.submit(request))
 
     @rule(data=st.data(), size=st.integers(2, 8))
     def submit_group(self, data, size):
-        self._submit([self._request(data.draw) for _ in range(size)])
+        self._submit_group([self._request(data.draw) for _ in range(size)])
 
     @rule(data=st.data(), each=st.integers(2, 4))
     def flood(self, data, each):
         """Backlog every lane at once: the saturated windows the share bound is about."""
-        self._submit([self._request(data.draw, lane) for lane in LANES for _ in range(each)])
+        self._submit_group([self._request(data.draw, lane) for lane in LANES for _ in range(each)])
 
     @precondition(lambda self: self._in_state("out"))
     @rule(data=st.data())
@@ -306,7 +308,7 @@ class BatcherMachine(RuleBasedStateMachine):
 
     @invariant()
     def no_worker_waits_on_a_non_empty_queue(self):
-        if not self.work_conserving or not hasattr(self, "batcher"):
+        if not hasattr(self, "batcher"):
             return
         if any(worker.state == "parked" for worker in self.workers):
             assert self.batcher.pending_graphs == 0, "a free worker is waiting beside queued work"
@@ -337,16 +339,7 @@ class BatcherMachine(RuleBasedStateMachine):
             batcher_module.time = self._real_time
 
 
-class WorkConservingMachine(BatcherMachine):
-    work_conserving = True
-
-
-_SETTINGS = settings(max_examples=40, stateful_step_count=30, deadline=None)
-BatcherMachine.TestCase.settings = _SETTINGS
-WorkConservingMachine.TestCase.settings = _SETTINGS
-
+BatcherMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
 TestBatcherMachine = BatcherMachine.TestCase
-TestWorkConservation = pytest.mark.xfail(
-    strict=True,
-    reason="a lone request waits out the flush tick while workers idle",
-)(WorkConservingMachine.TestCase)

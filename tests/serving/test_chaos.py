@@ -180,14 +180,19 @@ class TestBatcherDeadlines:
         assert batcher.pending_graphs == 0
 
     def test_queued_entry_expires_at_dequeue_not_in_a_worker(self):
-        """An entry whose deadline passes while queued is failed and
-        removed before the batch forms — the live request still ships."""
-        batcher = MicroBatcher(max_atoms=10**9, max_graphs=100, flush_interval_s=0.15)
+        """An entry whose deadline passes while every worker is busy is
+        failed and removed at the next dequeue, before the batch forms —
+        it never reaches a forward, and the live request still ships."""
+        batcher = MicroBatcher(max_atoms=10**9, max_graphs=100, flush_interval_s=60.0)
         doomed, live = _batcher_requests(2)
         doomed.deadline = time.monotonic() + 0.02
         batcher.submit(doomed)
         batcher.submit(live)
-        batch = batcher.next_batch()  # blocks ~flush_interval_s
+        # No consumer is asking (all workers busy) while the deadline passes.
+        assert batcher.pending_graphs == 2 and not doomed.done()
+        while not doomed.expired():
+            time.sleep(0.002)
+        batch = batcher.next_batch()  # the worker that comes free
         assert [r.key for r in batch] == [live.key]
         assert batcher.expired == 1
         assert batcher.pending_atoms == 0

@@ -1,13 +1,22 @@
 """End-to-end PredictionService: parity, dedup, caching, workers."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
-from repro.serving import PredictionService, ServiceConfig
+from repro.serving import PredictionService, ServeRequest, ServiceConfig
 from repro.tensor import function_nodes_created
-from tests.helpers import make_molecule_graphs, make_periodic_graphs
+from tests.helpers import (
+    GatedModel,
+    make_molecule_graphs,
+    make_periodic_graphs,
+    predicted_split,
+    wait_for_free_workers,
+)
 
 CONFIG = ModelConfig(hidden_dim=16, num_layers=2)
 
@@ -20,6 +29,22 @@ def model():
 @pytest.fixture(scope="module")
 def graphs():
     return make_molecule_graphs(6, seed=2) + make_periodic_graphs(2, seed=2)
+
+
+class _Rendezvous:
+    """A model whose forwards all start together: no worker can return
+    for a second batch before every free worker has taken its first."""
+
+    def __init__(self, model, parties: int) -> None:
+        self._model = model
+        self._barrier = threading.Barrier(parties)
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def serve(self, batch, plan=True):
+        self._barrier.wait(timeout=10.0)
+        return self._model.serve(batch, plan=plan)
 
 
 def _reference(model, graph):
@@ -120,10 +145,9 @@ class TestServed:
         assert len(service.stats.batch_records) >= 1
 
     def test_stop_is_idempotent_and_drains(self, model, graphs):
-        service = PredictionService(model, ServiceConfig(flush_interval_s=5.0))
+        service = PredictionService(model)
         service.start(workers=1)
-        # With a 5s tick the only way these get served promptly is the
-        # close-time drain.
+        # stop() must not return before everything submitted has been served.
         pending = [service.submit(g) for g in graphs[:3]]
         service.stop()
         service.stop()
@@ -149,23 +173,61 @@ class TestServed:
 class TestConcurrentServing:
     """No model lock: N workers must run forwards concurrently *and* exactly."""
 
-    def test_workers4_bit_identical_to_inline(self, model):
-        # 12 structures, graph budget 4, huge flush tick: batches flush
-        # purely on budget, so served mode composes exactly the same
-        # micro-batches as inline chunking — results must be *bitwise*
-        # equal, not just close.
+    CONFIG = ServiceConfig(
+        max_graphs=4, max_atoms=10**9, cache_capacity=0, flush_interval_s=30.0
+    )
+
+    def test_one_worker_group_bit_identical_to_inline(self, model):
+        # One worker, one predict_many group: the worker takes the group
+        # in exactly the chunks inline mode cuts (same budget rule, the
+        # whole budget), so results must be *bitwise* equal, not close.
         graphs = make_molecule_graphs(12, seed=21)
-        config = ServiceConfig(
-            max_graphs=4, max_atoms=10**9, cache_capacity=0, flush_interval_s=30.0
-        )
-        inline = PredictionService(model, config).predict_many(list(graphs))
-        service = PredictionService(model, config)
-        with service.start(workers=4):
-            pending = [service.submit(g) for g in graphs]
-            served = [request.wait(30.0) for request in pending]
+        inline = PredictionService(model, self.CONFIG).predict_many(list(graphs))
+        service = PredictionService(model, self.CONFIG)
+        with service.start(workers=1):
+            served = service.predict_many(list(graphs))
+        assert [r.batch_graphs for r in served] == [4] * 12
         for a, b in zip(inline, served):
             assert a.energy == b.energy  # bit-identical, no tolerance
             np.testing.assert_array_equal(a.forces, b.forces)
+
+    def test_workers4_share_a_group_reproducibly(self, model):
+        # Four free workers share one group: the split is a pure function
+        # of the group and the worker count — the same every run, equal to
+        # what first_chunk_size predicts with the shared atom budget — and
+        # the forwards, now differently composed than inline's, agree to
+        # the benchmark's own tolerance.
+        graphs = make_molecule_graphs(12, seed=21)
+        chunks = predicted_split(
+            [ServeRequest(graph=graph, key="") for graph in graphs],
+            free=4,
+            max_atoms=self.CONFIG.max_atoms,
+            max_graphs=self.CONFIG.max_graphs,
+        )
+        assert len(chunks) == 4  # every free worker gets a share
+        predicted = [len(chunk) for chunk in chunks for _ in chunk]
+        inline = PredictionService(model, self.CONFIG).predict_many(list(graphs))
+        for _ in range(2):
+            service = PredictionService(_Rendezvous(model, parties=4), self.CONFIG)
+            with service.start(workers=4):
+                wait_for_free_workers(service._batcher, 4)
+                served = service.predict_many(list(graphs))
+            assert [r.batch_graphs for r in served] == predicted
+            for a, b in zip(inline, served):
+                np.testing.assert_allclose(a.energy, b.energy, rtol=1e-5, atol=1e-6)
+                np.testing.assert_allclose(a.forces, b.forces, rtol=1e-5, atol=1e-6)
+
+    def test_lone_predict_never_waits_for_a_tick(self, model):
+        graphs = make_molecule_graphs(3, seed=23)
+        service = PredictionService(model, ServiceConfig(flush_interval_s=30.0))
+        with service.start(workers=2):
+            service.predict(graphs[0])  # compile the plan bucket
+            start = time.perf_counter()
+            for graph in graphs[1:]:
+                service.predict(graph)
+            assert time.perf_counter() - start < 1.0
+        reasons = service.telemetry()["batching"]["flush_reasons"]
+        assert reasons == {"free_worker": 3}
 
     def test_no_model_lock_attribute(self, model):
         # The serialization point the thread-local engine removed must
@@ -201,6 +263,98 @@ class TestConcurrentServing:
         # so a typo'd config must fail loudly here instead.
         with pytest.raises(ValueError, match="unknown kernel backend"):
             PredictionService(model, ServiceConfig(backend="paralell"))
+
+
+class TestGroupServing:
+    """A served predict_many is one group: refusals neither leak nor double-resolve."""
+
+    def _busy_service(self, model, **config):
+        """One worker, held inside a forward, so what is enqueued stays queued."""
+        gated = GatedModel(model)
+        service = PredictionService(gated, ServiceConfig(**config)).start(workers=1)
+        running = service.submit(make_molecule_graphs(1, seed=40)[0])
+        assert gated.entered.wait(10.0)
+        return service, gated, running
+
+    def test_queue_bound_mid_group_keeps_the_prefix_and_frees_the_tail(self, model):
+        from repro.serving import ServiceOverloaded, structure_hash
+
+        graphs = make_molecule_graphs(6, seed=41)
+        service, gated, running = self._busy_service(
+            model, max_pending=3, client_concurrency=32
+        )
+        try:
+            with pytest.raises(ServiceOverloaded, match="queue full"):
+                service.predict_many(graphs, client_id="tenant")
+            # Three are queued and still hold their leases; the refused
+            # fourth and the two behind it gave theirs back, once each.
+            assert service._batcher.pending_graphs == 3
+            assert service.admission._inflight == {"tenant": 3}
+            assert service.telemetry()["batching"]["rejected"] == 1
+            gated.gate.set()
+            running.wait(10.0)
+        finally:
+            gated.gate.set()
+            service.stop()
+        assert service.admission._inflight == {}
+        # The prefix ran and filled the cache (the wholesale retry is
+        # cheaper); the tail never reached a forward.
+        cached = [service.cache.peek(structure_hash(g)) is not None for g in graphs]
+        assert cached == [True, True, True, False, False, False]
+        assert service.summary().requests == 4  # the held one + the prefix
+
+    def test_quota_mid_group_still_runs_what_was_admitted(self, model):
+        from repro.serving import QuotaExceeded, structure_hash
+
+        graphs = make_molecule_graphs(5, seed=42)
+        service, gated, running = self._busy_service(model, client_concurrency=3)
+        try:
+            with pytest.raises(QuotaExceeded, match="in flight"):
+                service.predict_many(graphs, client_id="tenant")
+            assert service._batcher.pending_graphs == 3
+            assert service.admission._inflight == {"tenant": 3}
+            gated.gate.set()
+            running.wait(10.0)
+        finally:
+            gated.gate.set()
+            service.stop()
+        assert service.admission._inflight == {}
+        cached = [service.cache.peek(structure_hash(g)) is not None for g in graphs]
+        assert cached == [True, True, True, False, False]
+
+    def test_deadline_mid_group_fails_nothing_that_runs(self, model):
+        from repro.serving import DeadlineExceeded
+
+        graphs = make_molecule_graphs(4, seed=43)
+        service, gated, running = self._busy_service(model)
+        try:
+            # A measured drain rate of a second per graph: the third of the
+            # group is predicted to wait two seconds, past its deadline.
+            service._batcher.record_service(graphs=1, duration_s=1.0)
+            with pytest.raises(DeadlineExceeded, match="shed at submit"):
+                service.predict_many(graphs, deadline=time.monotonic() + 1.5)
+            assert service._batcher.pending_graphs == 2
+            gated.gate.set()
+            running.wait(10.0)
+        finally:
+            gated.gate.set()
+            service.stop()
+        assert service.summary().requests == 3  # the held one + the two queued
+        assert service.telemetry()["batching"]["shed_predicted"] == 1
+
+    def test_group_waits_against_one_absolute_deadline(self, model):
+        # Four structures behind a worker that never finishes: the call
+        # gives up after request_timeout_s, not after four of them.
+        graphs = make_molecule_graphs(4, seed=44)
+        service, gated, _running = self._busy_service(model, request_timeout_s=0.3)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                service.predict_many(graphs)
+            assert time.perf_counter() - start < 0.9
+        finally:
+            gated.gate.set()
+            service.stop()
 
 
 class TestDenormalization:
