@@ -26,7 +26,6 @@ Run:  PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_chaos_recovery
 
 import json
 import os
-import tempfile
 import threading
 import time
 
@@ -104,7 +103,6 @@ class _HealthSampler(threading.Thread):
 
 def bench_chaos_recovery(benchmark):
     """Wedge + crash under load: zero failures, bounded recovery."""
-    cache = os.path.join(tempfile.mkdtemp(prefix="repro-chaos-bench-"), "autotune.json")
     spec = ReplicaSpec(
         args=(
             "--preset",
@@ -113,8 +111,6 @@ def bench_chaos_recovery(benchmark):
             "1",
             "--flush-interval",
             "0.002",
-            "--autotune-cache",
-            cache,
             "--fault-spec",
             _FAULT_SPEC,
         )

@@ -30,7 +30,6 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_overload_fairness.py \
 
 import json
 import os
-import tempfile
 import threading
 import time
 import urllib.error
@@ -151,7 +150,6 @@ def _background_ping(url: str, stop: threading.Event, counters):
 
 def bench_overload_fairness(benchmark):
     """Bulk flood + interactive trickle through a real brownout fleet."""
-    cache = os.path.join(tempfile.mkdtemp(prefix="repro-overload-bench-"), "at.json")
     spec = ReplicaSpec(
         args=(
             "--preset", "tiny",
@@ -162,7 +160,6 @@ def bench_overload_fairness(benchmark):
             "--brownout-enter", "0.12",
             "--brownout-exit", "0.04",
             "--brownout-dwell", "0.1",
-            "--autotune-cache", cache,
         )
     )
     supervisor = ReplicaSupervisor(count=2, spec=spec, probe_interval_s=0.2)

@@ -6,16 +6,15 @@ The plan subsystem's claim has two halves, and this bench pins both:
   molecules, where Python op dispatch — Tensor wrappers, registry
   lookups, pool requests — rivals the numpy math itself) the planned
   replay must beat the PR-4 unplanned fast path by at least
-  ``PLAN_SPEEDUP_FLOOR`` (default 1.3x).  Unlike the parallel-backend
-  floors this one is *not* a parallelism claim: removing per-call
-  dispatch is deterministic work-avoidance, so the floor holds on a
-  single core and is asserted unconditionally.
+  ``PLAN_SPEEDUP_FLOOR`` (default 1.3x).  This is *not* a parallelism
+  claim: removing per-call dispatch is deterministic work-avoidance, so
+  the floor holds on a single core and is asserted unconditionally.
 - **Bit-exactness.**  Replays must return the *same bits* as the
   unplanned path — a fast wrong answer is a regression, not a win —
   checked here across molecular and periodic structures.
 
 Numbers merge into ``benchmarks/results/BENCH_plan.json`` (uploaded as
-a CI artifact next to the serving/parallel trajectories).
+a CI artifact next to the serving trajectory).
 """
 
 import json

@@ -17,7 +17,7 @@ MD-like displacement stream and pins two claims:
   is a regression, not a win.
 
 Numbers merge into ``benchmarks/results/BENCH_relax.json`` (uploaded as
-a CI artifact next to the serving/parallel/plan/replica trajectories).
+a CI artifact next to the serving/plan/replica trajectories).
 """
 
 import json

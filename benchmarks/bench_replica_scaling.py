@@ -30,7 +30,6 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_replica_scaling.py \
 import itertools
 import json
 import os
-import tempfile
 import threading
 import time
 import urllib.request
@@ -123,7 +122,7 @@ def _drive(url: str, bodies: list[bytes]) -> float:
     return elapsed
 
 
-def _session(replicas: int, cache_path: str, seed: int) -> float:
+def _session(replicas: int, seed: int) -> float:
     """Requests/s for a ``replicas``-wide fleet over the standard stream."""
     spec = ReplicaSpec(
         args=(
@@ -135,8 +134,6 @@ def _session(replicas: int, cache_path: str, seed: int) -> float:
             "0.002",
             "--max-pending",
             "0",
-            "--autotune-cache",
-            cache_path,
         )
     )
     supervisor = ReplicaSupervisor(count=replicas, spec=spec)
@@ -154,12 +151,9 @@ def bench_replica_scaling(benchmark):
     """N replica processes vs 1 on the same closed-loop request stream."""
     replicas, floor, enforced = _fleet_sizes()
     cores = _usable_cores()
-    cache_path = os.path.join(
-        tempfile.mkdtemp(prefix="repro-replica-bench-"), "autotune.json"
-    )
 
-    rps_1 = _session(1, cache_path, seed=101)
-    rps_n = _session(replicas, cache_path, seed=202)
+    rps_1 = _session(1, seed=101)
+    rps_n = _session(replicas, seed=202)
     speedup = rps_n / rps_1
 
     text = (

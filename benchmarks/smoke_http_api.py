@@ -14,8 +14,7 @@ tiny preset), then asserts the deployment contract end to end:
 5. a POSTed `/v1/md` (same second server) streams NDJSON: schema-valid
    `frame` lines in step order, ending with exactly one terminal
    `summary` line that parses as a schema-valid `MDResponse`,
-6. SIGTERM exits 0 through the graceful path and saves the autotune
-   cache for the next replica.
+6. SIGTERM exits 0 through the graceful path.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_http_api.py
 Exits nonzero (with the server log on stdout) on any violation.
@@ -30,7 +29,6 @@ import re
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -46,7 +44,7 @@ WATER = {
 }
 
 
-def start_server(cache_path: str, *extra_args: str) -> tuple[subprocess.Popen, str]:
+def start_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
     """Launch `repro serve --http 0 --preset tiny` + ``extra_args``.
 
     Returns ``(process, base_url)`` once the CLI reports its ephemeral
@@ -70,8 +68,6 @@ def start_server(cache_path: str, *extra_args: str) -> tuple[subprocess.Popen, s
             "0",
             "--preset",
             "tiny",
-            "--autotune-cache",
-            cache_path,
             *extra_args,
         ],
         env=env,
@@ -104,10 +100,7 @@ def post_predict(base_url: str, structures: list[dict]):
 
 
 def main() -> int:
-    cache_path = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
-    process, base_url = start_server(
-        cache_path, "--workers", "1", "--max-pending", "1"
-    )
+    process, base_url = start_server("--workers", "1", "--max-pending", "1")
     try:
         # 1. Liveness.
         deadline = time.monotonic() + 60
@@ -157,8 +150,7 @@ def main() -> int:
         # 4. /v1/relax on a perturbed structure -> 200, schema-valid,
         # converged.  A second server, so the relax and MD checks run
         # without the --max-pending 1 preset above.
-        relax_cache = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
-        relax_process, relax_url = start_server(relax_cache, "--workers", "1")
+        relax_process, relax_url = start_server("--workers", "1")
         try:
             perturbed = {
                 "atomic_numbers": WATER["atomic_numbers"],
@@ -236,13 +228,12 @@ def main() -> int:
             relax_process.terminate()
             relax_process.communicate(timeout=60)
 
-        # 6. SIGTERM -> graceful exit 0 + autotune cache saved.
+        # 6. SIGTERM -> graceful exit 0.
         process.send_signal(signal.SIGTERM)
         out, _ = process.communicate(timeout=60)
         assert process.returncode == 0, (process.returncode, out)
         assert "server stopped cleanly" in out, out
-        assert os.path.exists(cache_path), "autotune cache not saved on shutdown"
-        print("graceful SIGTERM shutdown ok (autotune cache saved)")
+        print("graceful SIGTERM shutdown ok (exit 0)")
     finally:
         if process.poll() is None:
             process.kill()

@@ -29,8 +29,7 @@ Two layers, deliberately separated:
 
   Every response body — success or failure — is JSON.  Shutdown is
   graceful: :meth:`ApiServer.close` stops accepting connections, then
-  stops each model's service, which drains queued requests and saves
-  the autotune cache for the next replica's warm start.
+  stops each model's service, which drains queued requests.
 
 The server is threaded (one handler thread per connection) because the
 engine underneath is: grad mode, pool stacks, and kernel dispatch are
@@ -115,7 +114,7 @@ class ApiGateway:
 
     One started :class:`PredictionService` per served model, created on
     first use (mirroring the registry's lazy checkpoint loading) and
-    stopped — queue drained, autotune cache saved — by :meth:`close`.
+    stopped — queue drained — by :meth:`close`.
     """
 
     def __init__(
@@ -278,8 +277,8 @@ class ApiGateway:
         """Eagerly build and start a model's service (startup validation).
 
         ``repro serve --http`` calls this before reporting the server
-        up, so a typo'd backend or corrupt autotune cache fails the
-        process at startup instead of 500-ing every later request.
+        up, so a bad backend name or checkpoint fails the process at
+        startup instead of 500-ing every later request.
         Raises whatever the lazy path would have raised on first use
         (:class:`ValueError` from service construction, registry errors).
         """
@@ -446,7 +445,7 @@ class ApiGateway:
         }
 
     def close(self) -> None:
-        """Stop every service: drain queues, save the autotune cache."""
+        """Stop every service: drain their queues."""
         with self._lock:
             self._closed = True
             services = list(self._services.values())

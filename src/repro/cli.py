@@ -150,6 +150,8 @@ def _load_serving_model(args: argparse.Namespace):
 
 
 def _add_serving_model_args(parser: argparse.ArgumentParser) -> None:
+    from repro.tensor.kernels import available_backends
+
     parser.add_argument(
         "--checkpoint", help="path to a training checkpoint (.npz) to serve"
     )
@@ -161,12 +163,8 @@ def _add_serving_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--backend",
-        choices=["numpy", "parallel", "auto"],
-        help="kernel backend for model forwards (default: process default)",
-    )
-    parser.add_argument(
-        "--autotune-cache",
-        help="JSON file the autotuner warm-starts from and saves back to",
+        choices=available_backends(),
+        help="kernel backend for model forwards (default: numpy)",
     )
     parser.add_argument(
         "--no-plan",
@@ -194,15 +192,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
     try:
         model, normalizer = _load_serving_model(args)
-        # Construction loads --autotune-cache: a corrupt or foreign file
-        # must produce the same clean error path as a bad checkpoint.
         service = PredictionService(
             model,
             ServiceConfig(
                 max_atoms=args.max_atoms,
                 max_graphs=args.max_graphs,
                 backend=args.backend,
-                autotune_cache=args.autotune_cache,
                 plan=not args.no_plan,
             ),
             normalizer=normalizer,
@@ -253,7 +248,6 @@ def _service_config(args: argparse.Namespace):
         flush_interval_s=args.flush_interval,
         max_pending=args.max_pending,
         backend=args.backend,
-        autotune_cache=args.autotune_cache,
         plan=not args.no_plan,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
@@ -269,9 +263,9 @@ def _serve_http(args: argparse.Namespace) -> int:
     """Run the real HTTP prediction API until SIGTERM/SIGINT.
 
     Both signals take the same graceful path: stop accepting
-    connections, drain queued requests, save the autotune cache.  The
-    listener runs on a daemon thread so the main thread can sit in an
-    interruptible wait and still own the shutdown sequence.
+    connections, drain queued requests, exit 0.  The listener runs on a
+    daemon thread so the main thread can sit in an interruptible wait
+    and still own the shutdown sequence.
     """
     import signal
     import threading
@@ -291,8 +285,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         model, normalizer = _load_serving_model(args)
         registry = ModelRegistry()
         registry.register_model(args.model_name, model, normalizer=normalizer)
-        # Construction loads --autotune-cache: a corrupt or foreign file
-        # must produce the same clean error path as a bad checkpoint.
         server = ApiServer(
             registry,
             host=args.host,
@@ -302,9 +294,9 @@ def _serve_http(args: argparse.Namespace) -> int:
             default_model=args.model_name,
             faults=faults,
         )
-        # Eagerly start the served model's service: a typo'd --backend or
-        # corrupt --autotune-cache must fail the process here, not 500
-        # every request after a healthy-looking startup.
+        # Eagerly start the served model's service: a bad model or
+        # service config must fail the process here, not 500 every
+        # request after a healthy-looking startup.
         server.gateway.warm()
     except (KeyError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -341,9 +333,7 @@ def _serve_http(args: argparse.Namespace) -> int:
         print(f"fault injection armed: {json.dumps(faults.describe())}", flush=True)
     try:
         stop.wait()
-        print(
-            "shutting down: draining queued requests, saving autotune cache", flush=True
-        )
+        print("shutting down: draining queued requests", flush=True)
     finally:
         server.close()
         for signum, handler in previous.items():
@@ -390,8 +380,6 @@ def _replica_args(args: argparse.Namespace) -> tuple[str, ...]:
         replica_args += ["--preset", args.preset]
     if args.backend:
         replica_args += ["--backend", args.backend]
-    if args.autotune_cache:
-        replica_args += ["--autotune-cache", args.autotune_cache]
     if args.no_plan:
         replica_args += ["--no-plan"]
     if args.fault_spec:
@@ -495,8 +483,6 @@ def _serve_selftest(args: argparse.Namespace) -> int:
     try:
         model, normalizer = _load_serving_model(args)
         config = _service_config(args)
-        # Construction loads --autotune-cache: a corrupt or foreign file
-        # must produce the same clean error path as a bad checkpoint.
         service = PredictionService(model, config, normalizer=normalizer)
     except (KeyError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)

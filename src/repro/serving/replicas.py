@@ -4,18 +4,17 @@ One Python process serves `/v1/predict` at roughly one core's worth of
 model forwards — every serving worker thread shares the GIL.  This
 module is the horizontal axis: :class:`ReplicaSupervisor` launches N
 independent **replica processes**, each a full ``repro serve --http 0``
-server with its own engine, :class:`~repro.serving.service.PredictionService`,
-plan cache, and autotune warm start from the shared JSON cache, and
-fronts them with the async :class:`~repro.serving.router.Router`.
+server with its own engine, :class:`~repro.serving.service.PredictionService`
+and plan cache, and fronts them with the async
+:class:`~repro.serving.router.Router`.
 
 Process model
 -------------
 Replicas are spawned fork+exec (``subprocess.Popen`` of the CLI) rather
 than bare ``os.fork()``: the supervisor runs router and monitor threads,
 and forking a threaded process can duplicate held locks into the child —
-a fresh exec gives every replica a clean engine with nothing shared but
-the autotune cache file (whose saves are atomic and merging for exactly
-this reason).  Each child starts in its own session so a Ctrl-C against
+a fresh exec gives every replica a clean engine with nothing shared.
+Each child starts in its own session so a Ctrl-C against
 the supervisor's terminal doesn't race the children into shutdown before
 the router has drained.
 
@@ -44,7 +43,7 @@ Lifecycle
 - **Graceful drain** (:meth:`ReplicaSupervisor.close`): the router stops
   admitting (new predicts → 503), in-flight requests finish, then every
   replica gets SIGTERM and takes its own graceful path (drain queue,
-  save autotune cache, exit 0).
+  exit 0).
 - **Rolling restart** (:meth:`ReplicaSupervisor.rolling_restart`): one
   replica at a time is drained (router stops routing to it, its
   in-flight requests complete), restarted, and re-admitted once healthy.
@@ -87,7 +86,7 @@ class ReplicaSpec:
 
     ``args`` is appended to ``repro serve --http 0 --host <host>`` — the
     model and serving knobs (``--preset``/``--checkpoint``, ``--workers``,
-    ``--autotune-cache``, ...), identical for every replica in the fleet.
+    ``--backend``, ...), identical for every replica in the fleet.
     """
 
     args: tuple[str, ...] = ()
@@ -495,7 +494,7 @@ class ReplicaSupervisor:
 
         Per replica: the router stops routing new requests to it, its
         in-flight requests complete, it is SIGTERMed (graceful: drains
-        its own queue, saves the autotune cache), a replacement is
+        its own queue), a replacement is
         spawned in the same slot, and routing resumes once the new
         process reports its port.  Returns {replica_id: new pid}.
         """

@@ -34,7 +34,6 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -57,8 +56,7 @@ from repro.serving.relax import RelaxResult, RelaxSettings, TrajectorySession, r
 from repro.serving.stats import ServingStats, StatsSummary
 from repro.serving.telemetry import MODEL, add_counts, derive
 from repro.tensor.allocator import BufferPool, use_pool
-from repro.tensor.autotune import default_autotuner
-from repro.tensor.kernels import available_backends, use_backend
+from repro.tensor.kernels import active_backend, available_backends, use_backend
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,9 @@ class ServiceConfig:
     #: instead of growing an unbounded backlog.  0 disables the bound.
     #: Cache hits never count against it — they bypass the batcher.
     max_pending: int = 0
-    #: Kernel backend model forwards dispatch to ("numpy", "parallel",
-    #: "auto"); None keeps the caller's/process default.  Validated at
-    #: service construction against the registered backends.
+    #: Kernel backend model forwards dispatch to (a name from
+    #: :func:`~repro.tensor.kernels.available_backends`); None keeps the
+    #: caller's.  Validated at service construction.
     backend: str | None = None
     #: Traced execution plans (:mod:`repro.tensor.plan`): with ``True``
     #: (the default) the first forward of a shape bucket compiles a
@@ -113,12 +111,6 @@ class ServiceConfig:
     #: bit-identically.  ``False`` is the escape hatch (CLI
     #: ``--no-plan``) forcing every forward down the op-by-op path.
     plan: bool = True
-    #: Autotuner decision cache (JSON).  Loaded at construction when the
-    #: file exists (warm start), written back on stop() and after inline
-    #: sessions that measured something new.  Note the autotuner itself
-    #: is process-global: services in one process share decisions, and
-    #: each configured file receives the union.
-    autotune_cache: str | None = None
     #: Per-client token-bucket refill (structures/s); 0 disables rate
     #: quotas.  Quotas key on the request's ``client_id`` — anonymous
     #: requests are exempt (there is no identity to account against).
@@ -262,12 +254,6 @@ class PredictionService:
                 f"unknown kernel backend {self.config.backend!r}; "
                 f"available: {available_backends()}"
             )
-        # The autotuner is process-global: all services in a process
-        # share one decision table, and each service's cache file holds
-        # the union of what the process measured.
-        if self.config.autotune_cache and Path(self.config.autotune_cache).exists():
-            default_autotuner().load(self.config.autotune_cache)
-        self._autotune_saved_decisions = len(default_autotuner())
 
     @classmethod
     def from_registry(cls, registry, name: str, **kwargs) -> "PredictionService":
@@ -313,30 +299,8 @@ class PredictionService:
             self._workers.append(thread)
         return self
 
-    def _save_autotune_cache(self) -> None:
-        """Persist the session's autotuner measurements, if configured.
-
-        Skipped when nothing new was recorded *since this service last
-        saved* and the file already exists — inline batch jobs call this
-        per ``predict_many`` and must not pay redundant file writes on
-        the hot path, while a sibling service's save (the tuner is
-        process-global) must not swallow this service's pending
-        decisions.
-        """
-        if not self.config.autotune_cache:
-            return
-        tuner = default_autotuner()
-        path = Path(self.config.autotune_cache)
-        if len(tuner) != self._autotune_saved_decisions or not path.exists():
-            tuner.save(path)
-            self._autotune_saved_decisions = len(tuner)
-
     def stop(self) -> None:
-        """Drain queued requests, then join the workers.
-
-        Also saves the autotune cache (even on a never-started service),
-        so the next replica warm-starts from this session's measurements.
-        """
+        """Drain queued requests, then join the workers."""
         if self.running:
             self._batcher.close()
             for thread in self._workers:
@@ -349,7 +313,6 @@ class PredictionService:
             self._shed_predicted += self._batcher.shed_predicted
             self._workers.clear()
             self._batcher = None
-        self._save_autotune_cache()
 
     def __enter__(self) -> "PredictionService":
         if not self.running:
@@ -513,9 +476,6 @@ class PredictionService:
             self._execute(chunk)
         for index, request in misses:
             results[index] = request.wait(timeout=0)
-        # Inline sessions have no stop(); persist any fresh autotuner
-        # measurements here so batch jobs also warm-start the next run.
-        self._save_autotune_cache()
         return results
 
     # ------------------------------------------------------------------
@@ -792,8 +752,6 @@ class PredictionService:
 
     def telemetry(self) -> dict:
         """JSON-ready stats: serving, result cache, buffer pool, plans, engine."""
-        from repro.tensor.kernels import active_backend
-
         # Capture once: a concurrent stop() nulls the attribute between
         # a None-check and an attribute access (same race submit() guards).
         batcher = self._batcher
@@ -821,6 +779,5 @@ class PredictionService:
             "engine": {
                 "backend": self.config.backend or active_backend(),
                 "physical_units": self.normalizer is not None,
-                "autotune_decisions": len(default_autotuner()),
             },
         }

@@ -162,7 +162,7 @@ MODEL = {
     },
     "relax": {"sessions": SUM, "steps": SUM, "converged": SUM, **_SKIN},
     "md": {"sessions": SUM, "steps": SUM, "steps_per_s": SUM, **_SKIN, "thermostats": COUNTS},
-    "engine": {"backend": FIRST, "physical_units": FIRST, "autotune_decisions": MAX},
+    "engine": {"backend": FIRST, "physical_units": FIRST},
 }
 
 #: The healthz ``saturation`` gauges, folded over one replica's services.

@@ -414,9 +414,9 @@ class SequentialArena:
     Addressing by step (not one flat cursor) is a correctness property,
     not a convenience: a kernel implementation may take a different
     internal branch at replay than it did when the schedule was learned
-    (e.g. the parallel backend's row-floor delegation on a batch at the
-    other end of the shape bucket) and acquire a *different number* of
-    buffers.  A flat cursor would silently misalign every later acquire
+    (e.g. a size threshold crossed by a batch at the other end of the
+    shape bucket) and acquire a *different number* of buffers.  A flat
+    cursor would silently misalign every later acquire
     against the schedule and alias live buffers; per-step addressing
     contains the divergence — extra acquires within a step fall back to
     plain ``np.empty``, missing ones leave their slots unused, and the

@@ -20,6 +20,7 @@ pointwise nonlinearities.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import deque
@@ -91,7 +92,7 @@ class _GradState(threading.local):
     the instance, so each thread starts with recording *enabled* (the
     same default the process-global flag used to give the main thread)
     and its own node counter.  Concurrent model forwards — the serving
-    workers, the parallel-backend shards — therefore cannot leak
+    workers — therefore cannot leak
     ``no_grad`` state into each other.  ``tracer`` is the execution-plan
     recorder (:mod:`repro.tensor.plan`), also per-thread so one worker's
     plan compilation never captures another worker's ops.
@@ -848,7 +849,8 @@ def _segment_sum_array(a: np.ndarray, segments: np.ndarray, num_segments: int) -
     n = segments.shape[0]
     if a.shape[0] != n:
         raise ValueError(f"segment ids ({n}) do not match rows ({a.shape[0]})")
-    flat = a.reshape(n, -1)
+    # An explicit width, not -1: a batch with no edges has zero rows.
+    flat = a.reshape(n, math.prod(a.shape[1:]))
     incidence = sparse.csr_matrix(
         (np.ones(n, dtype=a.dtype), (segments, np.arange(n))),
         shape=(num_segments, n),
@@ -875,12 +877,6 @@ class SegmentSum(Function):
     @staticmethod
     def infer_with(impl, a, segments=None, num_segments=None):
         return impl.forward(a, segments, num_segments)
-
-    @staticmethod
-    def plan_impl(arrays, kwargs):
-        from repro.tensor.kernels import frozen_kernel
-
-        return frozen_kernel("segment_sum", (arrays[0],))
 
     def __init__(self, segments: np.ndarray, num_segments: int) -> None:
         self.segments = np.asarray(segments, dtype=np.int64)

@@ -11,19 +11,15 @@ Design:
 
 - A **registry** maps ``(kernel name, backend name)`` to an
   implementation object exposing static ``forward``/``backward``
-  functions over raw numpy arrays.  Three backends ship: ``numpy`` (the
-  single-threaded reference), ``parallel`` (row-sharded multi-threaded
-  kernels, :mod:`repro.tensor.parallel`), and ``auto`` (the
-  shape-bucketed autotuner arbitrating between them,
-  :mod:`repro.tensor.autotune`).  The registry remains the dispatch
-  point further backends (compiled extensions, accelerators) plug into
-  without touching model code.
+  functions over raw numpy arrays.  One backend ships: ``numpy``.  The
+  registry is the dispatch point further backends (compiled extensions,
+  accelerators) plug into without touching model code.
 - **Autograd wrappers** (subclasses of :class:`~repro.tensor.core.Function`)
   look their compute up in the registry, so a backend swap changes what
   executes without changing what differentiates.
-- Backend and fusion selection are **thread-local** (with a process-wide
-  default, :func:`set_default_backend`), so concurrent serving workers
-  can run forwards under different dispatch modes without interfering.
+- Backend and fusion selection are **thread-local**, so concurrent
+  serving workers can run forwards under different dispatch modes
+  without interfering.
 - A **fusion switch** (:func:`fusion`) lets callers fall
   back to the composed primitive-op path -- the reference implementation
   fused kernels are validated against, and the baseline the engine
@@ -57,6 +53,7 @@ Kernels:
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from contextlib import contextmanager
@@ -73,17 +70,18 @@ from repro.tensor.core import SegmentSum as _CoreSegmentSum
 _REGISTRY: dict[tuple[str, str], object] = {}
 
 #: Backend every thread starts on (overridden per-thread by
-#: :func:`use_backend`, process-wide by :func:`set_default_backend`).
-_default_backend = "numpy"
+#: :func:`use_backend`).
+_DEFAULT_BACKEND = "numpy"
 
 
 class _DispatchState(threading.local):
     """Per-thread backend/fusion override stacks.
 
     Thread-locality is what makes concurrent serving sound: a worker
-    inside ``use_backend("parallel")`` cannot flip another worker's (or
-    the training loop's) dispatch mid-forward.  Fresh threads start with
-    empty stacks, i.e. the process default backend and fusion on.
+    inside ``use_backend(...)`` or ``fusion(False)`` cannot flip another
+    worker's (or the training loop's) dispatch mid-forward.  Fresh
+    threads start with empty stacks, i.e. the numpy backend and fusion
+    on.
     """
 
     def __init__(self) -> None:
@@ -147,19 +145,7 @@ def active_backend() -> str:
     """The backend this thread currently dispatches to."""
     if _dispatch.backends:
         return _dispatch.backends[-1]
-    return _default_backend
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous one.
-
-    Threads with no :func:`use_backend` override — including threads
-    created later, such as serving workers — dispatch to this backend.
-    """
-    global _default_backend
-    previous = _default_backend
-    _default_backend = name
-    return previous
+    return _DEFAULT_BACKEND
 
 
 @contextmanager
@@ -170,26 +156,6 @@ def use_backend(name: str):
         yield
     finally:
         _dispatch.backends.pop()
-
-
-def frozen_kernel(name: str, impl_args: tuple):
-    """Resolve ``(impl, backend)`` with any autotune decision frozen.
-
-    The execution-plan tracer (:mod:`repro.tensor.plan`) calls this once
-    per recorded kernel step: replayed steps must dispatch straight to a
-    concrete implementation, so the ``auto`` proxy is resolved here to
-    its recorded per-bucket winner for ``impl_args`` (the arguments in
-    the registry implementation's ``forward`` order).  Replays then pay
-    neither the registry lookup nor the autotuner's bucket lookup.
-    """
-    backend = active_backend()
-    impl = get_kernel(name, backend=backend)
-    from repro.tensor import autotune
-
-    if isinstance(impl, autotune._AutoKernel):
-        backend = autotune.resolve_backend(name, impl_args)
-        impl = get_kernel(name, backend=backend)
-    return impl, backend
 
 
 def fusion_enabled() -> bool:
@@ -244,7 +210,8 @@ def _incidence(segments: np.ndarray, num_segments: int, dtype: np.dtype):
 
 def _segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
     """Segment sum over axis 0 using the cached incidence matrix."""
-    flat = values.reshape(segments.shape[0], -1)
+    # An explicit width, not -1: a batch with no edges has zero rows.
+    flat = values.reshape(segments.shape[0], math.prod(values.shape[1:]))
     out = _incidence(segments, num_segments, values.dtype) @ flat
     return np.ascontiguousarray(out.reshape((int(num_segments),) + values.shape[1:]))
 
@@ -485,11 +452,10 @@ class _GatherDiffNumpy:
 # Autograd wrappers.
 #
 # Besides ``forward``/``backward``/``infer``, each wrapper implements the
-# execution-plan protocol: ``kernel_name`` identifies the registry entry,
-# ``plan_impl(arrays, kwargs)`` resolves the frozen implementation for a
-# traced call (``arrays``/``kwargs`` exactly as ``apply`` received them),
-# and ``infer_with(impl, ...)`` is ``infer`` with the registry lookup
-# already done — the form plan replay calls in its tight loop.
+# execution-plan protocol: ``kernel_name`` identifies the registry entry
+# the tracer freezes, and ``infer_with(impl, ...)`` is ``infer`` with the
+# registry lookup already done — the form plan replay calls in its tight
+# loop.
 # ----------------------------------------------------------------------
 class FusedLinear(Function):
     """One-node ``x @ W (+ b)``."""
@@ -508,10 +474,6 @@ class FusedLinear(Function):
     @staticmethod
     def infer_with(impl, x, weight, bias=None):
         return impl.forward(x, weight, bias)
-
-    @staticmethod
-    def plan_impl(arrays, kwargs):
-        return frozen_kernel("linear", arrays)
 
     def backward(self, grad):
         needs = tuple(p.requires_grad for p in self.parents) + (False,) * (3 - len(self.parents))
@@ -539,10 +501,6 @@ class FusedSiLU(Function):
         out, _ = impl.forward(x)
         return out
 
-    @staticmethod
-    def plan_impl(arrays, kwargs):
-        return frozen_kernel("silu", arrays)
-
     def backward(self, grad):
         return (get_kernel("silu").backward(grad, self.x, self.sig),)
 
@@ -555,14 +513,6 @@ class EdgeMessageLinear(Function):
     @staticmethod
     def infer_with(impl, h, feat, weight, bias=None, src=None, dst=None):
         return impl.forward(h, feat, weight, bias, src, dst)
-
-    @staticmethod
-    def plan_impl(arrays, kwargs):
-        bias = arrays[3] if len(arrays) > 3 else None
-        return frozen_kernel(
-            "edge_message_linear",
-            (arrays[0], arrays[1], arrays[2], bias, kwargs["src"], kwargs["dst"]),
-        )
 
     def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
         self.src = np.asarray(src, dtype=np.int64)
@@ -598,11 +548,6 @@ class ConcatLinear(Function):
     def infer_with(impl, *arrays, num_parts, has_bias):
         bias = arrays[num_parts + 1] if has_bias else None
         return impl.forward(arrays[:num_parts], arrays[num_parts], bias)
-
-    @staticmethod
-    def plan_impl(arrays, kwargs):
-        num_parts = kwargs["num_parts"]
-        return frozen_kernel("concat_linear", (tuple(arrays[:num_parts]), arrays[num_parts]))
 
     def __init__(self, num_parts: int, has_bias: bool) -> None:
         self.num_parts = num_parts
@@ -641,10 +586,9 @@ class CachedSegmentSum(Function):
     """
 
     # Plan protocol shared with core.SegmentSum — both ops freeze to the
-    # same registry kernel, so the freeze signature lives in one place.
+    # same registry kernel, so the replay signature lives in one place.
     kernel_name = "segment_sum"
     infer_with = staticmethod(_CoreSegmentSum.infer_with)
-    plan_impl = staticmethod(_CoreSegmentSum.plan_impl)
 
     def __init__(self, segments: np.ndarray, num_segments: int) -> None:
         self.segments = np.asarray(segments, dtype=np.int64)
@@ -671,10 +615,6 @@ class MulSegmentSum(Function):
     @staticmethod
     def infer_with(impl, a, b, segments=None, num_segments=None):
         return impl.forward(a, b, segments, num_segments)
-
-    @staticmethod
-    def plan_impl(arrays, kwargs):
-        return frozen_kernel("mul_segment_sum", (arrays[0],))
 
     def __init__(self, segments: np.ndarray, num_segments: int) -> None:
         self.segments = np.asarray(segments, dtype=np.int64)
@@ -705,13 +645,6 @@ class GatherDiff(Function):
     @staticmethod
     def infer_with(impl, positions, shift=None, src=None, dst=None):
         return impl.forward(positions, shift, src, dst)
-
-    @staticmethod
-    def plan_impl(arrays, kwargs):
-        shift = arrays[1] if len(arrays) > 1 else None
-        return frozen_kernel(
-            "gather_diff", (arrays[0], shift, kwargs["src"], kwargs["dst"])
-        )
 
     def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
         self.src = np.asarray(src, dtype=np.int64)
@@ -833,15 +766,3 @@ def edge_geometry_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw (vectors, clamped distances) pass for batch preprocessing."""
     return get_kernel("gather_diff").geometry(positions, shift, src, dst, eps)
-
-
-# ----------------------------------------------------------------------
-# Non-default backends.
-#
-# Imported last so the registry and the numpy reference implementations
-# above are fully defined when these modules register themselves:
-# ``parallel`` (row-sharded multi-threaded kernels) and ``auto`` (the
-# shape-bucketed autotuner arbitrating numpy vs parallel).
-# ----------------------------------------------------------------------
-from repro.tensor import parallel as _parallel_backend  # noqa: E402,F401
-from repro.tensor import autotune as _auto_backend  # noqa: E402,F401

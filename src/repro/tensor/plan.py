@@ -1,12 +1,11 @@
 """Traced inference execution plans: compile one forward per shape bucket.
 
-The ``no_grad`` fast path (PR 1) skips autograd ``Function`` nodes but
-still pays full Python dispatch on every served forward: a ``Tensor``
-wrapper per op, a kernel-registry lookup per kernel, a backend/autotune
-decision per call, and a fresh buffer-pool request per scratch array.
-For a serving replica answering the same *shapes* of traffic all day,
-that cost should be paid once per shape bucket, not per request — the
-same argument that moved the autotuner to per-bucket decisions.
+The ``no_grad`` fast path skips autograd ``Function`` nodes but still
+pays full Python dispatch on every served forward: a ``Tensor`` wrapper
+per op, a kernel-registry lookup per kernel, and a fresh buffer-pool
+request per scratch array.  For a serving replica answering the same
+*shapes* of traffic all day, that cost should be paid once per shape
+bucket, not per request.
 
 This module is the tracing compiler that makes it so:
 
@@ -16,10 +15,9 @@ This module is the tracing compiler that makes it so:
   :meth:`PlanTracer.record`, which resolves each argument to a *slot*
   (a previous step's output), a *named input* (a batch-derived array the
   prologue recomputes per replay), or a *baked constant* (model
-  parameters, scalar coercions).  Kernel ops are frozen to a concrete
-  registry implementation — the ``auto`` backend's per-bucket winner is
-  resolved **now** (:func:`repro.tensor.autotune.resolve_backend`), so
-  replays never consult the registry or the tuner again.
+  parameters, scalar coercions).  Kernel ops are frozen to the active
+  backend's registry implementation **now**, so replays never consult
+  the registry again.
 - **Arena.**  A schedule-learning replay records the plan's ordered
   scratch-acquire stream, computes each buffer's last-use step, and
   assigns arena slots by liveness.  Later replays draw every pooled
@@ -30,7 +28,7 @@ This module is the tracing compiler that makes it so:
 - **Replay.**  :meth:`ExecutionPlan.replay` recomputes the batch-derived
   inputs (edge geometry, pooling weights — work the unplanned path does
   too), then runs the step list as a tight loop over raw ndarrays: no
-  ``Tensor`` objects, no registry lookups, no autotune timing.
+  ``Tensor`` objects, no registry lookups.
 
 Safety rails, because a wrong plan is worse than a slow one:
 
@@ -43,7 +41,7 @@ Safety rails, because a wrong plan is worse than a slow one:
   ``num_nodes``/``num_graphs`` dimension it tracks (disambiguated by
   which input array indexes the segments), so replays with a different
   atom count in the same bucket reduce into the right number of rows.
-- :class:`PlanCache` keys plans on the autotuner's power-of-two buckets
+- :class:`PlanCache` keys plans on power-of-two buckets
   of ``(nodes, edges, graphs)`` plus the active backend and fusion mode,
   watches parameter storage identity (a rebound parameter array drops
   every plan), and falls back to the unplanned path — permanently, per
@@ -60,13 +58,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.tensor.allocator import SequentialArena, use_pool
-from repro.tensor.autotune import bucket
 from repro.tensor.core import DEFAULT_DTYPE, Tensor, no_grad, tracing
 from repro.tensor import kernels
 
 
 class PlanTraceError(RuntimeError):
     """A forward could not be captured as a safely replayable plan."""
+
+
+def bucket(n: int) -> int:
+    """Round ``n`` up to a power of two (0 stays 0) — the shape coarsening."""
+    n = int(n)
+    if n <= 0:
+        return 0
+    return 1 << (n - 1).bit_length()
 
 
 # Argument-reference kinds inside a recorded step.
@@ -149,12 +154,10 @@ class PlanTracer:
     def record(self, cls, arrays: tuple, kwargs: dict) -> np.ndarray:
         args = tuple(self._ref(array) for array in arrays)
         kw = {key: self._kwarg_ref(key, value, kwargs) for key, value in kwargs.items()}
-        # Execute through the normal infer path so the autotuner can
-        # measure a cold bucket *before* plan_impl freezes its decision.
         out = cls.infer(*arrays, **kwargs)
         if not isinstance(out, np.ndarray):
             out = np.asarray(out)
-        fn, label = self._freeze(cls, arrays, kwargs)
+        fn, label = self._freeze(cls)
         slot = self.num_slots
         self.num_slots += 1
         self._slot_of[id(out)] = slot
@@ -200,11 +203,13 @@ class PlanTracer:
                 )
         return (_CONST, value)
 
-    def _freeze(self, cls, arrays: tuple, kwargs: dict):
+    def _freeze(self, cls):
         """The replay callable: registry-free for kernel-backed ops."""
-        if getattr(cls, "kernel_name", None) is None:
+        name = getattr(cls, "kernel_name", None)
+        if name is None:
             return cls.infer, cls.__name__
-        impl, backend = cls.plan_impl(arrays, kwargs)
+        backend = kernels.active_backend()
+        impl = kernels.get_kernel(name, backend=backend)
         return functools.partial(cls.infer_with, impl), f"{cls.__name__}[{backend}]"
 
 
@@ -570,12 +575,11 @@ def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
 
 
 def plan_key(batch) -> tuple:
-    """The cache key: autotuner shape buckets + dispatch mode.
+    """The cache key: power-of-two shape buckets + dispatch mode.
 
-    Bucketing keeps each plan's arena shape-homogeneous and matches the
-    granularity of the autotune decisions frozen into the plan; the
-    backend and fusion components keep plans compiled under one dispatch
-    mode from replaying under another.
+    Bucketing keeps each plan's arena shape-homogeneous; the backend and
+    fusion components keep plans compiled under one dispatch mode from
+    replaying under another.
     """
     return (
         bucket(batch.num_nodes),

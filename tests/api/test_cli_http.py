@@ -3,9 +3,8 @@
 The in-process suites cover routing and schemas; what only a subprocess
 can cover is the deployment contract: the CLI prints its bound URL on
 stdout, serves real sockets, and treats SIGTERM exactly like Ctrl-C —
-graceful ``service.stop()`` (drain, then exit 0) plus an autotune-cache
-save — which is what lets an orchestrator roll replicas without
-dropping admitted requests.
+graceful ``service.stop()`` (drain, then exit 0) — which is what lets
+an orchestrator roll replicas without dropping admitted requests.
 """
 
 import json
@@ -18,17 +17,12 @@ import urllib.request
 
 import pytest
 
-from benchmarks.smoke_http_api import start_server as launch_serve_http
+from benchmarks.smoke_http_api import start_server
 from repro.api import PredictResponse
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="POSIX signal semantics required"
 )
-
-
-def start_server(tmp_path, *extra_args) -> tuple[subprocess.Popen, str]:
-    """Launch `repro serve --http 0 ...` via the shared CI-smoke helper."""
-    return launch_serve_http(str(tmp_path / "autotune.json"), *extra_args)
 
 
 def wait_healthy(base_url: str, timeout_s: float = 30.0) -> dict:
@@ -54,8 +48,8 @@ WATER = {
 }
 
 
-def test_sigterm_is_a_graceful_shutdown(tmp_path):
-    process, base_url = start_server(tmp_path)
+def test_sigterm_is_a_graceful_shutdown():
+    process, base_url = start_server()
     try:
         health = wait_healthy(base_url)
         assert health["status"] == "ok"
@@ -82,17 +76,12 @@ def test_sigterm_is_a_graceful_shutdown(tmp_path):
     assert "received SIGTERM" in out
     assert "shutting down" in out
     assert "server stopped cleanly" in out
-    # The graceful path saved the autotuner's decision cache for the
-    # next replica (even an empty one: the file must exist to warm-start).
-    cache = tmp_path / "autotune.json"
-    assert cache.exists()
-    assert json.loads(cache.read_text())["format"].startswith("repro-autotune-")
 
 
-def test_http_429_under_tiny_queue_bound(tmp_path):
+def test_http_429_under_tiny_queue_bound():
     """CLI-level admission control: --max-pending 1 turns a burst into 429."""
     process, base_url = start_server(
-        tmp_path, "--max-pending", "1", "--flush-interval", "0.5", "--workers", "1"
+        "--max-pending", "1", "--flush-interval", "0.5", "--workers", "1"
     )
     try:
         wait_healthy(base_url)
@@ -125,9 +114,9 @@ def test_http_429_under_tiny_queue_bound(tmp_path):
             process.communicate()
 
 
-def test_sigint_takes_the_same_path(tmp_path):
+def test_sigint_takes_the_same_path():
     """Ctrl-C and SIGTERM must be indistinguishable to the service."""
-    process, base_url = start_server(tmp_path)
+    process, base_url = start_server()
     try:
         wait_healthy(base_url)
         process.send_signal(signal.SIGINT)

@@ -325,14 +325,6 @@ class TestLifecycle:
         with pytest.raises(urllib.error.URLError):
             urllib.request.urlopen(server.url + "/v1/healthz", timeout=2)
 
-    def test_close_saves_autotune_cache(self, tmp_path):
-        cache_path = tmp_path / "autotune.json"
-        config = ServiceConfig(autotune_cache=str(cache_path))
-        with ApiServer(make_registry(), config=config, workers=1) as server:
-            post(server.url + "/v1/predict", predict_body(1))
-        assert cache_path.exists()
-        assert json.loads(cache_path.read_text())["format"].startswith("repro-autotune-")
-
     def test_ephemeral_port_is_reported(self, server):
         assert server.port > 0
         assert server.url.endswith(str(server.port))

@@ -1,6 +1,5 @@
 """Admission policy and weighted-fair lanes: quotas, brownout, fairness."""
 
-import threading
 import time
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.api import ApiGateway, OverloadedError, PredictRequest, StructurePayload
 from repro.models import HydraModel, ModelConfig
 from repro.serving import (
-    FaultPlan,
     ModelRegistry,
     AdmissionConfig,
     AdmissionController,
@@ -425,13 +423,18 @@ class TestServiceQuotas:
 
 
 # ----------------------------------------------------------------------
-# brownout under a --fault-spec load pulse (in-process gateway)
+# a brownout pulse through the in-process gateway, on explicit timestamps
 # ----------------------------------------------------------------------
 class TestBrownoutPulse:
     def test_brownout_enters_sheds_background_and_exits(self):
-        """A fault-shaped bulk flood drives queue age past the brownout
-        threshold; background probes get typed 429s while interactive is
-        never shed, and the controller exits once the pulse drains."""
+        """A burst of queue ages past the threshold enters brownout; while
+        it holds, a background probe gets a typed 429 and interactive is
+        served; once the pulse's samples age out, the controller exits.
+
+        The controller's clock is driven by hand (``now=``), so no step
+        depends on how fast this host drains a real flood.  The 60 s
+        dwell holds the level still while real requests run in between.
+        """
         registry = ModelRegistry()
         registry.register_model(
             "tiny", HydraModel(ModelConfig(hidden_dim=8, num_layers=2), seed=0)
@@ -441,63 +444,39 @@ class TestBrownoutPulse:
             workers=1,
             default_model="tiny",
             config=ServiceConfig(
-                max_graphs=1,  # serialize: one forward per queued structure
-                flush_interval_s=0.001,
-                brownout_enter_s=0.02,
-                brownout_exit_s=0.005,
-                brownout_dwell_s=0.05,
-                lane_aging_s=60.0,  # keep the pulse from jumping lanes
+                brownout_enter_s=0.02, brownout_exit_s=0.005, brownout_dwell_s=60.0
             ),
-            faults=FaultPlan.parse("delay:ms=2"),  # the load-pulse shaper
         )
         try:
             service = gateway.warm()
-            graphs = make_molecule_graphs(8, seed=6)
-            payload = [StructurePayload.from_graph(g) for g in graphs]
-
-            def flood():
-                for _ in range(4):
-                    try:
-                        gateway.predict(
-                            PredictRequest(structures=list(payload), priority="bulk")
-                        )
-                    except OverloadedError:
-                        # Escalation to shed_bulk throttles the flood
-                        # itself — retryable by contract, expected here.
-                        time.sleep(0.01)
-
-            threads = [threading.Thread(target=flood) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            probe = PredictRequest(structures=[payload[0]], priority="background")
-            background_sheds = 0
-            deadline = time.monotonic() + 30.0
-            while background_sheds == 0 and time.monotonic() < deadline:
-                try:
-                    gateway.predict(probe)
-                except OverloadedError as error:
-                    background_sheds += 1
-                    assert error.retry_after_s is not None
-                    assert error.retry_after_s > 0
-                time.sleep(0.002)
-            for thread in threads:
-                thread.join()
-            assert background_sheds > 0, "brownout never engaged under the pulse"
             brownout = service.admission.brownout
-            assert brownout.transitions >= 1
+            payload = [StructurePayload.from_graph(g) for g in make_molecule_graphs(2, seed=6)]
+
+            start = time.monotonic()
+            for _ in range(brownout.min_samples):
+                brownout.observe_wait(0.05, now=start)
+            assert brownout.update(now=start) == 1  # normal -> shed_background
+
+            with pytest.raises(OverloadedError) as shed:
+                gateway.predict(PredictRequest(structures=[payload[0]], priority="background"))
+            assert shed.value.http_status == 429
+            assert shed.value.retry_after_s is not None and shed.value.retry_after_s > 0
+            served = gateway.predict(PredictRequest(structures=payload, priority="interactive"))
+            assert len(served.results) == len(payload)
             section = service.telemetry()["admission"]
-            assert section["shed"]["brownout"] >= background_sheds
-            assert section["lanes"]["background"]["shed"] == background_sheds
-            # Background sheds before bulk, and interactive never sheds.
+            assert section["brownout"]["state"] == "shed_background"
+            assert section["lanes"]["background"]["shed"] == 1
             assert section["lanes"]["interactive"]["shed"] == 0
-            # The pulse is over: samples age out, the queue reads healthy,
-            # and hysteresis walks the level back down to normal.
-            deadline = time.monotonic() + 10.0
-            while brownout.update() != 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert brownout.level == 0
-            history = brownout.telemetry()["history"]
-            assert history[0]["from"] == "normal"
-            assert history[-1]["to"] == "normal"
+
+            # The pulse is over: its samples (and the served requests'
+            # waits) age out, the queue reads healthy, and one dwell later
+            # the controller is back to normal.
+            later = start + brownout.sample_ttl_s + brownout.dwell_s + 1.0
+            assert brownout.update(now=later) == 0
+            history = brownout.telemetry(now=later)["history"]
+            assert [(step["from"], step["to"]) for step in history] == [
+                ("normal", "shed_background"),
+                ("shed_background", "normal"),
+            ]
         finally:
             gateway.close()

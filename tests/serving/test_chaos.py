@@ -469,8 +469,7 @@ CHAOS_SPEC = "wedge:after=5:replica=0,crash:after=5:replica=1"
 
 
 @pytest.fixture(scope="module")
-def chaos_fleet(tmp_path_factory):
-    cache = str(tmp_path_factory.mktemp("chaos") / "autotune.json")
+def chaos_fleet():
     spec = ReplicaSpec(
         args=(
             "--preset",
@@ -479,8 +478,6 @@ def chaos_fleet(tmp_path_factory):
             "1",
             "--flush-interval",
             "0.002",
-            "--autotune-cache",
-            cache,
             "--fault-spec",
             CHAOS_SPEC,
         )
@@ -603,8 +600,7 @@ class TestChaosFleet:
 # Rolling restart during an in-flight chunked relax
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def clean_fleet(tmp_path_factory):
-    cache = str(tmp_path_factory.mktemp("clean") / "autotune.json")
+def clean_fleet():
     spec = ReplicaSpec(
         args=(
             "--preset",
@@ -613,8 +609,6 @@ def clean_fleet(tmp_path_factory):
             "1",
             "--flush-interval",
             "0.002",
-            "--autotune-cache",
-            cache,
         )
     )
     supervisor = ReplicaSupervisor(count=2, spec=spec, probe_interval_s=0.2)

@@ -102,8 +102,7 @@ def replica_models(requests, cache_hits, plan_hits, plan_misses, p50):
             },
             "batching": {"max_atoms": 512, "max_graphs": 64, "flush_interval_s": 0.005,
                          "max_pending": 0, "rejected": 1, "flush_reasons": {"timeout": 2}},
-            "engine": {"backend": "numpy", "physical_units": False,
-                       "autotune_decisions": 3},
+            "engine": {"backend": "numpy", "physical_units": False},
         }
     }
 
@@ -483,8 +482,7 @@ class TestRouter:
 # The real thing: a 2-replica fleet of tiny-preset servers
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def fleet(tmp_path_factory):
-    cache = str(tmp_path_factory.mktemp("replicas") / "autotune.json")
+def fleet():
     spec = ReplicaSpec(
         args=(
             "--preset",
@@ -495,8 +493,6 @@ def fleet(tmp_path_factory):
             "0.002",
             "--max-pending",
             "0",
-            "--autotune-cache",
-            cache,
         )
     )
     supervisor = ReplicaSupervisor(count=2, spec=spec, probe_interval_s=0.2)
@@ -592,7 +588,7 @@ class TestSupervisor:
 # The CLI front door: repro serve --http 0 --replicas N
 # ----------------------------------------------------------------------
 class TestCliReplicas:
-    def _launch(self, tmp_path, *extra):
+    def _launch(self, *extra):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         existing = env.get("PYTHONPATH")
@@ -613,8 +609,6 @@ class TestCliReplicas:
                 "1",
                 "--flush-interval",
                 "0.002",
-                "--autotune-cache",
-                str(tmp_path / "autotune.json"),
                 *extra,
             ],
             env=env,
@@ -623,8 +617,8 @@ class TestCliReplicas:
             text=True,
         )
 
-    def test_sigterm_drains_in_flight_and_exits_zero(self, tmp_path):
-        process = self._launch(tmp_path)
+    def test_sigterm_drains_in_flight_and_exits_zero(self):
+        process = self._launch()
         try:
             deadline = time.monotonic() + 120
             url = None

@@ -12,6 +12,7 @@ from repro.serving import PredictionService, ServeRequest, ServiceConfig
 from repro.tensor import function_nodes_created
 from tests.helpers import (
     GatedModel,
+    delegating_backend,
     make_molecule_graphs,
     make_periodic_graphs,
     predicted_split,
@@ -234,35 +235,34 @@ class TestConcurrentServing:
         # not quietly come back.
         assert not hasattr(PredictionService(model), "_model_lock")
 
-    def test_workers4_under_parallel_backend(self, model):
+    def test_workers4_under_registered_backend(self, model):
+        # ServiceConfig.backend reaches the worker threads: their forwards
+        # dispatch to the configured backend, not their thread's default.
         graphs = make_molecule_graphs(8, seed=22)
-        from repro.tensor import parallel
-
-        parallel.configure(max_workers=2, min_rows=8)
-        try:
+        with delegating_backend("delegate") as calls:
             config = ServiceConfig(
-                max_graphs=4, max_atoms=10**9, cache_capacity=0, backend="parallel"
+                max_graphs=4, max_atoms=10**9, cache_capacity=0, backend="delegate"
             )
             inline = PredictionService(model, config).predict_many(list(graphs))
             service = PredictionService(model, config)
+            before = calls[("edge_message_linear", "forward")]
             with service.start(workers=4):
                 served = service.predict_many(list(graphs))
-            for a, b in zip(inline, served):
-                assert abs(a.energy - b.energy) < 1e-5
-        finally:
-            parallel.configure()
+            assert calls[("edge_message_linear", "forward")] > before
+            assert service.telemetry()["engine"]["backend"] == "delegate"
+        for a, b in zip(inline, served):
+            assert abs(a.energy - b.energy) < 1e-5
 
     def test_telemetry_reports_engine_backend(self, model):
-        service = PredictionService(model, ServiceConfig(backend="parallel"))
-        engine = service.telemetry()["engine"]
-        assert engine["backend"] == "parallel"
-        assert engine["physical_units"] is False
+        service = PredictionService(model, ServiceConfig(backend="numpy"))
+        assert service.telemetry()["engine"] == {"backend": "numpy", "physical_units": False}
 
     def test_unknown_backend_rejected_at_construction(self, model):
         # get_kernel silently falls back to numpy for unknown backends,
-        # so a typo'd config must fail loudly here instead.
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            PredictionService(model, ServiceConfig(backend="paralell"))
+        # so a typo'd (or retired) config must fail loudly here instead.
+        for backend in ("paralell", "parallel", "auto"):
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                PredictionService(model, ServiceConfig(backend=backend))
 
 
 class TestGroupServing:

@@ -1,0 +1,193 @@
+"""The raw-array kernel contract every registered backend must meet.
+
+Each test calls one kernel's ``forward``/``backward`` directly on numpy
+arrays — the interface a backend implements — and checks it against
+the plain numpy expression the kernel fuses.  Cases run in float32 and
+float64 (a kernel keeps its input dtype) and on empty inputs (a batch of
+isolated atoms has no edges).  The suite is parametrized over
+:func:`~repro.tensor.kernels.available_backends`, so a backend
+registered in the package is held to the same contract as ``numpy``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.tensor import kernels
+
+DTYPES = [np.float32, np.float64]
+TOLERANCE = {np.float32: 1e-4, np.float64: 1e-10}
+
+
+@pytest.fixture(params=kernels.available_backends())
+def backend(request):
+    return request.param
+
+
+@pytest.fixture(params=DTYPES, ids=lambda dtype: np.dtype(dtype).name)
+def dtype(request):
+    return request.param
+
+
+@pytest.fixture(params=[True, False], ids=["populated", "empty"])
+def populated(request):
+    return request.param
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(42)
+
+
+def normal(rng, shape, dtype):
+    return rng.standard_normal(shape).astype(dtype)
+
+
+def scatter_add(values, segments, num_segments):
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, segments, values)
+    return out
+
+
+def check(got, expected, dtype, tol=None):
+    assert got.dtype == dtype
+    assert got.shape == expected.shape
+    tol = TOLERANCE[dtype] if tol is None else tol
+    np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
+
+
+def test_linear(backend, dtype, populated, rng):
+    rows = 300 if populated else 0
+    x, w, b = normal(rng, (rows, 24), dtype), normal(rng, (24, 16), dtype), normal(rng, (16,), dtype)
+    impl = kernels.get_kernel("linear", backend)
+    check(impl.forward(x, w, b), x @ w + b, dtype)
+    grad = normal(rng, (rows, 16), dtype)
+    grad_x, grad_w, grad_b = impl.backward(grad, x, w, b.shape)
+    check(grad_x, grad @ w.T, dtype)
+    check(grad_w, x.T @ grad, dtype)
+    check(grad_b, grad.sum(axis=0), dtype)
+
+
+def test_silu(backend, dtype, populated, rng):
+    x = normal(rng, (257 if populated else 0, 33), dtype)
+    impl = kernels.get_kernel("silu", backend)
+    out, sig = impl.forward(x)
+    expected_sig = 1.0 / (1.0 + np.exp(-x))
+    check(sig, expected_sig, dtype)
+    check(out, x * expected_sig, dtype)
+    grad = normal(rng, x.shape, dtype)
+    check(impl.backward(grad, x, sig), grad * expected_sig * (1.0 + x * (1.0 - expected_sig)), dtype)
+
+
+def test_edge_message_linear(backend, dtype, populated, rng):
+    nodes, edges, width, feat_width, out_width = 60, 400 if populated else 0, 16, 8, 12
+    h = normal(rng, (nodes, width), dtype)
+    feat = normal(rng, (edges, feat_width), dtype)
+    weight = normal(rng, (2 * width + feat_width, out_width), dtype)
+    bias = normal(rng, (out_width,), dtype)
+    src = rng.integers(0, nodes, edges).astype(np.int64)
+    dst = rng.integers(0, nodes, edges).astype(np.int64)
+    impl = kernels.get_kernel("edge_message_linear", backend)
+    edge_input = np.concatenate([h[src], h[dst], feat], axis=1)
+    check(impl.forward(h, feat, weight, bias, src, dst), edge_input @ weight + bias, dtype)
+
+    grad = normal(rng, (edges, out_width), dtype)
+    grad_h, grad_feat, grad_w, grad_b = impl.backward(grad, h, feat, weight, src, dst, bias.shape)
+    grad_input = grad @ weight.T
+    expected_h = scatter_add(grad_input[:, :width], src, nodes)
+    expected_h += scatter_add(grad_input[:, width : 2 * width], dst, nodes)
+    check(grad_h, expected_h, dtype)
+    check(grad_feat, grad_input[:, 2 * width :], dtype)
+    check(grad_w, edge_input.T @ grad, dtype)
+    check(grad_b, grad.sum(axis=0), dtype)
+
+
+def test_concat_linear(backend, dtype, populated, rng):
+    rows = 220 if populated else 0
+    parts = [normal(rng, (rows, width), dtype) for width in (8, 16, 4)]
+    weight, bias = normal(rng, (28, 10), dtype), normal(rng, (10,), dtype)
+    impl = kernels.get_kernel("concat_linear", backend)
+    joined = np.concatenate(parts, axis=1)
+    check(impl.forward(parts, weight, bias), joined @ weight + bias, dtype)
+
+    grad = normal(rng, (rows, 10), dtype)
+    grad_parts, grad_w, grad_b = impl.backward(grad, parts, weight, bias.shape, ([True] * 3, True, True))
+    grad_joined = grad @ weight.T
+    for got, (start, stop) in zip(grad_parts, [(0, 8), (8, 24), (24, 28)]):
+        check(got, grad_joined[:, start:stop], dtype)
+    check(grad_w, joined.T @ grad, dtype)
+    check(grad_b, grad.sum(axis=0), dtype)
+
+
+def test_segment_sum(backend, dtype, populated, rng):
+    rows = 500 if populated else 0
+    values = normal(rng, (rows, 7), dtype)
+    segments = np.sort(rng.integers(0, 40, rows)).astype(np.int64)
+    impl = kernels.get_kernel("segment_sum", backend)
+    check(impl.forward(values, segments, 40), scatter_add(values, segments, 40), dtype)
+    grad = normal(rng, (40, 7), dtype)
+    check(impl.backward(grad, segments), grad[segments], dtype)
+
+
+def test_mul_segment_sum(backend, dtype, populated, rng):
+    rows = 480 if populated else 0
+    a, b = normal(rng, (rows, 3), dtype), normal(rng, (rows, 1), dtype)
+    segments = np.sort(rng.integers(0, 33, rows)).astype(np.int64)
+    impl = kernels.get_kernel("mul_segment_sum", backend)
+    check(impl.forward(a, b, segments, 33), scatter_add(a * b, segments, 33), dtype)
+    grad = normal(rng, (33, 3), dtype)
+    grad_a, grad_b = impl.backward(grad, a, b, segments)
+    check(grad_a, grad[segments] * b, dtype)
+    check(grad_b, (grad[segments] * a).sum(axis=1, keepdims=True), dtype)
+
+
+def test_gather_diff_and_geometry(backend, dtype, populated, rng):
+    nodes, edges = 90, 600 if populated else 0
+    positions, shift = normal(rng, (nodes, 3), dtype), normal(rng, (edges, 3), dtype)
+    src = rng.integers(0, nodes, edges).astype(np.int64)
+    dst = rng.integers(0, nodes, edges).astype(np.int64)
+    impl = kernels.get_kernel("gather_diff", backend)
+    expected = positions[dst] - (positions[src] + shift)
+    check(impl.forward(positions, shift, src, dst), expected, dtype)
+    vectors, distances = impl.geometry(positions, shift, src, dst)
+    check(vectors, expected, dtype)
+    check(distances, np.maximum(np.linalg.norm(expected, axis=1), 1e-9), dtype)
+
+    grad = normal(rng, (edges, 3), dtype)
+    grad_pos, grad_shift = impl.backward(grad, src, dst, nodes, shift.shape)
+    check(grad_pos, scatter_add(grad, dst, nodes) - scatter_add(grad, src, nodes), dtype)
+    check(grad_shift, -grad, dtype)
+
+
+def _mixed_dtype_case(kernel, rng):
+    """float32 data with one float64 operand, and the promoted reference."""
+    x32 = normal(rng, (50, 8), np.float32)
+    if kernel == "linear":
+        w, b = normal(rng, (8, 4), np.float32), normal(rng, (4,), np.float64)
+        return (x32, w, b), x32 @ w + b
+    if kernel == "edge_message_linear":
+        feat = normal(rng, (30, 3), np.float64)
+        w, b = normal(rng, (19, 4), np.float32), normal(rng, (4,), np.float32)
+        src, dst = rng.integers(0, 50, 30), rng.integers(0, 50, 30)
+        edge_input = np.concatenate([x32[src], x32[dst], feat], axis=1)
+        return (x32, feat, w, b, src, dst), edge_input @ w + b
+    if kernel == "concat_linear":
+        parts = [x32, normal(rng, (50, 2), np.float64)]
+        w = normal(rng, (10, 4), np.float32)
+        return (parts, w, None), np.concatenate(parts, axis=1) @ w
+    positions = x32[:, :3]
+    shift = normal(rng, (30, 3), np.float64)
+    src, dst = rng.integers(0, 50, 30), rng.integers(0, 50, 30)
+    return (positions, shift, src, dst), positions[dst] - (positions[src] + shift)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "edge_message_linear", "concat_linear", "gather_diff"])
+def test_mixed_dtypes_promote_instead_of_quantizing(backend, kernel, rng):
+    """A float64 operand promotes the result; it is never rounded to float32.
+
+    Products of float32 blocks may be formed in float32 before the
+    promotion, so values agree to float32 accuracy.
+    """
+    args, expected = _mixed_dtype_case(kernel, rng)
+    assert expected.dtype == np.float64
+    out = kernels.get_kernel(kernel, backend).forward(*args)
+    check(out, expected, np.float64, tol=TOLERANCE[np.float32])

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.graph.atoms import AtomGraph
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
 from repro.tensor import kernels
 from repro.tensor.allocator import BufferPool, active_pool, pool_empty, pool_zeros, use_pool
 from repro.tensor.core import Tensor, function_nodes_created, no_grad
-from tests.helpers import make_molecule_graphs
+from tests.helpers import (
+    delegating_backend,
+    make_molecule_graphs,
+    make_periodic_graphs,
+    registered_backend,
+)
 
 
 class TestRegistry:
@@ -42,21 +48,19 @@ class TestRegistry:
     def test_backend_override_dispatches(self):
         calls = []
 
-        @kernels.register_kernel("linear", backend="test-backend")
         class _Probe:
             @staticmethod
             def forward(x, weight, bias=None):
                 calls.append("hit")
                 return kernels.get_kernel("linear", backend="numpy").forward(x, weight, bias)
 
-        try:
+        with registered_backend("test-backend", linear=_Probe):
             x = Tensor(np.ones((2, 3)))
             w = Tensor(np.ones((3, 2)))
             with kernels.use_backend("test-backend"):
                 kernels.linear(x, w)
             assert calls == ["hit"]
-        finally:
-            kernels._REGISTRY.pop(("linear", "test-backend"))
+        assert "test-backend" not in kernels.available_backends()
 
     def test_fusion_switch_restores(self):
         assert kernels.fusion_enabled()
@@ -217,3 +221,104 @@ class TestInferenceFastPath:
             np.testing.assert_allclose(
                 trained[key].numpy(), inferred[key].numpy(), atol=1e-6
             )
+
+    def test_structure_without_edges(self):
+        """An isolated atom has no neighbors: every edge kernel sees zero rows."""
+        atom = AtomGraph(
+            atomic_numbers=[8], positions=[[0.0, 0.0, 0.0]],
+            edge_index=np.zeros((2, 0)), edge_shift=np.zeros((0, 3)),
+        )
+        batch = collate([atom])
+        model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
+        unplanned = model.predict(batch, plan=False)
+        with kernels.fusion(False):
+            reference = model.predict(batch, plan=False)
+        model.predict(batch, plan=True)
+        replayed = model.predict(batch, plan=True)
+        assert np.isfinite(unplanned["energy"].numpy()).all()
+        np.testing.assert_array_equal(unplanned["forces"].numpy(), np.zeros((1, 3)))
+        np.testing.assert_allclose(
+            unplanned["energy"].numpy(), reference["energy"].numpy(), atol=1e-6
+        )
+        for key in ("energy", "forces"):
+            np.testing.assert_array_equal(replayed[key].numpy(), unplanned[key].numpy())
+
+
+class TestDelegatingBackend:
+    """A backend registered for every kernel (forwarding to numpy) is what
+    the model runs under ``use_backend``: forward, backward and the
+    no-grad fast path all dispatch to it, with numpy's exact bits."""
+
+    def _batch(self):
+        return collate(make_molecule_graphs(4, seed=5) + make_periodic_graphs(2, seed=5))
+
+    def test_training_losses_match_numpy(self):
+        from repro.optim import Adam
+
+        batch = self._batch()
+        target_e = np.zeros((batch.num_graphs, 1), dtype=np.float32)
+        target_f = np.zeros((batch.num_nodes, 3), dtype=np.float32)
+
+        def losses(backend: str) -> list[float]:
+            model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=3)
+            optimizer = Adam(model.parameters(), lr=1e-3)
+            out = []
+            with kernels.use_backend(backend):
+                for _ in range(3):
+                    model.zero_grad()
+                    loss = model.loss(model(batch), target_e, target_f)
+                    loss.backward()
+                    optimizer.step()
+                    out.append(loss.item())
+            return out
+
+        with delegating_backend("delegate") as calls:
+            delegated = losses("delegate")
+        assert delegated == losses("numpy")
+        assert calls[("edge_message_linear", "forward")] > 0
+        assert calls[("edge_message_linear", "backward")] > 0
+
+    def test_predict_matches_numpy(self):
+        batch = self._batch()
+        model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
+        reference = model.predict(batch, plan=False)
+        with delegating_backend("delegate") as calls, kernels.use_backend("delegate"):
+            predicted = model.predict(batch, plan=False)
+        for key in ("energy", "forces"):
+            np.testing.assert_array_equal(predicted[key].numpy(), reference[key].numpy())
+        assert calls[("linear", "forward")] > 0
+        assert not any(method == "backward" for _, method in calls)
+
+    def test_no_function_nodes_under_delegating_no_grad(self):
+        """The no-node inference invariant holds on any registered backend."""
+        batch = self._batch()
+        model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
+        with delegating_backend("delegate") as calls, kernels.use_backend("delegate"):
+            model.predict(batch)  # warm any lazy setup
+            before = function_nodes_created()
+            with no_grad():
+                predictions = model(batch)
+            assert function_nodes_created() == before
+        assert predictions["energy"].requires_grad is False
+        assert predictions["energy"]._ctx is None
+        assert calls[("silu", "forward")] > 0
+
+    def test_grad_tensors_flow_through_registered_kernels(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((64, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 4)).astype(np.float32), requires_grad=True)
+
+        def run(backend):
+            x.zero_grad()
+            w.zero_grad()
+            with kernels.use_backend(backend):
+                kernels.silu(kernels.linear(x, w)).sum().backward()
+            return np.array(x.grad), np.array(w.grad)
+
+        with delegating_backend("delegate") as calls:
+            gx_delegated, gw_delegated = run("delegate")
+        gx_numpy, gw_numpy = run("numpy")
+        np.testing.assert_array_equal(gx_delegated, gx_numpy)
+        np.testing.assert_array_equal(gw_delegated, gw_numpy)
+        assert calls[("linear", "backward")] == 1
+        assert calls[("silu", "backward")] == 1

@@ -6,16 +6,23 @@ backend, every shape bucket, and every batch in a bucket — or the
 compiler refuses and the model falls back to the unplanned path.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
-from repro.tensor import kernels
+from repro.tensor import allocator, kernels
 from repro.tensor.allocator import SequentialArena
 from repro.tensor.core import function_nodes_created
-from repro.tensor.plan import PlanTraceError, compile_plan, plan_inputs, plan_key
-from tests.helpers import make_molecule_graphs, make_periodic_graphs
+from repro.tensor.plan import PlanTraceError, bucket, compile_plan, plan_inputs, plan_key
+from tests.helpers import (
+    delegating_backend,
+    make_molecule_graphs,
+    make_periodic_graphs,
+    registered_backend,
+)
 
 CONFIG = ModelConfig(hidden_dim=16, num_layers=2)
 
@@ -60,7 +67,7 @@ class TestBitExactReplay:
         model.serve(batch, plan=True)
         assert_same_outputs(unplanned, model.serve(batch, plan=True))
 
-    @pytest.mark.parametrize("backend", ["numpy", "parallel", "auto"])
+    @pytest.mark.parametrize("backend", kernels.available_backends())
     def test_backends_replay_bit_exact(self, backend):
         model = fresh_model()
         batch = collate(make_molecule_graphs(3, seed=2))
@@ -69,6 +76,20 @@ class TestBitExactReplay:
             model.serve(batch, plan=True)
             replayed = model.serve(batch, plan=True)
         assert_same_outputs(unplanned, replayed)
+
+    def test_registered_backend_replays_bit_exact(self):
+        """A plan freezes the active backend's kernels and replays them."""
+        model = fresh_model()
+        batch = collate(make_molecule_graphs(3, seed=2))
+        reference = model.serve(batch, plan=False)
+        with delegating_backend("delegate") as calls, kernels.use_backend("delegate"):
+            unplanned = model.serve(batch, plan=False)
+            model.serve(batch, plan=True)
+            before = calls[("edge_message_linear", "forward")]
+            replayed = model.serve(batch, plan=True)
+            assert calls[("edge_message_linear", "forward")] > before
+        assert_same_outputs(unplanned, replayed)
+        assert_same_outputs(reference, replayed)
 
     def test_attention_and_layernorm_variants_replay(self):
         config = ModelConfig(hidden_dim=16, num_layers=2, attention=True, layer_norm=True)
@@ -106,6 +127,25 @@ class TestBitExactReplay:
 
 
 class TestBucketing:
+    def test_bucket_rounds_up_to_power_of_two(self):
+        assert bucket(0) == 0
+        assert bucket(1) == 1
+        assert bucket(2) == 2
+        assert bucket(3) == 4
+        assert bucket(1000) == 1024
+        assert bucket(1024) == 1024
+        assert bucket(1025) == 2048
+
+    def test_same_bucket_shares_key(self):
+        def sizes(nodes, edges, graphs):
+            return SimpleNamespace(num_nodes=nodes, num_edges=edges, num_graphs=graphs)
+
+        key = plan_key(sizes(600, 1000, 3))
+        assert key == (1024, 1024, 4, "numpy", True)
+        assert plan_key(sizes(1024, 513, 4)) == key
+        assert plan_key(sizes(1025, 1000, 3)) != key  # different nodes bucket
+        assert plan_key(sizes(600, 1000, 5)) != key  # different graphs bucket
+
     def test_bucket_miss_recompiles(self):
         model = fresh_model()
         small = collate(make_molecule_graphs(1, seed=0))
@@ -119,8 +159,10 @@ class TestBucketing:
     def test_key_tracks_backend_and_fusion(self):
         batch = collate(make_molecule_graphs(2, seed=0))
         base = plan_key(batch)
-        with kernels.use_backend("parallel"):
-            assert plan_key(batch) != base
+        numpy_linear = kernels.get_kernel("linear", backend="numpy")
+        with registered_backend("test-backend", linear=numpy_linear):
+            with kernels.use_backend("test-backend"):
+                assert plan_key(batch) != base
         with kernels.fusion(False):
             assert plan_key(batch) != base
 
@@ -208,8 +250,7 @@ class TestPlanInternals:
         labels = plan.labels()
         assert any(label.startswith("EdgeMessageLinear[") for label in labels)
         assert any(label.startswith("FusedSiLU[") for label in labels)
-        # Frozen labels name a concrete backend, never the auto proxy.
-        assert not any("[auto]" in label for label in labels)
+        assert all(label.endswith("[numpy]") for label in labels if "[" in label)
 
     def test_arena_schedule_recycles_slots(self):
         """Liveness packing must reuse arena slots across steps."""
@@ -269,32 +310,44 @@ class TestPlanInternals:
         assert big.shape == (64,)
 
     def test_parallel_delegation_branch_flip_stays_bit_exact(self):
-        """Regression: a frozen parallel kernel may delegate to numpy
-        below the row floor on one batch and shard on another batch of
-        the same bucket, changing its scratch-acquire count mid-plan.
-        The step-addressed arena must contain that divergence — outputs
-        stay bit-identical to the unplanned path, never silently wrong.
+        """Regression: a frozen kernel may take a different branch on two
+        batches of the same bucket and change its scratch-acquire count
+        mid-plan.  The step-addressed arena must contain that divergence
+        — outputs stay bit-identical to the unplanned path, never
+        silently wrong, whichever batch the schedule was learned on.
         """
-        from repro.tensor import parallel
-
         first = collate(make_molecule_graphs(3, seed=0))
         second = collate(make_molecule_graphs(3, seed=7))
         assert plan_key(first) == plan_key(second)
         low, high = sorted((first.num_edges, second.num_edges))
         assert low < high  # need the edge counts to straddle the floor
-        # Put the delegation threshold (2 * min_rows) strictly between
-        # the two batches' edge-row counts.
-        parallel.configure(max_workers=4, min_rows=(low + high) // 4 + 1)
-        try:
-            model = fresh_model()
-            with kernels.use_backend("parallel"):
-                for batch in (first, second):
-                    unplanned = model.serve(batch, plan=False)
-                    model.serve(batch, plan=True)
-                    replayed = model.serve(batch, plan=True)
-                    assert_same_outputs(unplanned, replayed)
-        finally:
-            parallel.configure(None, None)
+        floor = (low + high + 1) // 2  # low < floor <= high
+        numpy_linear = kernels.get_kernel("linear", backend="numpy")
+
+        class _RowFloorLinear:
+            """numpy ``linear``, staged through one extra pooled buffer at
+            ``floor`` rows or more: two scratch acquires instead of one,
+            the same bits either way."""
+
+            @staticmethod
+            def forward(x, weight, bias=None):
+                out = numpy_linear.forward(x, weight, bias)
+                if x.shape[0] < floor:
+                    return out
+                staged = allocator.pool_empty(out.shape, out.dtype)
+                np.copyto(staged, out)
+                return staged
+
+        with registered_backend("row-floor", linear=_RowFloorLinear):
+            with kernels.use_backend("row-floor"):
+                for order in ((first, second), (second, first)):
+                    model = fresh_model()
+                    for batch in order:
+                        unplanned = model.serve(batch, plan=False)
+                        model.serve(batch, plan=True)
+                        replayed = model.serve(batch, plan=True)
+                        assert_same_outputs(unplanned, replayed)
+                    assert model.plans.stats.compiled == 1  # one schedule, both branches
 
     def test_plan_inputs_match_unplanned_geometry(self):
         model = fresh_model()

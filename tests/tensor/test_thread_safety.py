@@ -29,7 +29,7 @@ from repro.tensor.core import (
     grad_enabled,
     no_grad,
 )
-from tests.helpers import make_molecule_graphs
+from tests.helpers import delegating_backend, make_molecule_graphs, registered_backend
 
 
 def _run_in_thread(fn, *args):
@@ -158,29 +158,37 @@ class TestContextStackIsolation:
         seen: dict[str, str] = {}
 
         def holder():
-            with kernels.use_backend("parallel"):
+            with kernels.use_backend("test-backend"):
                 inside.set()
                 assert release.wait(10.0)
+                seen["holder"] = kernels.active_backend()
 
         def observer():
             assert inside.wait(10.0)
-            seen["backend"] = kernels.active_backend()
+            seen["observer"] = kernels.active_backend()
             release.set()
 
-        a = threading.Thread(target=holder)
-        b = threading.Thread(target=observer)
-        a.start()
-        b.start()
-        a.join(10.0)
-        b.join(10.0)
-        assert seen["backend"] == "numpy"
+        numpy_linear = kernels.get_kernel("linear", backend="numpy")
+        with registered_backend("test-backend", linear=numpy_linear):
+            a = threading.Thread(target=holder)
+            b = threading.Thread(target=observer)
+            a.start()
+            b.start()
+            a.join(10.0)
+            b.join(10.0)
+        assert seen == {"holder": "test-backend", "observer": "numpy"}
 
-    def test_set_default_backend_reaches_new_threads(self):
-        previous = kernels.set_default_backend("parallel")
-        try:
-            assert _run_in_thread(kernels.active_backend) == "parallel"
-        finally:
-            kernels.set_default_backend(previous)
+    def test_new_threads_start_on_numpy(self):
+        # A thread spawned inside use_backend does not inherit it: the
+        # override is the spawning thread's alone.
+        def dispatch():
+            return kernels.active_backend(), kernels.get_kernel("linear")
+
+        with delegating_backend("delegate"), kernels.use_backend("delegate"):
+            assert kernels.get_kernel("linear") is not kernels.get_kernel("linear", "numpy")
+            backend, impl = _run_in_thread(dispatch)
+        assert backend == "numpy"
+        assert impl is kernels.get_kernel("linear", "numpy")
 
     def test_tracker_category_stack_is_thread_local(self):
         tracker = MemoryTracker("shared")

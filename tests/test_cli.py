@@ -145,14 +145,21 @@ class TestServe:
         assert main(["serve", "--http", "0", "--selftest"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_http_bad_autotune_cache_fails_at_startup(self, capsys, tmp_path):
-        """Misconfiguration must fail the process before it reports healthy."""
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"format": "something-else"}')
-        assert main(["serve", "--http", "0", "--autotune-cache", str(bad)]) == 2
+    def test_backend_choices_are_the_registered_backends(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--http", "0", "--backend", "parallel"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --backend: invalid choice: 'parallel'" in err
+        assert "choose from" in err and "numpy" in err
+
+    def test_autotune_cache_flag_is_gone(self, capsys, tmp_path):
+        """A deployment still passing the retired flag fails before it serves."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--http", "0", "--autotune-cache", str(tmp_path / "a.json")])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err
-        assert "autotune" in captured.err
+        assert "unrecognized arguments: --autotune-cache" in captured.err
         assert "serving model" not in captured.out  # never claimed to be up
 
     def test_selftest_session_summary(self, capsys):

@@ -5,7 +5,9 @@ may depend on nothing else in the package; ``repro.api`` sits on top
 of ``repro.serving`` — the replica router forwards v1 bodies without
 importing the schemas that type them; and the ``/v1/stats`` table in
 ``serving/telemetry.py`` is standard library only, so the router and
-offline readers of server-emitted stats can import it alone.
+offline readers of server-emitted stats can import it alone.  The
+engine (``repro.tensor``) runs each kernel on its caller's thread: the
+serving workers are where the cores go, so it imports no executor.
 """
 
 import ast
@@ -70,3 +72,15 @@ def test_serving_never_imports_the_api_package():
     }
     assert offenders == set()
     assert "repro.wire" in imports_of_file(PACKAGE / "serving" / "router.py")
+
+
+def test_the_engine_starts_no_thread_pools():
+    sources = sorted((PACKAGE / "tensor").rglob("*.py"))
+    assert (PACKAGE / "tensor" / "kernels.py") in sources
+    offenders = {
+        (path.name, module)
+        for path in sources
+        for module in imports_of_file(path)
+        if is_under(module, "concurrent.futures")
+    }
+    assert offenders == set()
