@@ -557,7 +557,7 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         # parsed as the next request line) — so every early exit must
         # drop the connection instead of keeping it alive.
         try:
-            length = content_length(self.headers.get("Content-Length"))
+            length = content_length(self.headers.get_all("Content-Length"))
             if length == 0:
                 raise ValueError("request body required (Content-Length missing or 0)")
         except ValueError as err:

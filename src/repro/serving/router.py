@@ -508,14 +508,18 @@ class Router:
         except ValueError:
             raise ValueError(f"malformed request line: {request_line!r}") from None
         headers: dict[str, str] = {}
+        lengths: list[str] = []  # every occurrence: duplicates must agree
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            headers[name] = value.strip()
+            if name == "content-length":
+                lengths.append(headers[name])
         try:
-            length = content_length(headers.get("content-length"))
+            length = content_length(lengths)
         except ValueError as error:
             raise _BadFraming(str(error)) from None
         body = await reader.readexactly(length) if length else b""

@@ -1,4 +1,16 @@
-"""Byte-accurate memory accounting for the numpy tensor engine.
+"""Memory accounting and the one scratch allocator of the numpy tensor engine.
+
+Two halves, both keyed on the calling thread's context stacks:
+
+- :class:`MemoryTracker` — byte-accurate accounting of live buffers
+  (below).
+- :class:`BufferPool` — the engine's only scratch allocator: a
+  shape-bucketed caching allocator that recycles a buffer once nothing
+  outside the pool references it.  Training, the unplanned ``no_grad``
+  forward, and execution-plan replays (:mod:`repro.tensor.plan`, whose
+  generated code drops each value after its last read) all draw from
+  whichever pool :func:`use_pool` made active, or from plain
+  ``np.empty`` when none is.
 
 The paper's Fig. 6 and Table II are statements about *peak device memory*
 broken down by category (activations, weights, optimizer states, others).
@@ -398,115 +410,6 @@ class BufferPool:
         with self._lock:
             self._buckets.clear()
             self._reserved = 0
-
-
-class SequentialArena:
-    """Step-addressed scratch allocator for execution-plan replay.
-
-    The plan compiler watches one replay's acquire stream, groups the
-    acquisitions by plan step, assigns each ``(step, ordinal)`` position
-    an arena slot from buffer liveness, and installs that table here via
-    :meth:`configure`.  Replays announce each kernel step with
-    :meth:`begin_step` and then draw views of persistent flat byte
-    buffers — zero malloc traffic in steady state, buffers recycled when
-    the plan says the step's consumers are done.
-
-    Addressing by step (not one flat cursor) is a correctness property,
-    not a convenience: a kernel implementation may take a different
-    internal branch at replay than it did when the schedule was learned
-    (e.g. a size threshold crossed by a batch at the other end of the
-    shape bucket) and acquire a *different number* of buffers.  A flat
-    cursor would silently misalign every later acquire
-    against the schedule and alias live buffers; per-step addressing
-    contains the divergence — extra acquires within a step fall back to
-    plain ``np.empty``, missing ones leave their slots unused, and the
-    next ``begin_step`` realigns.  The plan side makes this safe by
-    giving *every* acquire in a step the lifetime of the step's output,
-    so whichever ordinal escapes is protected.
-
-    A slot's backing buffer grows (reallocates) when a replay in the
-    same shape bucket needs more bytes than any before it.  Instances
-    are **not** thread-safe — the plan leases one arena per concurrent
-    replay.
-    """
-
-    def __init__(self) -> None:
-        self._tables: dict[int, tuple[list[int], int]] = {}
-        self._buffers: list[np.ndarray | None] = []
-        self._memo: list[tuple | None] = []
-        self._current: tuple[list[int], int] | None = None
-        self._ordinal = 0
-        self.stats = PoolStats()
-
-    def configure(self, step_slots: dict[int, list[int]], num_slots: int) -> None:
-        """Install the per-step ``(ordinal → arena slot)`` tables."""
-        self._tables = {}
-        base = 0
-        for step in sorted(step_slots):
-            slots = list(step_slots[step])
-            self._tables[step] = (slots, base)
-            base += len(slots)
-        self._buffers = [None] * int(num_slots)
-        self._memo = [None] * base
-        self._current = None
-        self._ordinal = 0
-
-    def reset(self) -> None:
-        """Forget the current step (call before a replay)."""
-        self._current = None
-        self._ordinal = 0
-
-    def begin_step(self, index: int) -> None:
-        """Align the arena on plan step ``index`` (its first acquire)."""
-        self._current = self._tables.get(index)
-        self._ordinal = 0
-
-    def acquire(self, shape, dtype) -> np.ndarray:
-        current = self._current
-        if current is None:
-            self.stats.misses += 1
-            return np.empty(shape, dtype=dtype)
-        slots, base = current
-        ordinal = self._ordinal
-        if ordinal >= len(slots):
-            # More scratch than the learned schedule for this step (an
-            # implementation branch changed): plain malloc keeps the
-            # replay correct, just unpooled.
-            self.stats.misses += 1
-            return np.empty(shape, dtype=dtype)
-        self._ordinal = ordinal + 1
-        position = base + ordinal
-        # Same shape/dtype as the last replay at this position (the
-        # common steady-state case): hand back the memoized view with no
-        # re-derivation at all.  A stale memo after another position
-        # regrew the shared slot buffer is safe — the two positions'
-        # lifetimes are disjoint, so aliasing was allowed, not required.
-        memo = self._memo[position]
-        if memo is not None and memo[0] == shape and memo[1] == dtype:
-            self.stats.hits += 1
-            return memo[2]
-        dt = np.dtype(dtype)
-        if isinstance(shape, (tuple, list)):
-            size = 1
-            for extent in shape:
-                size *= int(extent)
-        else:
-            size = int(shape)
-        nbytes = size * dt.itemsize
-        slot = slots[ordinal]
-        buffer = self._buffers[slot]
-        if buffer is None or buffer.nbytes < nbytes:
-            buffer = self._buffers[slot] = np.empty(max(nbytes, 1), dtype=np.uint8)
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        view = buffer[:nbytes].view(dt).reshape(shape)
-        self._memo[position] = (shape, dtype, view)
-        return view
-
-    def reserved_bytes(self) -> int:
-        """Total bytes of the slot buffers allocated so far."""
-        return sum(buffer.nbytes for buffer in self._buffers if buffer is not None)
 
 
 def active_pool() -> BufferPool | None:

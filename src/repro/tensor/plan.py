@@ -2,10 +2,9 @@
 
 The ``no_grad`` fast path skips autograd ``Function`` nodes but still
 pays full Python dispatch on every served forward: a ``Tensor`` wrapper
-per op, a kernel-registry lookup per kernel, and a fresh buffer-pool
-request per scratch array.  For a serving replica answering the same
-*shapes* of traffic all day, that cost should be paid once per shape
-bucket, not per request.
+and module call per op, and a kernel-registry lookup per kernel.  For a
+serving replica answering the same *shapes* of traffic all day, that
+cost should be paid once per shape bucket, not per request.
 
 This module is the tracing compiler that makes it so:
 
@@ -18,17 +17,18 @@ This module is the tracing compiler that makes it so:
   parameters, scalar coercions).  Kernel ops are frozen to the active
   backend's registry implementation **now**, so replays never consult
   the registry again.
-- **Arena.**  A schedule-learning replay records the plan's ordered
-  scratch-acquire stream, computes each buffer's last-use step, and
-  assigns arena slots by liveness.  Later replays draw every pooled
-  buffer from a :class:`~repro.tensor.allocator.SequentialArena` —
-  recycled in plan order, zero malloc in steady state.  The learning
-  replay's outputs are verified bit-identical to the traced forward
-  before the plan is admitted.
+- **Scratch.**  A replay draws its scratch from whatever
+  :class:`~repro.tensor.allocator.BufferPool` the caller has active (the
+  service's shared pool for a served forward; plain ``np.empty`` with
+  none).  The generated function deletes each value right after its
+  last read, so the pool's refcount idle test recycles scratch by
+  liveness — no schedule, no second allocator.
 - **Replay.**  :meth:`ExecutionPlan.replay` recomputes the batch-derived
   inputs (edge geometry, pooling weights — work the unplanned path does
-  too), then runs the step list as a tight loop over raw ndarrays: no
-  ``Tensor`` objects, no registry lookups.
+  too), then runs the step list as generated straight-line code over raw
+  ndarrays: no ``Tensor`` objects, no registry lookups.  The first
+  replay is verified bit-identical to the traced forward before the plan
+  is admitted.
 
 Safety rails, because a wrong plan is worse than a slow one:
 
@@ -51,13 +51,11 @@ Safety rails, because a wrong plan is worse than a slow one:
 from __future__ import annotations
 
 import functools
-import heapq
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tensor.allocator import SequentialArena, use_pool
 from repro.tensor.core import DEFAULT_DTYPE, Tensor, no_grad, tracing
 from repro.tensor import kernels
 
@@ -83,23 +81,18 @@ _DIM = 2  # payload is a named batch dimension ("num_nodes", "num_graphs")
 #: shapes :func:`repro.models.egnn.edge_geometry_arrays_for` produces.
 _GEOMETRY_INPUTS = ("src", "dst", "unit_vectors", "envelope", "rbf", "inv_degree")
 
-#: Arenas retained per plan; more concurrent replays than this simply
-#: allocate (and drop) extra arenas instead of queueing.
-_MAX_POOLED_ARENAS = 32
-
 
 class _Step:
     """One replayable op: a frozen callable plus resolved argument refs."""
 
-    __slots__ = ("fn", "args", "kwargs", "out", "label", "kernel")
+    __slots__ = ("fn", "args", "kwargs", "out", "label")
 
-    def __init__(self, fn, args, kwargs, out, label, kernel):
+    def __init__(self, fn, args, kwargs, out, label):
         self.fn = fn
         self.args = args  # tuple[(kind, payload), ...]
         self.kwargs = kwargs  # dict[str, (kind, payload)]
         self.out = out  # output slot index
         self.label = label  # e.g. "FusedLinear[numpy]" — introspection only
-        self.kernel = kernel  # registry-backed op: may acquire pooled scratch
 
 
 class PlanTracer:
@@ -162,8 +155,7 @@ class PlanTracer:
         self.num_slots += 1
         self._slot_of[id(out)] = slot
         self._live.append(out)
-        kernel = getattr(cls, "kernel_name", None) is not None
-        self.steps.append(_Step(fn, args, kw, slot, label, kernel))
+        self.steps.append(_Step(fn, args, kw, slot, label))
         return out
 
     def _ref(self, value):
@@ -213,21 +205,6 @@ class PlanTracer:
         return functools.partial(cls.infer_with, impl), f"{cls.__name__}[{backend}]"
 
 
-class _RecordingPool:
-    """Logs the acquire stream of the schedule-learning replay."""
-
-    def __init__(self) -> None:
-        self.events: list[tuple[int, int]] = []  # (step index, id(array))
-        self.arrays: list[np.ndarray] = []  # strong refs: keep ids unique
-        self.step = -1
-
-    def acquire(self, shape, dtype) -> np.ndarray:
-        array = np.empty(shape, dtype=dtype)
-        self.events.append((self.step, id(array)))
-        self.arrays.append(array)
-        return array
-
-
 class ExecutionPlan:
     """A frozen kernel program for one (model, shape-bucket, dispatch mode)."""
 
@@ -244,10 +221,6 @@ class ExecutionPlan:
         self.input_slots = input_slots
         self.output_slots = output_slots
         self.key = key
-        self._step_slots: dict[int, list[int]] = {}
-        self._arena_slots = 0
-        self._arenas: list[SequentialArena] = []
-        self._arena_lock = threading.Lock()
         self._compile_replay()
 
     def __len__(self) -> int:
@@ -256,22 +229,6 @@ class ExecutionPlan:
     def labels(self) -> list[str]:
         """Step labels in program order (introspection and tests)."""
         return [step.label for step in self.steps]
-
-    # ------------------------------------------------------------------
-    # arena leasing (one arena per concurrent replay)
-    # ------------------------------------------------------------------
-    def _lease_arena(self) -> SequentialArena:
-        with self._arena_lock:
-            if self._arenas:
-                return self._arenas.pop()
-        arena = SequentialArena()
-        arena.configure(self._step_slots, self._arena_slots)
-        return arena
-
-    def _release_arena(self, arena: SequentialArena) -> None:
-        with self._arena_lock:
-            if len(self._arenas) < _MAX_POOLED_ARENAS:
-                self._arenas.append(arena)
 
     # ------------------------------------------------------------------
     # execution
@@ -284,10 +241,11 @@ class ExecutionPlan:
         forwards.  Generating one function with one call per step
         (``v12 = fns[7](v5, v9, num_segments=num_nodes)``) leaves only
         the frozen callables themselves between the input arrays and the
-        outputs.  ``A`` is the leased arena's ``begin_step``: every
-        kernel-backed step announces itself so scratch acquisitions are
-        addressed per step (the arena's divergence containment).  The
-        source is kept on ``self.source`` for inspection.
+        outputs.  Every non-output value is ``del``-ed right after its
+        last read, so its buffer is idle in the caller's pool (the
+        refcount test in :meth:`~repro.tensor.allocator.BufferPool.acquire`)
+        before the next step asks for scratch.  The source is kept on
+        ``self.source`` for inspection.
         """
         consts: list = []
 
@@ -300,17 +258,37 @@ class ExecutionPlan:
             consts.append(payload)
             return f"consts[{len(consts) - 1}]"
 
-        lines = ["def _replay(inputs, dims, fns, consts, A):"]
+        # Index of the step that last reads each value: -1 (the prologue)
+        # for an input nothing reads, the defining step for a step output
+        # nothing reads.
+        last_read = [-1] * self.num_slots
+        for index, step in enumerate(self.steps):
+            last_read[step.out] = index
+            for kind, payload in (*step.args, *step.kwargs.values()):
+                if kind == _SLOT:
+                    last_read[payload] = index
+        outputs = set(self.output_slots.values())
+        dead_after: dict[int, list[str]] = {}
+        for slot, index in enumerate(last_read):
+            if slot not in outputs:
+                dead_after.setdefault(index, []).append(f"v{slot}")
+
+        lines = ["def _replay(inputs, dims, fns, consts):"]
+
+        def release(index: int) -> None:
+            if index in dead_after:
+                lines.append(f"    del {', '.join(dead_after[index])}")
+
         for name in sorted(self.dims_used()):
             lines.append(f"    {name} = dims[{name!r}]")
         for name, slot in self.input_slots.items():
             lines.append(f"    v{slot} = inputs[{name!r}]")
+        release(-1)
         for index, step in enumerate(self.steps):
             parts = [expr(ref) for ref in step.args]
             parts += [f"{key}={expr(ref)}" for key, ref in step.kwargs.items()]
-            if step.kernel:
-                lines.append(f"    A({index})")
             lines.append(f"    v{step.out} = fns[{index}]({', '.join(parts)})")
+            release(index)
         result = ", ".join(
             f"{name!r}: v{slot}" for name, slot in self.output_slots.items()
         )
@@ -331,140 +309,18 @@ class ExecutionPlan:
                     used.add(payload)
         return used
 
-    def _run_steps(self, slots: list, dims: dict[str, int], on_step=None) -> None:
-        steps = self.steps
-        for index in range(len(steps)):
-            step = steps[index]
-            if on_step is not None:
-                on_step(index)
-            args = [
-                slots[payload]
-                if kind == _SLOT
-                else (payload if kind == _CONST else dims[payload])
-                for kind, payload in step.args
-            ]
-            if step.kwargs:
-                kw = {
-                    key: (
-                        slots[payload]
-                        if kind == _SLOT
-                        else (payload if kind == _CONST else dims[payload])
-                    )
-                    for key, (kind, payload) in step.kwargs.items()
-                }
-                slots[step.out] = step.fn(*args, **kw)
-            else:
-                slots[step.out] = step.fn(*args)
-
-    def _seed_slots(self, inputs: dict[str, np.ndarray]) -> list:
-        slots: list = [None] * self.num_slots
-        for name, index in self.input_slots.items():
-            slots[index] = inputs[name]
-        return slots
-
-    def _collect_outputs(self, slots: list) -> dict[str, np.ndarray]:
-        """Owned copies of the output slots (see :meth:`replay`)."""
-        return {
-            name: np.array(slots[index]) for name, index in self.output_slots.items()
-        }
-
     def replay(
         self, inputs: dict[str, np.ndarray], dims: dict[str, int]
     ) -> dict[str, np.ndarray]:
-        """Execute the plan on a new batch's prologue arrays."""
-        arena = self._lease_arena()
-        arena.reset()
-        try:
-            with use_pool(arena):
-                outputs = self._replay_fn(
-                    inputs, dims, self._fns, self._consts, arena.begin_step
-                )
-            # Copies: replayed outputs live in arena memory that the next
-            # replay will overwrite; results handed out must be owned.
-            return {name: np.array(value) for name, value in outputs.items()}
-        finally:
-            self._release_arena(arena)
+        """Execute the plan on a new batch's prologue arrays.
 
-    # ------------------------------------------------------------------
-    # schedule learning (one pass, at compile time)
-    # ------------------------------------------------------------------
-    def learn_schedule(
-        self, inputs: dict[str, np.ndarray], dims: dict[str, int]
-    ) -> dict[str, np.ndarray]:
-        """Replay once through a recording pool; derive the arena schedule.
-
-        Returns the replay's outputs so the compiler can verify them
-        against the traced forward before admitting the plan.
+        Scratch comes from the caller's active pool (plain ``np.empty``
+        with none), so the plan holds no per-replay state and concurrent
+        replays need no lease.  The outputs are copies, so results a
+        caller keeps (a result cache) never pin pool buffers.
         """
-        recorder = _RecordingPool()
-        slots = self._seed_slots(inputs)
-
-        def mark(index: int) -> None:
-            recorder.step = index
-
-        with use_pool(recorder):
-            self._run_steps(slots, dims, on_step=mark)
-        outputs = self._collect_outputs(slots)
-        self._build_schedule(recorder, slots)
-        return outputs
-
-    def _build_schedule(self, recorder: _RecordingPool, slots: list) -> None:
-        horizon = len(self.steps)
-        # Last step reading each value slot (outputs live to the copy).
-        last_use = [-1] * self.num_slots
-        for index, step in enumerate(self.steps):
-            refs = list(step.args) + list(step.kwargs.values())
-            for kind, payload in refs:
-                if kind == _SLOT:
-                    last_use[payload] = index
-        for slot in self.output_slots.values():
-            last_use[slot] = horizon
-
-        # Acquires grouped by step.  Every acquire in a step gets the
-        # lifetime of the step's *output* — deliberately conservative:
-        # a replay-time implementation branch may make a different
-        # ordinal escape than the learning pass observed (the arena's
-        # divergence containment relies on whichever ordinal escapes
-        # being protected), so per-ordinal temporary-vs-output liveness
-        # would be unsound.  The cost is holding kernel temporaries a
-        # few steps longer; arena slot counts stay single-digit.
-        counts: dict[int, int] = {}
-        step_of_acquire: dict[int, int] = {}
-        for step_index, array_id in recorder.events:
-            counts[step_index] = counts.get(step_index, 0) + 1
-            step_of_acquire[array_id] = step_index
-
-        release: dict[int, int] = {}
-        for index in counts:
-            release[index] = max(index, last_use[self.steps[index].out])
-        # A view output pins its base buffer's whole step for the
-        # replay: the view's liveness is not tracked against the base.
-        for index, step in enumerate(self.steps):
-            value = slots[step.out]
-            if isinstance(value, np.ndarray) and value.base is not None:
-                owner = step_of_acquire.get(id(value.base))
-                if owner is not None:
-                    release[owner] = horizon
-
-        step_slots: dict[int, list[int]] = {}
-        free: list[int] = []
-        active: list[tuple[int, int]] = []  # (release step, arena slot)
-        num_arena_slots = 0
-        for step_index in sorted(counts):
-            while active and active[0][0] < step_index:
-                free.append(heapq.heappop(active)[1])
-            assigned = []
-            for _ in range(counts[step_index]):
-                if free:
-                    slot = free.pop()
-                else:
-                    slot = num_arena_slots
-                    num_arena_slots += 1
-                assigned.append(slot)
-                heapq.heappush(active, (release[step_index], slot))
-            step_slots[step_index] = assigned
-        self._step_slots = step_slots
-        self._arena_slots = num_arena_slots
+        outputs = self._replay_fn(inputs, dims, self._fns, self._consts)
+        return {name: np.array(value) for name, value in outputs.items()}
 
 
 # ----------------------------------------------------------------------
@@ -505,10 +361,9 @@ def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
 
     Returns ``(plan, outputs)`` where ``outputs`` are the verified
     replay results for ``batch`` itself — compilation *is* this batch's
-    forward.  A cold bucket therefore pays three forward executions:
-    the traced forward, the interpreted schedule-learning replay, and
-    the generated production replay (both verified bit-exact against
-    the trace before the plan is admitted).
+    forward.  A cold bucket therefore pays two forward executions: the
+    traced forward and the generated replay, which must reproduce the
+    trace bit-exactly before the plan is admitted.
 
     Raises :class:`PlanTraceError` when the forward cannot be captured
     (activation checkpointing, a batch-shaped array the tracer cannot
@@ -558,15 +413,11 @@ def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
         output_slots=tracer.outputs,
         key=plan_key(batch),
     )
-    # Two verification gates, both against the traced forward: the
-    # schedule-learning pass certifies the recorded step list, and a
-    # real replay certifies the *production* path — the generated
-    # function plus the arena it will actually run with.
-    learned = plan.learn_schedule(inputs, dims)
+    # The gate: the production path — the generated function, drawing
+    # scratch from the caller's pool like every later replay — must
+    # reproduce the traced forward bit for bit.
     outputs = plan.replay(inputs, dims)
     for name, traced in (("energy", energy.data), ("forces", forces.data)):
-        if not np.array_equal(learned[name], traced):
-            raise PlanTraceError(f"replayed {name!r} diverged from the traced forward")
         if not np.array_equal(outputs[name], traced):
             raise PlanTraceError(
                 f"generated replay of {name!r} diverged from the traced forward"
@@ -577,7 +428,7 @@ def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
 def plan_key(batch) -> tuple:
     """The cache key: power-of-two shape buckets + dispatch mode.
 
-    Bucketing keeps each plan's arena shape-homogeneous; the backend and
+    Bucketing bounds how many plans a model compiles; the backend and
     fusion components keep plans compiled under one dispatch mode from
     replaying under another.
     """

@@ -54,19 +54,23 @@ def error_envelope(
     return {"schema_version": SCHEMA_VERSION, "error": error}
 
 
-def content_length(raw: str | None) -> int:
-    """Parse a ``Content-Length`` value; ``ValueError`` names the fault.
+def content_length(values: list[str] | None) -> int:
+    """Parse a request's ``Content-Length`` headers; ``ValueError`` names the fault.
 
-    Shared by both HTTP front ends so an oversized or malformed header
-    is refused with the same words whether a replica or the router
-    reads it.  An absent header is a zero-length body.
+    ``values`` holds every occurrence of the header (none: a zero-length
+    body).  Shared by both HTTP front ends so an oversized, malformed or
+    conflicting header is refused with the same words whether a replica
+    or the router reads it.  A length is ASCII digits only (``int``
+    would also take ``+5`` or ``1_0``), and repeated headers must agree:
+    otherwise two hops could frame one request differently.
     """
-    try:
-        length = int(raw or 0)
-    except ValueError as err:
-        raise ValueError(f"malformed Content-Length header: {err}") from None
-    if length < 0:
-        raise ValueError(f"malformed Content-Length header: negative length {length}")
+    distinct = sorted({value.strip(" \t") for value in values or ()})
+    if len(distinct) > 1:
+        raise ValueError(f"malformed Content-Length header: conflicting values {distinct}")
+    raw = distinct[0] if distinct else "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"malformed Content-Length header: {raw!r} is not a decimal length")
+    length = int(raw)
     if length > MAX_BODY_BYTES:
         raise ValueError(f"request body too large ({length} > {MAX_BODY_BYTES} bytes)")
     return length

@@ -18,7 +18,7 @@ from repro.api import (
 )
 from repro.models import HydraModel, ModelConfig
 from repro.serving import ModelRegistry, ServiceConfig
-from tests.helpers import make_molecule_graphs
+from tests.helpers import make_molecule_graphs, raw_post
 
 
 def make_registry(**models) -> ModelRegistry:
@@ -136,6 +136,30 @@ class TestErrorMapping:
             assert json.loads(response.read())["error"]["code"] == "invalid_request"
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("lengths", [["+5"], ["1_0"], ["3", "5"]])
+    def test_content_length_must_be_digits_and_agree(self, server, lengths):
+        """``int()`` took ``+5`` and ``1_0``, and repeats framed on the
+        first value; both are now one typed 400, then a close."""
+        status, payload = raw_post(
+            server.url + "/v1/predict",
+            [("Content-Length", length) for length in lengths],
+            b"{}{}{}{}{}",
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert payload["error"]["message"].startswith("malformed Content-Length header: ")
+
+    def test_agreeing_repeated_content_lengths_frame_as_one(self, server):
+        body = json.dumps(predict_body(1)).encode()
+        length = str(len(body))
+        status, payload = raw_post(
+            server.url + "/v1/predict",
+            [("Content-Length", length), ("Content-Length", length), ("Connection", "close")],
+            body,
+        )
+        assert status == 200
+        assert len(PredictResponse.from_json_dict(payload).results) == 1
 
     def test_rejected_body_does_not_desync_keepalive(self, server):
         """An early-rejected POST must not leave body bytes on the socket.

@@ -95,6 +95,34 @@ def gradcheck(f_tensor, shapes: list[tuple[int, ...]], seed: int = 0, tol: float
         assert error < tol, f"gradcheck failed for arg {index}: max err {error:.3e}"
 
 
+def raw_post(url: str, headers: list[tuple[str, str]], body: bytes) -> tuple[int, dict]:
+    """POST ``body`` with exactly ``headers`` (repeats allowed) on a raw socket.
+
+    Reads until the server closes the connection and asserts it sent
+    exactly one response; returns its status and JSON body.  A server
+    that keeps the connection open fails the read with a timeout.
+    """
+    import json
+    import socket
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    head = f"POST {parts.path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+    head += "".join(f"{name}: {value}\r\n" for name, value in headers) + "\r\n"
+    received = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        while chunk := sock.recv(65536):
+            received += chunk
+    response_head, _, payload = received.partition(b"\r\n\r\n")
+    lines = response_head.decode("latin-1").split("\r\n")
+    framed = [
+        int(line.partition(":")[2]) for line in lines if line.lower().startswith("content-length:")
+    ]
+    assert framed == [len(payload)], f"not exactly one response: {received!r}"
+    return int(lines[0].split()[1]), json.loads(payload)
+
+
 def make_molecule_graphs(count: int = 4, seed: int = 0):
     """Small labeled molecular graphs for model tests."""
     from repro.data.sources import ANI1xSource

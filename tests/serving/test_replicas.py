@@ -32,6 +32,7 @@ from repro.api import HttpTransport, SchemaError, schemas
 from repro.api.schemas import StatsSnapshot
 from repro.serving import ReplicaSpec, ReplicaSupervisor
 from repro.serving.router import Router, aggregate_model_telemetry
+from tests.helpers import raw_post
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="POSIX signal semantics required"
@@ -243,6 +244,8 @@ class TestRouter:
             ("99999999999", "request body too large (99999999999 > "),
             ("abc", "malformed Content-Length header"),
             ("-5", "malformed Content-Length header"),
+            ("+5", "malformed Content-Length header: '+5' is not a decimal length"),
+            ("1_0", "malformed Content-Length header: '1_0' is not a decimal length"),
         ],
     )
     def test_bad_content_length_is_a_typed_400_not_a_dropped_connection(
@@ -268,6 +271,30 @@ class TestRouter:
         assert sum(fake.requests_served for fake in fakes) == 0
         # The router is unharmed for the next client.
         status, _ = post(router.url + "/v1/predict", WATER_BODY)
+        assert status == 200
+
+    def test_conflicting_content_lengths_are_one_typed_400_then_close(self, two_fakes):
+        """Duplicate headers used to frame on the *last* value here and on
+        the first at a replica; now both refuse them with the same words."""
+        router, fakes = two_fakes
+        status, payload = raw_post(
+            router.url + "/v1/predict",
+            [("Content-Length", "3"), ("Content-Length", "5")],
+            b"{}{}{",
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert payload["error"]["message"] == (
+            "malformed Content-Length header: conflicting values ['3', '5']"
+        )
+        assert sum(fake.requests_served for fake in fakes) == 0
+        # Repeats that agree frame like one header.
+        length = str(len(WATER_BODY))
+        status, _ = raw_post(
+            router.url + "/v1/predict",
+            [("Content-Length", length), ("Content-Length", length), ("Connection", "close")],
+            WATER_BODY,
+        )
         assert status == 200
 
     def test_load_balances_across_replicas(self, two_fakes):

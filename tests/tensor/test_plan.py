@@ -6,15 +6,20 @@ backend, every shape bucket, and every batch in a bucket — or the
 compiler refuses and the model falls back to the unplanned path.
 """
 
+import re
+import sys
+import threading
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
 from repro.tensor import allocator, kernels
-from repro.tensor.allocator import SequentialArena
 from repro.tensor.core import function_nodes_created
 from repro.tensor.plan import PlanTraceError, bucket, compile_plan, plan_inputs, plan_key
 from tests.helpers import (
@@ -25,6 +30,7 @@ from tests.helpers import (
 )
 
 CONFIG = ModelConfig(hidden_dim=16, num_layers=2)
+TINY = ModelConfig(hidden_dim=8, num_layers=2)
 
 
 def fresh_model(config: ModelConfig = CONFIG, seed: int = 0) -> HydraModel:
@@ -171,10 +177,11 @@ class TestBucketing:
         model = fresh_model()
         first = collate(make_molecule_graphs(3, seed=0))
         second = collate(make_molecule_graphs(3, seed=7))
-        model.serve(first, plan=True)
-        result = model.serve(first, plan=True)
-        energy, forces = result["energy"].copy(), result["forces"].copy()
-        model.serve(second, plan=True)  # same bucket: same arena slots
+        with allocator.use_pool(allocator.BufferPool()):
+            model.serve(first, plan=True)
+            result = model.serve(first, plan=True)
+            energy, forces = result["energy"].copy(), result["forces"].copy()
+            model.serve(second, plan=True)  # recycles the pooled replay scratch
         np.testing.assert_array_equal(result["energy"], energy)
         np.testing.assert_array_equal(result["forces"], forces)
 
@@ -252,14 +259,60 @@ class TestPlanInternals:
         assert any(label.startswith("FusedSiLU[") for label in labels)
         assert all(label.endswith("[numpy]") for label in labels if "[" in label)
 
-    def test_arena_schedule_recycles_slots(self):
-        """Liveness packing must reuse arena slots across steps."""
-        model = fresh_model(ModelConfig(hidden_dim=16, num_layers=3))
+    def test_warm_replay_takes_all_scratch_from_the_active_pool(self):
+        model = fresh_model()
+        batch = collate(make_molecule_graphs(3, seed=0))
+        pool = allocator.BufferPool()
+        with allocator.use_pool(pool):
+            plan, _ = compile_plan(model, batch)
+            inputs, dims = plan_inputs(model, batch)
+            plan.replay(inputs, dims)  # the first replay warms the pool
+            hits, misses = pool.stats.hits, pool.stats.misses
+            plan.replay(inputs, dims)
+        assert pool.stats.misses == misses
+        assert pool.stats.hits > hits
+
+    def test_liveness_dels_recycle_scratch_within_one_replay(self):
+        """One replay on a fresh pool hands out fewer distinct buffers
+        (one per miss) than it makes acquires: dead values go idle.  So
+        a deeper model needs no more distinct buffers than a shallow one.
+        """
+        batch = collate(make_molecule_graphs(2, seed=0))
+        distinct = []
+        for layers in (3, 6):
+            model = fresh_model(ModelConfig(hidden_dim=16, num_layers=layers))
+            plan, _ = compile_plan(model, batch)
+            inputs, dims = plan_inputs(model, batch)
+            pool = allocator.BufferPool()
+            with allocator.use_pool(pool):
+                plan.replay(inputs, dims)
+            assert pool.stats.misses < pool.stats.hits  # most acquires recycle
+            distinct.append(pool.stats.misses)
+        assert distinct[0] == distinct[1]
+
+    def test_source_dels_each_non_output_value_once_after_its_last_read(self):
+        model = fresh_model()
         batch = collate(make_molecule_graphs(2, seed=0))
         plan, _ = compile_plan(model, batch)
-        positions = sum(len(slots) for slots in plan._step_slots.values())
-        assert positions > 0
-        assert plan._arena_slots < positions
+        lines = plan.source.splitlines()
+        deleted: dict[str, int] = {}
+        mentioned: dict[str, int] = {}
+        for number, line in enumerate(lines):
+            names = re.findall(r"\bv\d+\b", line)
+            if line.strip().startswith("del "):
+                for name in names:
+                    assert name not in deleted, f"{name} deleted twice"
+                    deleted[name] = number
+            else:
+                for name in names:
+                    mentioned[name] = number
+        outputs = {f"v{slot}" for slot in plan.output_slots.values()}
+        assert set(deleted) == {f"v{slot}" for slot in range(plan.num_slots)} - outputs
+        for name, number in deleted.items():
+            assert mentioned[name] < number, f"{name} read after its del"
+            # Right after the last read: only other dels in between.
+            between = lines[mentioned[name] + 1 : number]
+            assert all(line.strip().startswith("del ") for line in between), name
 
     def test_replay_source_is_inspectable(self):
         model = fresh_model()
@@ -283,38 +336,12 @@ class TestPlanInternals:
         with pytest.raises(PlanTraceError, match="batch-shaped"):
             tracer.record(FakeOp, (rogue,), {})
 
-    def test_sequential_arena_off_schedule_acquires_fall_back(self):
-        arena = SequentialArena()
-        arena.configure({0: [0]}, 1)
-        arena.begin_step(0)
-        first = arena.acquire((4, 4), np.float32)
-        extra = arena.acquire((2, 2), np.float32)  # beyond the step's table
-        unmarked = arena.acquire((3,), np.float32)  # after an unknown step
-        arena.begin_step(5)  # a step with no learned acquires
-        orphan = arena.acquire((2,), np.float32)
-        for array, fill in ((first, 1.0), (extra, 2.0), (unmarked, 3.0), (orphan, 4.0)):
-            array[...] = fill
-        assert (first == 1.0).all() and (extra == 2.0).all()
-        assert (unmarked == 3.0).all() and (orphan == 4.0).all()
-
-    def test_sequential_arena_grows_and_memoizes(self):
-        arena = SequentialArena()
-        arena.configure({0: [0], 2: [0]}, 1)
-        arena.begin_step(0)
-        a = arena.acquire((4,), np.float32)
-        arena.begin_step(0)
-        b = arena.acquire((4,), np.float32)
-        assert b is a  # memoized view on a same-shape replay
-        arena.begin_step(0)
-        big = arena.acquire((64,), np.float32)  # forces a regrow
-        assert big.shape == (64,)
-
     def test_parallel_delegation_branch_flip_stays_bit_exact(self):
         """Regression: a frozen kernel may take a different branch on two
         batches of the same bucket and change its scratch-acquire count
-        mid-plan.  The step-addressed arena must contain that divergence
-        — outputs stay bit-identical to the unplanned path, never
-        silently wrong, whichever batch the schedule was learned on.
+        mid-plan.  A shape-keyed refcount pool has no schedule to diverge
+        from, so outputs stay bit-identical to the unplanned path
+        whichever batch compiled the plan.
         """
         first = collate(make_molecule_graphs(3, seed=0))
         second = collate(make_molecule_graphs(3, seed=7))
@@ -342,12 +369,13 @@ class TestPlanInternals:
             with kernels.use_backend("row-floor"):
                 for order in ((first, second), (second, first)):
                     model = fresh_model()
-                    for batch in order:
-                        unplanned = model.serve(batch, plan=False)
-                        model.serve(batch, plan=True)
-                        replayed = model.serve(batch, plan=True)
-                        assert_same_outputs(unplanned, replayed)
-                    assert model.plans.stats.compiled == 1  # one schedule, both branches
+                    with allocator.use_pool(allocator.BufferPool()):
+                        for batch in order:
+                            unplanned = model.serve(batch, plan=False)
+                            model.serve(batch, plan=True)
+                            replayed = model.serve(batch, plan=True)
+                            assert_same_outputs(unplanned, replayed)
+                    assert model.plans.stats.compiled == 1  # one plan, both branches
 
     def test_plan_inputs_match_unplanned_geometry(self):
         model = fresh_model()
@@ -371,3 +399,51 @@ class TestPlanInternals:
         assert payload["plan_misses"] == 1
         assert payload["cached_plans"] == 1
         assert 0.0 < payload["plan_hit_rate"] <= 1.0
+
+
+class TestSameBucketProperty:
+    @given(seeds=st.lists(st.integers(0, 10_000), min_size=3, max_size=4, unique=True))
+    @settings(max_examples=20, deadline=None)
+    def test_planned_matches_unplanned_whatever_compiled_the_bucket(self, seeds):
+        """Random molecule batches of one bucket: the first compiles, the
+        rest replay, all bit-identical to the unplanned path — also when
+        two threads replay the plan at once on one shared pool."""
+        batches = [collate(make_molecule_graphs(3, seed=seed)) for seed in seeds]
+        keys = [plan_key(batch) for batch in batches]
+        key, count = Counter(keys).most_common(1)[0]
+        assume(count >= 2)
+        same = [batch for batch, k in zip(batches, keys) if k == key]
+        model = fresh_model(TINY)
+        expected = [model.serve(batch, plan=False) for batch in same]
+        pool = allocator.BufferPool()
+        with allocator.use_pool(pool):
+            for batch, want in zip(same, expected):
+                assert_same_outputs(want, model.serve(batch, plan=True))
+        assert model.plans.stats.compiled == 1
+
+        barrier = threading.Barrier(2)
+        errors: list[Exception] = []
+
+        def replay_all(shift: int) -> None:
+            try:
+                barrier.wait(10.0)
+                with allocator.use_pool(pool):
+                    for step in range(3 * len(same)):
+                        index = (step + shift) % len(same)
+                        assert_same_outputs(expected[index], model.serve(same[index], plan=True))
+            except Exception as error:  # noqa: BLE001 - reported on the test thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=replay_all, args=(shift,)) for shift in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two replays finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert model.plans.stats.compiled == 1

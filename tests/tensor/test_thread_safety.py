@@ -267,7 +267,8 @@ class TestPlannedConcurrentServing:
     """Execution-plan replay under ``start(workers=4)`` concurrent serving.
 
     Plans are cached per model and replayed by whichever worker thread
-    picks up a batch, with arenas leased per concurrent replay — the
+    picks up a batch, every replay drawing scratch from the service's
+    one shared buffer pool — the
     results must be bit-identical to the inline *unplanned* path, and
     replays (not just compiles) must actually happen under load.
     """

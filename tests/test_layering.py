@@ -7,7 +7,9 @@ importing the schemas that type them; and the ``/v1/stats`` table in
 ``serving/telemetry.py`` is standard library only, so the router and
 offline readers of server-emitted stats can import it alone.  The
 engine (``repro.tensor``) runs each kernel on its caller's thread: the
-serving workers are where the cores go, so it imports no executor.
+serving workers are where the cores go, so it imports no executor.  It
+also has one scratch allocator, the buffer pool in
+``repro.tensor.allocator``, which plan replays share with everything else.
 """
 
 import ast
@@ -72,6 +74,18 @@ def test_serving_never_imports_the_api_package():
     }
     assert offenders == set()
     assert "repro.wire" in imports_of_file(PACKAGE / "serving" / "router.py")
+
+
+def test_the_buffer_pool_is_the_only_scratch_allocator():
+    """Only ``repro.tensor.allocator`` defines an ``acquire(shape, dtype)``."""
+    owners = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "acquire":
+                names = [arg.arg for arg in node.args.args]
+                if names[-2:] == ["shape", "dtype"]:
+                    owners.add(".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts))
+    assert owners == {"repro.tensor.allocator"}
 
 
 def test_the_engine_starts_no_thread_pools():
