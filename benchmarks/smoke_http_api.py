@@ -14,7 +14,11 @@ tiny preset), then asserts the deployment contract end to end:
 5. a POSTed `/v1/md` (same second server) streams NDJSON: schema-valid
    `frame` lines in step order, ending with exactly one terminal
    `summary` line that parses as a schema-valid `MDResponse`,
-6. SIGTERM exits 0 through the graceful path.
+6. SIGTERM exits 0 through the graceful path,
+7. the same deployment behind the replica router (`--replicas 1`): a
+   predict returns 200, a malformed request line gets a typed 400, a
+   `/v1/md` stream through the router ends in one `summary` line, and
+   SIGTERM exits 0.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_http_api.py
 Exits nonzero (with the server log on stdout) on any violation.
@@ -27,6 +31,7 @@ import math
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -99,20 +104,99 @@ def post_predict(base_url: str, structures: list[dict]):
         return response.status, json.loads(response.read())
 
 
+def wait_healthy(base_url: str) -> dict:
+    """Poll ``/v1/healthz`` until it answers 200; returns its body."""
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            with urllib.request.urlopen(base_url + "/v1/healthz", timeout=1) as resp:
+                return json.loads(resp.read())
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.1)
+
+
+def check_md(base_url: str, content_type: str | None = None) -> None:
+    """POST /v1/md: schema-valid frame lines in step order, one terminal summary."""
+    request = urllib.request.Request(
+        base_url + "/v1/md",
+        data=json.dumps(
+            {
+                "schema_version": "v1",
+                "structure": WATER,
+                "n_steps": 20,
+                "timestep_fs": 0.5,
+                "thermostat": "langevin",
+                "temperature_k": 300.0,
+                "seed": 7,
+                "frame_interval": 5,
+            }
+        ).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=120) as resp:
+        assert resp.status == 200, resp.status
+        if content_type is not None:
+            assert resp.headers["Content-Type"] == content_type, resp.headers["Content-Type"]
+        lines = [json.loads(line) for line in resp.read().splitlines()]
+    assert len(lines) >= 2, lines
+    assert all("frame" in line for line in lines[:-1]), lines
+    frames = [MDFramePayload.from_json_dict(line) for line in lines[:-1]]
+    assert [frame.step for frame in frames] == [0, 5, 10, 15, 20], frames
+    for frame in frames:  # strict schema check per streamed line
+        assert frame.positions.shape == (3, 3)
+        assert np.isfinite(frame.positions).all()
+        assert np.isfinite(frame.velocities).all()
+        assert math.isfinite(frame.energy)
+    assert "summary" in lines[-1], lines[-1]
+    md_summary = MDResponse.from_json_dict(lines[-1])  # strict schema check
+    assert md_summary.result.steps == 20, lines[-1]
+    assert md_summary.result.final_step == 20, lines[-1]
+    assert md_summary.result.thermostat == "langevin", lines[-1]
+    print(
+        f"md ok at {base_url}: streamed {len(frames)} frames over 20 langevin steps "
+        f"(T_final={md_summary.result.temperature_k:.0f}K, "
+        f"{md_summary.result.neighbor_reuses} neighbor-list reuses)"
+    )
+
+
+def check_router(process: subprocess.Popen, base_url: str) -> None:
+    """Predict, a typed 400, an md stream and a clean SIGTERM through the router."""
+    health = wait_healthy(base_url)
+    assert health["status"] == "ok" and health["role"] == "router", health
+    status, payload = post_predict(base_url, [WATER])
+    assert status == 200, status
+    PredictResponse.from_json_dict(payload)  # strict schema check
+    print(f"router predict ok at {base_url}")
+
+    # A malformed request line: a typed 400 and a close, not a silent drop.
+    host, port = base_url.removeprefix("http://").split(":")
+    received = b""
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(b"GARBAGE\r\n\r\n")
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.split()[1] == b"400", received
+    assert json.loads(body)["error"]["code"] == "invalid_request", received
+    print("router framing ok: malformed request line got a typed 400")
+
+    # The router buffers the stream and re-frames it with Content-Length.
+    check_md(base_url)
+
+    process.send_signal(signal.SIGTERM)
+    out, _ = process.communicate(timeout=60)
+    assert process.returncode == 0, (process.returncode, out)
+    assert "supervisor stopped cleanly" in out, out
+    print("router graceful SIGTERM shutdown ok (exit 0)")
+
+
 def main() -> int:
     process, base_url = start_server("--workers", "1", "--max-pending", "1")
     try:
         # 1. Liveness.
-        deadline = time.monotonic() + 60
-        while True:
-            try:
-                with urllib.request.urlopen(base_url + "/v1/healthz", timeout=1) as resp:
-                    health = json.loads(resp.read())
-                    break
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.1)
+        health = wait_healthy(base_url)
         assert health["status"] == "ok", health
         assert health["models"] == ["default"], health
         print(f"healthz ok at {base_url}")
@@ -184,46 +268,7 @@ def main() -> int:
 
             # 5. /v1/md -> a streamed NDJSON trajectory: schema-valid
             # frame lines in step order, one terminal summary line.
-            request = urllib.request.Request(
-                relax_url + "/v1/md",
-                data=json.dumps(
-                    {
-                        "schema_version": "v1",
-                        "structure": WATER,
-                        "n_steps": 20,
-                        "timestep_fs": 0.5,
-                        "thermostat": "langevin",
-                        "temperature_k": 300.0,
-                        "seed": 7,
-                        "frame_interval": 5,
-                    }
-                ).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=120) as resp:
-                assert resp.status == 200, resp.status
-                content_type = resp.headers["Content-Type"]
-                assert content_type == "application/x-ndjson", content_type
-                lines = [json.loads(line) for line in resp.read().splitlines()]
-            assert len(lines) >= 2, lines
-            assert all("frame" in line for line in lines[:-1]), lines
-            frames = [MDFramePayload.from_json_dict(line) for line in lines[:-1]]
-            assert [frame.step for frame in frames] == [0, 5, 10, 15, 20], frames
-            for frame in frames:  # strict schema check per streamed line
-                assert frame.positions.shape == (3, 3)
-                assert np.isfinite(frame.positions).all()
-                assert np.isfinite(frame.velocities).all()
-                assert math.isfinite(frame.energy)
-            assert "summary" in lines[-1], lines[-1]
-            md_summary = MDResponse.from_json_dict(lines[-1])  # strict schema check
-            assert md_summary.result.steps == 20, lines[-1]
-            assert md_summary.result.final_step == 20, lines[-1]
-            assert md_summary.result.thermostat == "langevin", lines[-1]
-            print(
-                f"md ok: streamed {len(frames)} frames over 20 langevin steps "
-                f"(T_final={md_summary.result.temperature_k:.0f}K, "
-                f"{md_summary.result.neighbor_reuses} neighbor-list reuses)"
-            )
+            check_md(relax_url, content_type="application/x-ndjson")
         finally:
             relax_process.terminate()
             relax_process.communicate(timeout=60)
@@ -234,6 +279,15 @@ def main() -> int:
         assert process.returncode == 0, (process.returncode, out)
         assert "server stopped cleanly" in out, out
         print("graceful SIGTERM shutdown ok (exit 0)")
+
+        # 7. The same deployment behind the replica router.
+        router_process, router_url = start_server("--workers", "1", "--replicas", "1")
+        try:
+            check_router(router_process, router_url)
+        finally:
+            if router_process.poll() is None:
+                router_process.kill()
+                print(router_process.communicate()[0])
     finally:
         if process.poll() is None:
             process.kill()

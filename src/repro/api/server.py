@@ -10,7 +10,8 @@ Two layers, deliberately separated:
   in-process :class:`~repro.api.client.LocalTransport` both sit on this
   class, which is what makes "same request, same bytes, same numbers"
   true across deployment modes.
-- :class:`ApiServer` — a stdlib ``ThreadingHTTPServer`` mapping routes
+- :class:`ApiServer` — a stdlib ``ThreadingHTTPServer`` (the
+  :class:`~repro.wire.JsonServer` the router runs on too) mapping routes
   onto the gateway and :class:`ApiError` onto status codes:
 
   ==========================  ======================================
@@ -45,7 +46,6 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -88,7 +88,8 @@ from repro.wire import (
     DEADLINE_HEADER,
     PRIORITY_HEADER,
     SCHEMA_VERSION,
-    content_length,
+    JsonHandler,
+    JsonServer,
 )
 
 
@@ -476,19 +477,12 @@ _HOP_HEADERS = {
 }
 
 
-class _ApiRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP onto the gateway; all bodies are JSON."""
-
-    server: "_GatewayHTTPServer"
-    protocol_version = "HTTP/1.1"  # keep-alive; every response sets Content-Length
+class _ApiRequestHandler(JsonHandler):
+    """Routes HTTP onto the gateway (``self.server.app``); all bodies are JSON."""
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
     def _send_json(
         self,
         status: int,
@@ -506,21 +500,10 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         the watchdog's view stays honest.
         """
         body = json.dumps(payload).encode("utf-8")
-        faults = self.server.gateway.faults
+        faults = self.server.app.faults
         if corruptible and faults is not None:
             body = faults.corrupt(body)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            # Advertise the drop (set when a rejected request left unread
-            # body bytes on the socket) so clients don't try to reuse a
-            # connection the server is about to close.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self.send_json(status, body, extra_headers)
 
     def _send_error_payload(self, error: Exception) -> None:
         """Answer with the typed JSON error; anything untyped is a 500."""
@@ -552,18 +535,15 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         return overrides
 
     def _read_json_body(self) -> dict:
-        # Rejections below leave the body unread on the socket, which
-        # would desync a keep-alive connection (the leftover bytes get
-        # parsed as the next request line) — so every early exit must
-        # drop the connection instead of keeping it alive.
         try:
-            length = content_length(self.headers.get_all("Content-Length"))
-            if length == 0:
-                raise ValueError("request body required (Content-Length missing or 0)")
+            raw = self.read_body()
         except ValueError as err:
-            self.close_connection = True
             raise SchemaError(str(err)) from None
-        raw = self.rfile.read(length)
+        if not raw:
+            # A client that sent a body without framing it left it on the
+            # socket, where it would parse as the next request line.
+            self.close_connection = True
+            raise SchemaError("request body required (Content-Length missing or 0)")
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -577,7 +557,7 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             route = _GET_ROUTES.get(self.path)
             if route is None:
                 raise NotFound(f"no such endpoint: GET {self.path}")
-            self._send_json(200, route(self.server.gateway))
+            self._send_json(200, route(self.server.app))
         except Exception as error:  # noqa: BLE001 - typed by _send_error_payload
             self._send_error_payload(error)
 
@@ -591,11 +571,13 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             # For md, pre-stream failures (bad knobs, unknown model)
             # raise here and become ordinary typed statuses; once
             # _stream_md starts, failures ride the stream instead.
-            outcome = endpoint(self.server.gateway, request, **overrides)
+            outcome = endpoint(self.server.app, request, **overrides)
             if schema is MDRequest:
                 self._stream_md(*outcome)
             else:
                 self._send_json(200, outcome.to_json_dict(), corruptible=True)
+        except TimeoutError:
+            raise  # a stalled body (JsonHandler.read_body): stdlib drops the connection
         except Exception as error:  # noqa: BLE001 - typed by _send_error_payload
             self._send_error_payload(error)
 
@@ -611,10 +593,9 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         is on the wire by then, and a missing summary/error line is how
         clients detect truncation.
         """
-        self.close_connection = True
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Connection", "close")
+        self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
 
         def write_line(payload) -> None:
@@ -635,17 +616,6 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             # tell, and the events generator's finally already released
             # the in-flight token.
             pass
-
-
-class _GatewayHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that hands its handler threads the gateway."""
-
-    daemon_threads = True
-
-    def __init__(self, address, gateway: ApiGateway, verbose: bool) -> None:
-        super().__init__(address, _ApiRequestHandler)
-        self.gateway = gateway
-        self.verbose = verbose
 
 
 class ApiServer:
@@ -680,7 +650,7 @@ class ApiServer:
             max_neighbors=max_neighbors,
             faults=faults,
         )
-        self._httpd = _GatewayHTTPServer((host, port), self.gateway, verbose)
+        self._httpd = JsonServer((host, port), _ApiRequestHandler, self.gateway, verbose)
         self._thread: threading.Thread | None = None
         self._serving = threading.Event()
         self._closed = False

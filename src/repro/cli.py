@@ -24,7 +24,7 @@ Commands
     over a :class:`~repro.serving.service.PredictionService`, shutting
     down gracefully on SIGTERM/Ctrl-C.  Adding ``--replicas N`` scales
     past the GIL: N replica worker processes (one engine each) behind
-    the async router, with health-checked restarts, SIGHUP rolling
+    the replica router, with health-checked restarts, SIGHUP rolling
     restarts, and aggregated ``/v1/stats``.  With ``--selftest``:
     replay the synthetic closed-loop serving session and print its
     telemetry.
@@ -391,7 +391,7 @@ def _replica_args(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _serve_replicas(args: argparse.Namespace) -> int:
-    """Run the replica fleet: N worker processes behind the async router.
+    """Run the replica fleet: N worker processes behind the replica router.
 
     SIGTERM/SIGINT drain gracefully (router stops admitting, in-flight
     requests finish, replicas exit 0); SIGHUP triggers a rolling restart

@@ -4,7 +4,7 @@ Structure-hash result cache → dynamic micro-batcher → fused
 ``HydraModel.serve`` forward, with a named-model registry and
 latency/throughput telemetry.  See :mod:`repro.serving.service` for the
 data flow.  :mod:`repro.serving.replicas` scales it past one process:
-a fork+exec replica supervisor and the async :mod:`~repro.serving.router`
+a fork+exec replica supervisor and the :mod:`~repro.serving.router`
 that load-balances ``/v1/predict`` across the fleet.
 """
 

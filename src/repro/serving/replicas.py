@@ -5,7 +5,7 @@ model forwards — every serving worker thread shares the GIL.  This
 module is the horizontal axis: :class:`ReplicaSupervisor` launches N
 independent **replica processes**, each a full ``repro serve --http 0``
 server with its own engine, :class:`~repro.serving.service.PredictionService`
-and plan cache, and fronts them with the async
+and plan cache, and fronts them with the
 :class:`~repro.serving.router.Router`.
 
 Process model

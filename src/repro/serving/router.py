@@ -1,4 +1,4 @@
-"""Async front-end router: one listening socket, N replica backends.
+"""Front-end router: one listening socket, N replica backends.
 
 The GIL bounds a single Python process no matter how many serving
 worker threads it runs — model forwards are CPU-bound, so `/v1/predict`
@@ -31,12 +31,11 @@ that plateau by running N *processes* (see
   — plan counters included) and reports a per-replica breakdown plus the
   router's own request/reroute/reject counters.
 
-The router is a single ``asyncio`` event loop on a daemon thread: it
-only shuffles bytes between sockets, so one async thread multiplexes
-every client connection without holding the GIL during I/O, and all the
-CPU-heavy work happens in the replica processes.  The replica table is
-guarded by one lock so the supervisor (plain threads) and the loop can
-both touch it.
+The router runs on a replica's HTTP stack (:mod:`repro.wire`: stdlib's
+``ThreadingHTTPServer``, one thread per connection) and forwards over
+``http.client``.  Its handler threads block in socket I/O with the GIL
+released; the CPU work stays in the replicas.  One lock guards the
+replica table, shared by the supervisor and the handler threads.
 
 This module deliberately does **not** import :mod:`repro.api` — the api
 package sits on top of serving.  What the router must share with it (the
@@ -46,13 +45,14 @@ authors itself) comes from the dependency-free :mod:`repro.wire`.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import threading
 import time
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from http.client import HTTPConnection, HTTPException, IncompleteRead
 
 from repro.serving.admission import retry_after_header
 from repro.serving.telemetry import merge
@@ -61,7 +61,8 @@ from repro.wire import (
     DEADLINE_HEADER,
     PRIORITY_HEADER,
     SCHEMA_VERSION,
-    content_length,
+    JsonHandler,
+    JsonServer,
     error_envelope,
 )
 
@@ -79,6 +80,13 @@ _LANE_SHED_LEVEL = {"background": 1, "bulk": 2}
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
+
+#: Headers on every proxied request; the hop headers are added to them.
+_PROXY_HEADERS = {
+    "Accept": "application/json",
+    "Content-Type": "application/json",
+    "Connection": "close",
+}
 
 
 @dataclass
@@ -115,10 +123,6 @@ class ReplicaState:
         if self.saturation:
             payload["saturation"] = dict(self.saturation)
         return payload
-
-
-class _BadFraming(Exception):
-    """The request's framing headers cannot be honoured (answered with a 400)."""
 
 
 def _rejection(
@@ -161,7 +165,7 @@ def aggregate_model_telemetry(per_replica: list[dict]) -> dict:
 # The router
 # ----------------------------------------------------------------------
 class Router:
-    """Asyncio HTTP front end load-balancing over a replica table.
+    """HTTP front end load-balancing over a replica table.
 
     Lifecycle mirrors :class:`~repro.api.server.ApiServer`: construct,
     :meth:`start` (binds and serves from a daemon thread; the bound
@@ -208,12 +212,7 @@ class Router:
         #: never escalates on its own — the supervisor owns SIGTERM/
         #: SIGKILL — so the counters are injected rather than computed.
         self.watchdog_counters: Callable[[], dict] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._bound_port: int | None = None
+        self._httpd: JsonServer | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -221,64 +220,34 @@ class Router:
     # ------------------------------------------------------------------
     @property
     def bound_port(self) -> int:
-        if self._bound_port is None:
+        if self._httpd is None:
             raise RuntimeError("router not started")
-        return self._bound_port
+        return int(self._httpd.server_address[1])
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.bound_port}"
 
     def start(self) -> "Router":
-        if self._thread is not None:
+        if self._httpd is not None:
             raise RuntimeError("router already started")
-        self._thread = threading.Thread(target=self._run, name="replica-router", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=15.0):
-            raise RuntimeError("router failed to start within 15s")
-        if self._startup_error is not None:
-            raise RuntimeError(f"router failed to bind: {self._startup_error}")
+        try:
+            self._httpd = JsonServer((self.host, self.requested_port), _RouterHandler, self)
+        except OSError as error:
+            raise RuntimeError(f"router failed to bind: {error}") from error
+        threading.Thread(
+            target=self._httpd.serve_forever, args=(0.05,), name="replica-router", daemon=True
+        ).start()
         return self
 
     def close(self) -> None:
-        """Stop the listener and join the loop thread (idempotent)."""
+        """Stop the listener; returns once it has stopped (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass  # loop already gone
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = error
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, self.host, self.requested_port
-            )
-        except OSError as error:
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._bound_port = int(server.sockets[0].getsockname()[1])
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
+        if self._httpd is not None:
+            self._httpd.shutdown()  # waits for serve_forever to return
+            self._httpd.server_close()
 
     # ------------------------------------------------------------------
     # replica table (supervisor-facing, thread-safe)
@@ -453,101 +422,14 @@ class Router:
             self._idle.notify_all()
 
     # ------------------------------------------------------------------
-    # HTTP front end (loop thread)
+    # HTTP front end (handler threads)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _BadFraming as error:
-                    # Same typed 400 a replica gives; the body (if any) is
-                    # unread, so the connection cannot be kept.
-                    status, envelope, _ = _rejection("invalid_request", str(error), 400)
-                    await self._write_response(writer, status, envelope, False)
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                try:
-                    status, payload, response_headers = await self._dispatch(
-                        method, path, headers, body
-                    )
-                except Exception as error:  # noqa: BLE001 - boundary
-                    status, payload, response_headers = _rejection(
-                        "internal_error", f"router error: {error}", 500
-                    )
-                await self._write_response(
-                    writer, status, payload, keep_alive, response_headers
-                )
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-            ValueError,
-            TimeoutError,
-        ):
-            pass  # malformed or dropped client connection; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _read_request(reader) -> tuple[str, str, dict, bytes] | None:
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        try:
-            method, path, _version = request_line.decode("latin-1").split()
-        except ValueError:
-            raise ValueError(f"malformed request line: {request_line!r}") from None
-        headers: dict[str, str] = {}
-        lengths: list[str] = []  # every occurrence: duplicates must agree
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            headers[name] = value.strip()
-            if name == "content-length":
-                lengths.append(headers[name])
-        try:
-            length = content_length(lengths)
-        except ValueError as error:
-            raise _BadFraming(str(error)) from None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
-
-    @staticmethod
-    async def _write_response(
-        writer, status: int, payload, keep_alive: bool, extra_headers: dict | None = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8") if isinstance(payload, dict) else payload
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
-
-    async def _dispatch(
-        self, method: str, path: str, headers: dict, body: bytes
+    def _dispatch(
+        self, method: str, path: str, headers, body: bytes
     ) -> tuple[int, object, dict]:
+        """One request's ``(status, dict or relayed bytes, headers)``; headers ignore case."""
         if method == "POST" and path in ("/v1/predict", "/v1/relax", "/v1/md"):
-            return await self._post(path, headers, body)
+            return self._post(path, headers, body)
         if method == "GET" and path == "/v1/healthz":
             payload = self.health_payload()
             if payload["status"] == "unavailable":
@@ -560,7 +442,7 @@ class Router:
                 )
             return 200, payload, {}
         if method == "GET" and path == "/v1/stats":
-            payload = await self.stats_payload()
+            payload = self.stats_payload()
             if not payload["models"] and not any(
                 entry["healthy"] for entry in payload["replicas"].values()
             ):
@@ -572,12 +454,10 @@ class Router:
                 )
             return 200, payload, {}
         if method == "GET" and path == "/v1/models":
-            return await self._proxy_any("GET", "/v1/models")
+            return self._proxy_any("GET", "/v1/models")
         return _rejection("not_found", f"no such endpoint: {method} {path}", 404)
 
-    async def _post(
-        self, path: str, headers: dict, body: bytes
-    ) -> tuple[int, object, dict]:
+    def _post(self, path: str, headers, body: bytes) -> tuple[int, object, dict]:
         # One body, one replica: a relax request pins its whole descent —
         # and an md request its whole segment — to the replica it lands
         # on (the trajectory's plan bucket and skin neighbor list stay
@@ -593,7 +473,7 @@ class Router:
         # lane comes from the priority *header* (the body is opaque at
         # this layer); an absent or unknown value rides the interactive
         # default, which is never shed.
-        lane_raw = headers.get(PRIORITY_HEADER.lower())
+        lane_raw = headers.get(PRIORITY_HEADER)
         shed_level = _LANE_SHED_LEVEL.get(lane_raw or "")
         if shed_level is not None:
             hint = self._fleet_shed_hint(shed_level)
@@ -606,13 +486,13 @@ class Router:
                     retry_after_s=round(hint, 3),
                 )
         self._count("requests")
-        client_raw = headers.get(CLIENT_HEADER.lower())
+        client_raw = headers.get(CLIENT_HEADER)
         # Deadline budget: stamp the header's remaining milliseconds on
         # arrival; each forwarding attempt re-advertises what is left.
         # A malformed value is forwarded untouched so the replica
         # rejects it with its typed 400 (the router never authors 400s).
         deadline = None
-        forward_raw = headers.get(DEADLINE_HEADER.lower())
+        forward_raw = headers.get(DEADLINE_HEADER)
         if forward_raw is not None:
             try:
                 deadline = time.monotonic() + float(forward_raw) / 1000.0
@@ -647,13 +527,10 @@ class Router:
                     "unavailable", f"no healthy replica available ({len(tried)} tried)", 503
                 )
             try:
-                status, payload, response_headers = await asyncio.wait_for(
-                    self._proxy(state, "POST", path, body, extra_headers=extra_headers),
-                    timeout=timeout_s,
-                )
+                answer = self._proxy(state, "POST", path, timeout_s, body, extra_headers)
                 self._record_success(state)
-                return status, payload, response_headers
-            except (asyncio.TimeoutError, TimeoutError):
+                return answer
+            except TimeoutError:
                 if deadline is not None and time.monotonic() >= deadline:
                     self._count("deadline_expired")
                     return _rejection(
@@ -668,7 +545,7 @@ class Router:
                     f"replica {state.replica_id} did not answer within {self.proxy_timeout_s}s",
                     504,
                 )
-            except (ConnectionError, asyncio.IncompleteReadError, OSError, ValueError):
+            except (OSError, HTTPException):
                 # Connection-level failure: the replica is gone or
                 # incoherent.  Mark it down, feed its circuit breaker,
                 # and reroute — the supervisor's health loop (or the
@@ -680,88 +557,65 @@ class Router:
             finally:
                 self._release(state)
 
-    async def _proxy_any(self, method: str, path: str) -> tuple[int, object, dict]:
+    def _proxy_any(self, method: str, path: str) -> tuple[int, object, dict]:
         state = self._acquire(set())
         if state is None:
             return _rejection("unavailable", "no healthy replica available", 503)
         try:
-            result = await asyncio.wait_for(
-                self._proxy(state, method, path), timeout=self.proxy_timeout_s
-            )
+            result = self._proxy(state, method, path, self.proxy_timeout_s)
             self._record_success(state)
             return result
-        except (
-            asyncio.TimeoutError,
-            TimeoutError,
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            OSError,
-            ValueError,
-        ) as error:
+        except (OSError, HTTPException) as error:
             self._count("proxy_errors")
             return _rejection("transport_error", f"replica {state.replica_id}: {error}", 502)
         finally:
             self._release(state)
 
-    async def _proxy(
+    def _proxy(
         self,
         state: ReplicaState,
         method: str,
         path: str,
+        timeout_s: float,
         body: bytes = b"",
         extra_headers: dict | None = None,
     ) -> tuple[int, bytes, dict]:
         """Forward one request to a replica; returns (status, body, headers).
 
-        One connection per proxied request (``Connection: close``): on
-        loopback the handshake is microseconds, and it keeps the failure
-        model trivial — any I/O error here means *this* request, not a
+        ``timeout_s`` bounds the whole exchange, a streamed ``/v1/md``
+        body included: a socket timeout bounds one read, so it is re-armed
+        to what is left before every read.  One connection per proxied
+        request (``Connection: close``): on loopback the handshake is
+        microseconds, and any I/O error here means *this* request, not a
         pooled connection in an unknown state.  Of the replica's response
         headers only ``Retry-After`` is relayed — the framing headers are
-        re-authored by :meth:`_write_response`, but the backoff hint
-        belongs to the client.
+        re-authored by the handler, but the backoff hint belongs to the
+        client.
         """
-        reader, writer = await asyncio.open_connection(self.replica_host, state.port)
+        deadline = time.monotonic() + timeout_s
+        connection = HTTPConnection(self.replica_host, state.port, timeout=timeout_s)
+
+        def read(call, *args):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(f"no answer within {timeout_s}s")
+            sock.settimeout(remaining)
+            return call(*args)
+
         try:
-            forwarded = "".join(
-                f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
-            )
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.replica_host}:{state.port}\r\n"
-                "Accept: application/json\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"{forwarded}"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-            writer.write(head + body)
-            await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split(None, 2)
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ValueError(f"malformed status line from replica: {status_line!r}")
-            status = int(parts[1])
-            length: int | None = None
-            response_headers: dict = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                lowered = name.strip().lower()
-                if lowered == "content-length":
-                    length = int(value.strip())
-                elif lowered == "retry-after":
-                    response_headers["Retry-After"] = value.strip()
-            payload = await (reader.readexactly(length) if length is not None else reader.read())
-            return status, payload, response_headers
+            connection.connect()
+            # Under Connection: close, getresponse() detaches the socket
+            # from the connection; the response still reads through it.
+            sock = connection.sock
+            connection.request(method, path, body, {**_PROXY_HEADERS, **(extra_headers or {})})
+            with read(connection.getresponse) as response:
+                payload = b"".join(iter(lambda: read(response.read1, 65536), b""))
+                if response.length:  # EOF before the promised Content-Length
+                    raise IncompleteRead(payload, response.length)
+                retry_after = response.getheader("Retry-After")
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            connection.close()
+        return response.status, payload, {} if retry_after is None else {"Retry-After": retry_after}
 
     # ------------------------------------------------------------------
     # router-authored endpoints
@@ -791,8 +645,8 @@ class Router:
             "replicas": replicas,
         }
 
-    async def stats_payload(self) -> dict:
-        """Fan out ``/v1/stats`` to every live replica and aggregate."""
+    def stats_payload(self) -> dict:
+        """Fan out ``/v1/stats`` to every live replica, one thread each, and aggregate."""
         with self._lock:
             states = [s for s in self._replicas.values() if s.healthy]
             table = {
@@ -802,23 +656,18 @@ class Router:
             counters = dict(self._counters)
             admitting = self._admitting
 
-        async def fetch(state: ReplicaState):
+        def fetch(state: ReplicaState) -> dict | None:
             try:
-                status, raw, _headers = await asyncio.wait_for(
-                    self._proxy(state, "GET", "/v1/stats"), timeout=self.proxy_timeout_s
-                )
-                if status != 200:
-                    return state.replica_id, None
-                return state.replica_id, json.loads(raw.decode("utf-8"))
-            except (ConnectionError, OSError, ValueError, TimeoutError):
-                return state.replica_id, None
+                status, raw, _headers = self._proxy(state, "GET", "/v1/stats", self.proxy_timeout_s)
+                return json.loads(raw) if status == 200 else None
+            except (OSError, HTTPException, ValueError):
+                return None
 
-        fetched = await asyncio.gather(*(fetch(state) for state in states))
+        with ThreadPoolExecutor(max_workers=len(states) or 1) as pool:
+            fetched = list(zip(states, pool.map(fetch, states)))
         model_sections: list[dict] = []
-        for replica_id, snapshot in fetched:
-            entry = table.get(str(replica_id))
-            if entry is None:
-                continue
+        for state, snapshot in fetched:
+            entry = table[str(state.replica_id)]  # same snapshot as states
             if snapshot is None:
                 entry["unreachable"] = True
                 continue
@@ -839,13 +688,20 @@ class Router:
         return payload
 
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+class _RouterHandler(JsonHandler):
+    """One client connection; ``self.server.app`` is the :class:`Router`."""
+
+    def _route(self) -> None:
+        try:
+            body = self.read_body()
+        except ValueError as error:
+            # Same typed 400 a replica gives; read_body drops the connection.
+            self.send_json(*_rejection("invalid_request", str(error), 400))
+            return
+        try:
+            answer = self.server.app._dispatch(self.command, self.path, self.headers, body)
+        except Exception as error:  # noqa: BLE001 - boundary
+            answer = _rejection("internal_error", f"router error: {error}", 500)
+        self.send_json(*answer)
+
+    do_GET = do_POST = _route

@@ -1,15 +1,21 @@
 """The process-independent half of the v1 wire contract.
 
 What every hop must agree on before it can parse a body: the schema
-version, the three ``X-Repro-*`` hop headers, the body-size limit, and
-the shape of an error envelope.  The typed schemas (:mod:`repro.api.schemas`)
-build on these; the replica router (:mod:`repro.serving.router`), which
-forwards bodies verbatim and must not import :mod:`repro.api`, needs
-nothing else.  This module therefore imports nothing from ``repro`` —
+version, the three ``X-Repro-*`` hop headers, the body-size limit, the
+shape of an error envelope, and the HTTP/1.1 framing both servers run
+on.  The typed schemas (:mod:`repro.api.schemas`) build on these; the
+replica router (:mod:`repro.serving.router`), which forwards bodies
+verbatim and must not import :mod:`repro.api`, needs nothing else.
+This module therefore imports nothing from ``repro`` —
 ``tests/test_layering.py`` holds it to that.
 """
 
 from __future__ import annotations
+
+import json
+import sys
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 #: Version every top-level response body carries (requests may also say
 #: ``v2``; see :data:`repro.api.schemas.SUPPORTED_VERSIONS`).
@@ -36,6 +42,11 @@ PRIORITY_HEADER = "X-Repro-Priority"
 #: buffer more than the replica would accept.  At ~100 bytes per atom on
 #: the wire this is far beyond any sane micro-batch.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a server waits on a silent client (mid-request or between
+#: keep-alive requests) before it drops the connection; per read, so a
+#: slow but live upload still lands.
+IDLE_TIMEOUT_S = 30.0
 
 
 def error_envelope(
@@ -74,3 +85,93 @@ def content_length(values: list[str] | None) -> int:
     if length > MAX_BODY_BYTES:
         raise ValueError(f"request body too large ({length} > {MAX_BODY_BYTES} bytes)")
     return length
+
+
+class JsonServer(ThreadingHTTPServer):
+    """The listener both front ends run on: one thread per connection.
+
+    ``app`` is what the handlers serve (a replica's gateway, the router).
+    """
+
+    daemon_threads = True
+    # stdlib's listen backlog is 5: connects past it are dropped and retried
+    # a second later, so a burst of a few dozen clients waited seconds.
+    request_queue_size = 100
+
+    def __init__(self, address, handler: type["JsonHandler"], app, verbose: bool = False) -> None:
+        super().__init__(address, handler)
+        self.app = app
+        self.verbose = verbose
+
+    def handle_error(self, request, client_address) -> None:
+        """A client hanging up mid-exchange is routine; anything else still prints."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """The HTTP/1.1 framing both front ends share; every answer is one JSON body.
+
+    Subclasses supply ``do_GET``/``do_POST``; faults stdlib's parser
+    finds itself get a typed v1 envelope here, not stdlib's HTML page.
+    """
+
+    server: JsonServer
+    protocol_version = "HTTP/1.1"  # keep-alive; every response sets Content-Length
+    # A request line that names no version is answered as HTTP/1.1 too,
+    # so even a garbled one gets a status line and a typed body.
+    default_request_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S  # read per connection, so tests can lower it
+        super().setup()
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
+        if self.server.verbose:
+            super().log_message(format, *args)
+
+    def send_json(self, status: int, payload: dict | bytes, headers: dict | None = None) -> None:
+        """Send one JSON body (a dict, or bytes already serialized)."""
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            # Advertise the drop so clients don't reuse a connection the
+            # server is about to close.
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """A fault stdlib's parser found: a typed v1 answer, then a close.
+
+        An unsupported method gets the 404 an unknown path gets.
+        """
+        self.close_connection = True
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            code, kind = HTTPStatus.NOT_FOUND, "not_found"
+            message = f"no such endpoint: {self.command} {self.path}"
+        else:
+            kind = "invalid_request"
+        self.send_json(code, error_envelope(kind, message or HTTPStatus(code).phrase, int(code)))
+
+    def read_body(self) -> bytes:
+        """The request body as its ``Content-Length`` frames it.
+
+        ``ValueError`` names a framing fault or a body cut short, and
+        drops the connection after the answer (bytes may be left
+        unread).  A stalled sender raises ``TimeoutError``, which
+        handlers let propagate: stdlib then closes the connection.
+        """
+        try:
+            length = content_length(self.headers.get_all("Content-Length"))
+            body = self.rfile.read(length)
+            if len(body) < length:
+                raise ValueError(f"request body truncated ({len(body)} of {length} bytes)")
+        except ValueError:
+            self.close_connection = True
+            raise
+        return body

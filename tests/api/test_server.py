@@ -1,6 +1,7 @@
 """HTTP front end: routes, status-code mapping, JSON errors, shutdown."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -16,9 +17,16 @@ from repro.api import (
     StatsSnapshot,
     StructurePayload,
 )
+from repro import wire
 from repro.models import HydraModel, ModelConfig
 from repro.serving import ModelRegistry, ServiceConfig
-from tests.helpers import make_molecule_graphs, raw_post
+from tests.helpers import (
+    FRAMING_FAULTS,
+    make_molecule_graphs,
+    parse_responses,
+    raw_exchange,
+    raw_post,
+)
 
 
 def make_registry(**models) -> ModelRegistry:
@@ -213,6 +221,27 @@ class TestErrorMapping:
             assert status == 429
             assert error.code == "overloaded"
             assert "retry" in error.message
+
+
+class TestFraming:
+    @pytest.mark.parametrize(
+        "raw, status, code, message", FRAMING_FAULTS, ids=[str(f[1]) for f in FRAMING_FAULTS]
+    )
+    def test_parser_faults_get_a_typed_answer_then_close(self, server, raw, status, code, message):
+        """Stdlib's own page was HTML, and an unknown method was a 501."""
+        (response,) = parse_responses(raw_exchange(server.url, raw))
+        envelope = {"code": code, "message": message, "status": status}
+        assert response == (status, {"schema_version": "v1", "error": envelope})
+
+    def test_stalled_body_is_dropped_after_the_idle_bound(self, server, monkeypatch):
+        """A client that promises 10 bytes and sends 2 used to hold its
+        handler thread forever."""
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_S", 0.3)
+        start = time.monotonic()
+        stalled = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}"
+        assert raw_exchange(server.url, stalled, timeout=5.0) == b""
+        assert 0.25 < time.monotonic() - start < 2.0
+        assert get(server.url + "/v1/healthz")[0] == 200
 
 
 def post_raw(url: str, body: bytes, headers: dict | None = None):

@@ -95,6 +95,52 @@ def gradcheck(f_tensor, shapes: list[tuple[int, ...]], seed: int = 0, tol: float
         assert error < tol, f"gradcheck failed for arg {index}: max err {error:.3e}"
 
 
+def raw_exchange(url: str, data: bytes, half_close: bool = False, timeout: float = 10.0) -> bytes:
+    """Send ``data`` verbatim on a fresh socket; return every byte until the server closes.
+
+    ``half_close`` shuts the write side after sending, as a client that
+    gives up mid-body does.  A reset counts as the close.  A server that
+    keeps the connection open past ``timeout`` fails the read.
+    """
+    import socket
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    received = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=timeout) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass
+    return received
+
+
+def parse_responses(received: bytes) -> list[tuple[int, dict]]:
+    """Split raw response bytes into ``(status, JSON body)`` pairs.
+
+    Every response must frame its body with exactly one ``Content-Length``.
+    """
+    import json
+
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        lengths = [
+            int(line.partition(":")[2])
+            for line in lines
+            if line.lower().startswith("content-length:")
+        ]
+        assert len(lengths) == 1 and len(rest) >= lengths[0], f"not framed: {received!r}"
+        responses.append((int(lines[0].split()[1]), json.loads(rest[: lengths[0]])))
+        received = rest[lengths[0] :]
+    return responses
+
+
 def raw_post(url: str, headers: list[tuple[str, str]], body: bytes) -> tuple[int, dict]:
     """POST ``body`` with exactly ``headers`` (repeats allowed) on a raw socket.
 
@@ -102,25 +148,39 @@ def raw_post(url: str, headers: list[tuple[str, str]], body: bytes) -> tuple[int
     exactly one response; returns its status and JSON body.  A server
     that keeps the connection open fails the read with a timeout.
     """
-    import json
-    import socket
     from urllib.parse import urlsplit
 
     parts = urlsplit(url)
     head = f"POST {parts.path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
     head += "".join(f"{name}: {value}\r\n" for name, value in headers) + "\r\n"
-    received = b""
-    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
-        sock.sendall(head.encode("latin-1") + body)
-        while chunk := sock.recv(65536):
-            received += chunk
-    response_head, _, payload = received.partition(b"\r\n\r\n")
-    lines = response_head.decode("latin-1").split("\r\n")
-    framed = [
-        int(line.partition(":")[2]) for line in lines if line.lower().startswith("content-length:")
-    ]
-    assert framed == [len(payload)], f"not exactly one response: {received!r}"
-    return int(lines[0].split()[1]), json.loads(payload)
+    (response,) = parse_responses(raw_exchange(url, head.encode("latin-1") + body))
+    return response
+
+
+#: Requests stdlib's parser rejects, with the typed answer both servers
+#: give: (raw request, status, error code, message).
+FRAMING_FAULTS = [
+    (b"GARBAGE\r\n\r\n", 400, "invalid_request", "Bad request syntax ('GARBAGE')"),
+    (b"GET /v1/healthz HTTP/2.0\r\n\r\n", 505, "invalid_request", "Invalid HTTP version (2.0)"),
+    (
+        b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        414,
+        "invalid_request",
+        "Request-URI Too Long",
+    ),
+    (
+        b"GET /v1/healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n",
+        431,
+        "invalid_request",
+        "Too many headers",
+    ),
+    (
+        b"PUT /v1/predict HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+        404,
+        "not_found",
+        "no such endpoint: PUT /v1/predict",
+    ),
+]
 
 
 def make_molecule_graphs(count: int = 4, seed: int = 0):

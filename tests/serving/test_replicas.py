@@ -28,11 +28,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import wire
 from repro.api import HttpTransport, SchemaError, schemas
 from repro.api.schemas import StatsSnapshot
 from repro.serving import ReplicaSpec, ReplicaSupervisor
 from repro.serving.router import Router, aggregate_model_telemetry
-from tests.helpers import raw_post
+from tests.helpers import FRAMING_FAULTS, parse_responses, raw_exchange, raw_post
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="POSIX signal semantics required"
@@ -503,6 +504,141 @@ class TestRouter:
         router.set_health(0, True)
         router.stop_admitting()
         assert get(router.url + "/v1/healthz")[1]["status"] == "shutting_down"
+
+
+class TestRouterStack:
+    """The framing the router shares with the replicas, and the bounds and
+    concurrency its HTTP stack must provide."""
+
+    @pytest.mark.parametrize(
+        "raw, status, code, message", FRAMING_FAULTS, ids=[str(f[1]) for f in FRAMING_FAULTS]
+    )
+    def test_parser_faults_get_a_typed_answer_then_close(
+        self, two_fakes, raw, status, code, message
+    ):
+        """A garbled request line used to get a silent close, which clients
+        read as a transport failure and retried."""
+        router, fakes = two_fakes
+        (response,) = parse_responses(raw_exchange(router.url, raw))
+        envelope = {"code": code, "message": message, "status": status}
+        assert response == (status, {"schema_version": "v1", "error": envelope})
+        assert sum(fake.requests_served for fake in fakes) == 0
+
+    def test_stalled_body_is_dropped_after_the_idle_bound(self, two_fakes, monkeypatch):
+        router, fakes = two_fakes
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_S", 0.3)
+        start = time.monotonic()
+        stalled = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}"
+        assert raw_exchange(router.url, stalled, timeout=5.0) == b""
+        assert 0.25 < time.monotonic() - start < 2.0
+        assert sum(fake.requests_served for fake in fakes) == 0
+        assert post(router.url + "/v1/predict", WATER_BODY)[0] == 200
+
+    def test_trickled_stream_is_bounded_as_a_whole(self):
+        """A replica that answers 200 and then trickles NDJSON keeps every
+        single read short; the proxy timeout still bounds the exchange."""
+
+        class Trickle(http.server.BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/x-ndjson")
+                self.end_headers()
+                try:
+                    for _ in range(60):  # three seconds of frames
+                        self.wfile.write(b'{"frame": {}}\n')
+                        self.wfile.flush()
+                        time.sleep(0.05)
+                except OSError:
+                    pass  # the router gave up
+
+        replica = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Trickle)
+        threading.Thread(target=replica.serve_forever, daemon=True).start()
+        router = Router(proxy_timeout_s=0.5).start()
+        router.set_replica(0, replica.server_address[1], pid=1)
+        try:
+            start = time.monotonic()
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                post(router.url + "/v1/md", WATER_BODY)
+            assert time.monotonic() - start < 1.5
+            assert caught.value.code == 504
+            assert json.loads(caught.value.read())["error"]["code"] == "timeout"
+            assert router.snapshot()[0]["healthy"] is True
+        finally:
+            router.close()
+            replica.shutdown()
+            replica.server_close()
+
+    def test_concurrent_clients_lose_no_counts(self, two_fakes):
+        """Handler threads now dispatch side by side: the router's counters
+        and in-flight charges must not lose an update."""
+        router, _ = two_fakes
+        clients, calls = 4 * (os.cpu_count() or 1), 10
+        statuses = []
+
+        def client():
+            for _ in range(calls):
+                statuses.append(post(router.url + "/v1/predict", WATER_BODY, timeout=30)[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == [200] * (clients * calls)
+        assert router._counters["requests"] == clients * calls
+        assert router.total_in_flight() == 0
+
+    def test_a_connect_burst_is_queued_not_dropped(self, two_fakes):
+        """A listen backlog of stdlib's 5 dropped most of a burst, which
+        then waited out a one-second SYN retry."""
+        router, _ = two_fakes
+        barrier = threading.Barrier(40)
+        latencies = []
+
+        def connect():
+            barrier.wait(timeout=10)
+            start = time.monotonic()
+            raw_exchange(router.url, b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            latencies.append(time.monotonic() - start)
+
+        threads = [threading.Thread(target=connect) for _ in range(40)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(latencies) == 40
+        assert max(latencies) < 1.0
+
+    def test_a_taken_port_fails_start_with_a_runtime_error(self, two_fakes):
+        router, _ = two_fakes
+        with pytest.raises(RuntimeError, match="router failed to bind: "):
+            Router(port=router.bound_port).start()
+
+    def test_stats_fan_out_is_concurrent(self, two_fakes):
+        router, fakes = two_fakes
+        for fake in fakes:
+            handler = fake.server.RequestHandlerClass
+
+            def slow_get(self, do_get=handler.do_GET):
+                time.sleep(0.5)
+                do_get(self)
+
+            handler.do_GET = slow_get
+        start = time.monotonic()
+        status, payload = get(router.url + "/v1/stats")
+        assert time.monotonic() - start < 0.9
+        assert status == 200
+        assert payload["models"]["default"]["replica_count"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ engine (``repro.tensor``) runs each kernel on its caller's thread: the
 serving workers are where the cores go, so it imports no executor.  It
 also has one scratch allocator, the buffer pool in
 ``repro.tensor.allocator``, which plan replays share with everything else.
+And there is one HTTP stack: both servers subclass the framing in
+``repro.wire``, and nothing runs an event loop.
 """
 
 import ast
@@ -98,3 +100,21 @@ def test_the_engine_starts_no_thread_pools():
         if is_under(module, "concurrent.futures")
     }
     assert offenders == set()
+
+
+def test_one_http_stack():
+    """No module imports ``asyncio``; only ``repro.wire`` subclasses stdlib's handler."""
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert (PACKAGE / "serving" / "router.py") in sources
+    event_loops = {
+        path.name for path in sources if any(is_under(m, "asyncio") for m in imports_of_file(path))
+    }
+    assert event_loops == set()
+    handlers = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base).split(".")[-1] == "BaseHTTPRequestHandler" for base in node.bases
+            ):
+                handlers.add(".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts))
+    assert handlers == {"repro.wire"}
