@@ -167,11 +167,10 @@ def first_chunk_size(
 ) -> int:
     """How many leading requests one flush takes (always >= 1).
 
-    The single source of truth for the budget discipline — the batcher's
-    flush and the service's inline chunking both call this, so the two
-    execution modes can never batch differently.  A single structure
-    larger than ``max_atoms`` still ships as a batch of one: oversized
-    structures must be servable, they just never share a batch.
+    The single source of truth for the budget discipline: every take
+    from the batcher is cut by it, whichever thread asks.  A single
+    structure larger than ``max_atoms`` still ships as a batch of one:
+    oversized structures must be servable, they just never share a batch.
     ``requests`` is read lazily, one past the last request taken.
     """
     count = 0
@@ -222,7 +221,7 @@ class MicroBatcher:
             else max(0.05, 10.0 * self.flush_interval_s)
         )
         #: Consumer-thread count — the queue-wait estimator's drain
-        #: concurrency hint, set by the service at start().
+        #: concurrency hint, set by the service at start() and stop().
         self.workers = int(workers)
         #: Called with each dequeued request's queue age (seconds); the
         #: brownout controller's saturation signal.
@@ -318,6 +317,11 @@ class MicroBatcher:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+
+    def reopen(self) -> None:
+        """Accept requests again after :meth:`close` (counters carry on)."""
+        with self._cond:
+            self._closed = False
 
     @property
     def pending_graphs(self) -> int:
@@ -450,11 +454,13 @@ class MicroBatcher:
                     kept.append(request)
             self._lanes[lane] = kept
 
-    def next_batch(self) -> list[ServeRequest] | None:
+    def next_batch(self, wait: bool = True) -> list[ServeRequest] | None:
         """Block until anything is queued; ``None`` once closed and drained.
 
         Safe to call from many worker threads; each released batch goes
         to exactly one caller, and no caller waits beside queued work.
+        With ``wait=False`` this is a take that never blocks: ``None``
+        means nothing is pending once expired entries are dropped.
         """
         with self._cond:
             self._free_workers += 1
@@ -466,7 +472,7 @@ class MicroBatcher:
                         reason = self._flush_reason()
                         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
                         return self._take_batch(now)
-                    if self._closed:
+                    if self._closed or not wait:
                         return None
                     self._cond.wait()
             finally:

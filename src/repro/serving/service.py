@@ -18,14 +18,16 @@
    :class:`~repro.data.normalize.Normalizer`, results are denormalized
    to physical units before caching.
 
-Two execution modes share all of that code: **inline** (no worker
-threads; ``predict_many`` chunks and executes on the caller's thread —
-what batch jobs and benchmarks want) and **served** (``start(workers=N)``
-spins up a synchronous dispatch loop per worker so concurrent clients
-can block on their own requests — what an RPC front end wants).  The
-engine's grad mode, pool stack, and kernel dispatch are all
-thread-local, so served-mode workers execute model forwards **truly
-concurrently** — there is no global model lock.
+Every call takes that one path through the one batcher the service
+owns for its lifetime.  Who executes the batches is the only variable:
+``start(workers=N)`` spins up N dispatch threads, so concurrent clients
+block on their own requests — what an RPC front end wants; an unstarted
+service (or one stopped again) has none, so each call drains the queue
+on its own thread until its requests are done — what batch jobs and
+benchmarks want.  The engine's grad mode, pool stack, and kernel
+dispatch are all thread-local, so workers (and concurrent callers)
+execute model forwards **truly concurrently** — there is no global
+model lock.
 """
 
 from __future__ import annotations
@@ -42,19 +44,13 @@ from repro.graph.atoms import AtomGraph
 from repro.graph.batch import collate
 from repro.models.hydra import HydraModel
 from repro.serving.admission import BROWNOUT_STATES, AdmissionConfig, AdmissionController
-from repro.serving.batcher import (
-    DEFAULT_LANE,
-    DeadlineExceeded,
-    MicroBatcher,
-    ServeRequest,
-    first_chunk_size,
-)
+from repro.serving.batcher import DEFAULT_LANE, DeadlineExceeded, MicroBatcher, ServeRequest
 from repro.serving.cache import ResultCache
 from repro.serving.hashing import structure_hash
 from repro.serving.md import MDSettings, run_md
 from repro.serving.relax import RelaxResult, RelaxSettings, TrajectorySession, relax_positions
 from repro.serving.stats import ServingStats, StatsSummary
-from repro.serving.telemetry import MODEL, add_counts, derive
+from repro.serving.telemetry import MODEL, derive
 from repro.tensor.allocator import BufferPool, use_pool
 from repro.tensor.kernels import active_backend, available_backends, use_backend
 
@@ -95,10 +91,10 @@ class ServiceConfig:
     flush_interval_s: float = 0.005
     cache_capacity: int = 4096  # LRU entries; <=0 disables caching
     hash_decimals: int | None = None  # optional coordinate rounding for keys
-    request_timeout_s: float = 30.0  # client-side wait bound in served mode
-    #: Admission control (served mode): queued structures beyond this
-    #: bound are rejected with :class:`ServiceOverloaded` at submit time
-    #: instead of growing an unbounded backlog.  0 disables the bound.
+    request_timeout_s: float = 30.0  # client-side wait bound on queued work
+    #: Admission control: queued structures beyond this bound are
+    #: rejected with :class:`ServiceOverloaded` at submit time instead
+    #: of growing an unbounded backlog.  0 disables the bound.
     #: Cache hits never count against it — they bypass the batcher.
     max_pending: int = 0
     #: Kernel backend model forwards dispatch to (a name from
@@ -219,12 +215,8 @@ class PredictionService:
         self.normalizer = normalizer
         self.cache = ResultCache(self.config.cache_capacity)
         self.stats = ServingStats()
-        self._batcher: MicroBatcher | None = None
         self._workers: list[threading.Thread] = []
-        self._flush_reasons: dict[str, int] = {}  # accumulated across sessions
-        self._rejected = 0  # admission-control rejections, accumulated likewise
-        self._expired = 0  # deadline-expired drops, accumulated likewise
-        self._shed_predicted = 0  # predicted-wait submit sheds, accumulated likewise
+        self._expired = 0  # session deadline expiries (the batcher counts its own)
         # Quota + brownout policy gate (always present; with default
         # config it admits everything and only counts).
         self.admission = AdmissionController(
@@ -236,6 +228,16 @@ class PredictionService:
                 brownout_exit_s=self.config.brownout_exit_s,
                 brownout_dwell_s=self.config.brownout_dwell_s,
             )
+        )
+        self._batcher = MicroBatcher(
+            max_atoms=self.config.max_atoms,
+            max_graphs=self.config.max_graphs,
+            flush_interval_s=self.config.flush_interval_s,
+            max_pending=self.config.max_pending,
+            lane_aging_s=self.config.lane_aging_s,
+            # Each dequeued request's queue age feeds the brownout
+            # controller — the saturation signal is *measured* wait.
+            on_dequeue_wait=self.admission.observe_wait,
         )
         # Session-workload counters (relax loops + trajectory sessions, MD
         # runs) and the service-side ``expired`` count, written from
@@ -268,7 +270,7 @@ class PredictionService:
         return cls(model, **kwargs)
 
     # ------------------------------------------------------------------
-    # lifecycle (served mode)
+    # lifecycle (worker threads)
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
@@ -280,17 +282,7 @@ class PredictionService:
             raise ValueError("workers must be >= 1")
         if self.running:
             raise RuntimeError("service already started")
-        self._batcher = MicroBatcher(
-            max_atoms=self.config.max_atoms,
-            max_graphs=self.config.max_graphs,
-            flush_interval_s=self.config.flush_interval_s,
-            max_pending=self.config.max_pending,
-            lane_aging_s=self.config.lane_aging_s,
-            workers=workers,
-            # Each dequeued request's queue age feeds the brownout
-            # controller — the saturation signal is *measured* wait.
-            on_dequeue_wait=self.admission.observe_wait,
-        )
+        self._batcher.workers = workers
         for index in range(workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"serving-worker-{index}", daemon=True
@@ -300,19 +292,14 @@ class PredictionService:
         return self
 
     def stop(self) -> None:
-        """Drain queued requests, then join the workers."""
+        """Drain queued requests and join the workers; callers run their own batches again."""
         if self.running:
             self._batcher.close()
             for thread in self._workers:
                 thread.join()
-            # Fold the session's flush counters into the service before
-            # the batcher goes away, so post-session telemetry keeps them.
-            self._flush_reasons = self._all_flush_reasons()
-            self._rejected += self._batcher.rejected
-            self._count_expired(self._batcher.expired)
-            self._shed_predicted += self._batcher.shed_predicted
             self._workers.clear()
-            self._batcher = None
+            self._batcher.workers = 1
+            self._batcher.reopen()
 
     def __enter__(self) -> "PredictionService":
         if not self.running:
@@ -323,16 +310,17 @@ class PredictionService:
         self.stop()
 
     def _worker_loop(self) -> None:
-        while True:
-            batch = self._batcher.next_batch()
-            if batch is None:
-                return
-            try:
-                self._execute(batch)
-            except Exception:  # noqa: BLE001
-                # _execute already failed every waiter in the batch; the
-                # worker must survive to serve subsequent batches.
-                continue
+        while (batch := self._batcher.next_batch()) is not None:
+            self._run(batch)
+
+    def _run(self, batch: list[ServeRequest]) -> None:
+        """Execute one batch on this thread, which survives a failed forward."""
+        try:
+            self._execute(batch)
+        except Exception:  # noqa: BLE001
+            # _execute already failed every waiter in the batch, and each
+            # waiter re-raises it; the thread goes on to the next batch.
+            pass
 
     # ------------------------------------------------------------------
     # client API
@@ -371,6 +359,39 @@ class PredictionService:
             self.stats.record_request(latency_s=0.0, cached=True, batch_graphs=1)
         return request
 
+    def _dispatch(
+        self, graphs: list[AtomGraph], deadline, lane: str, client_id, admit: bool
+    ) -> list[ServeRequest]:
+        """Prepare ``graphs`` and enqueue the misses as one group; returns the handles.
+
+        If a structure is refused (quota, queue bound, deadline) this
+        raises that rejection, but only after the structures admitted
+        ahead of it — charged, so queued — have been handed on.
+        """
+        requests: list[ServeRequest] = []
+        try:
+            for graph in graphs:
+                requests.append(self._prepare(graph, deadline, lane, client_id, admit))
+        finally:
+            try:
+                self._batcher.submit_many([request for request in requests if not request.done()])
+            finally:
+                self._drain(requests)
+        return requests
+
+    def _drain(self, requests: list[ServeRequest]) -> None:
+        """With no worker threads, run queued batches on this thread until ``requests`` are done.
+
+        The calling thread is the worker.  A request another caller's
+        thread took is left to that thread: waiting on its handle blocks
+        until it is resolved.
+        """
+        if self.running:
+            return
+        for request in requests:
+            while not request.done() and (batch := self._batcher.next_batch(wait=False)):
+                self._run(batch)
+
     def submit(
         self,
         graph: AtomGraph,
@@ -379,10 +400,12 @@ class PredictionService:
         client_id: str | None = None,
         admit: bool = True,
     ) -> ServeRequest:
-        """Enqueue one structure (served mode); returns its handle.
+        """Enqueue one structure; returns its handle.
 
         Cache hits are resolved immediately — the returned request is
-        already ``done()`` and never enters the batcher.  ``deadline``
+        already ``done()`` and never enters the batcher; so is a miss on
+        an unstarted service, which executes on the calling thread
+        (unless a concurrent caller took it first).  ``deadline``
         is an absolute ``time.monotonic()`` instant; entries still
         queued past it are dropped at dequeue with
         :class:`~repro.serving.batcher.DeadlineExceeded` instead of
@@ -391,16 +414,7 @@ class PredictionService:
         ``admit=False`` is the internal bypass for force evaluations
         inside an already-admitted relax/MD session.
         """
-        # Capture the batcher once: a concurrent stop() nulls the
-        # attribute, and the capture turns that race into the clean
-        # RuntimeError below (or the batcher's own closed error) instead
-        # of an AttributeError with a never-resolved request.
-        batcher = self._batcher
-        if batcher is None:
-            raise RuntimeError("submit() requires a started service; use predict()")
-        request = self._prepare(graph, deadline, lane, client_id, admit)
-        if not request.done():
-            batcher.submit(request)
+        (request,) = self._dispatch([graph], deadline, lane, client_id, admit)
         return request
 
     def predict(
@@ -412,11 +426,9 @@ class PredictionService:
         admit: bool = True,
     ) -> PredictionResult:
         """Serve one structure, blocking until its result is ready."""
-        if self.running:
-            return self.submit(
-                graph, deadline=deadline, lane=lane, client_id=client_id, admit=admit
-            ).wait(self.config.request_timeout_s)
-        return self.predict_many([graph], deadline=deadline, lane=lane, client_id=client_id)[0]
+        return self.submit(
+            graph, deadline=deadline, lane=lane, client_id=client_id, admit=admit
+        ).wait(self.config.request_timeout_s)
 
     def predict_many(
         self,
@@ -427,56 +439,18 @@ class PredictionService:
     ) -> list[PredictionResult]:
         """Serve a list of structures; results come back in input order.
 
-        Inline mode chunks cache misses by the batching budgets and
-        executes them on the calling thread; served mode enqueues them
-        as one group, which the free dispatch workers share between
-        them.  With a ``deadline`` (absolute monotonic instant), expired
-        work is dropped before execution — per-entry at the batcher's
-        dequeue in served mode, per-chunk at chunk boundaries inline.
-        If a structure is refused (quota, queue bound, deadline) the
-        call raises that rejection; the structures ahead of it still
-        run and fill the cache.
+        The cache misses are enqueued as one group, cut into batches by
+        the batching budgets — shared between the free dispatch workers,
+        or taken in turn by the calling thread on an unstarted service.
+        With a ``deadline`` (absolute monotonic instant), expired work is
+        shed at submit or dropped at dequeue, never executed.  If a
+        structure is refused (quota, queue bound, deadline) the call
+        raises that rejection; the structures ahead of it still run and
+        fill the cache.
         """
-        batcher = self._batcher  # captured: concurrent stop() nulls the attribute
-        if batcher is not None:
-            give_up = time.monotonic() + self.config.request_timeout_s
-            requests: list[ServeRequest] = []
-            try:
-                for graph in graphs:
-                    requests.append(self._prepare(graph, deadline, lane, client_id, True))
-            finally:
-                # Also when admission refused a later structure: what was
-                # admitted ahead of it is charged, so it runs.
-                batcher.submit_many([request for request in requests if not request.done()])
-            return [request.wait(max(0.0, give_up - time.monotonic())) for request in requests]
-
-        results: list[PredictionResult | None] = [None] * len(graphs)
-        misses: list[tuple[int, ServeRequest]] = []
-        for index, graph in enumerate(graphs):
-            key = structure_hash(graph, self.config.hash_decimals)
-            payload = self.cache.get(key)
-            if payload is not None:
-                results[index] = self._hit_result(key, graph, payload)
-                self.stats.record_request(latency_s=0.0, cached=True, batch_graphs=1)
-            else:
-                misses.append(
-                    (index, ServeRequest(graph=graph, key=key, deadline=deadline))
-                )
-
-        for chunk in self._chunk_by_budget([request for _, request in misses]):
-            if deadline is not None and time.monotonic() >= deadline:
-                error = DeadlineExceeded(
-                    "deadline expired between inline chunks; remaining structures dropped"
-                )
-                self._count_expired(sum(1 for request in chunk if not request.done()))
-                for request in chunk:
-                    if not request.done():
-                        request.fail(error)
-                continue
-            self._execute(chunk)
-        for index, request in misses:
-            results[index] = request.wait(timeout=0)
-        return results
+        requests = self._dispatch(graphs, deadline, lane, client_id, True)
+        give_up = time.monotonic() + self.config.request_timeout_s
+        return [request.wait(max(0.0, give_up - time.monotonic())) for request in requests]
 
     # ------------------------------------------------------------------
     # trajectory workloads (relaxation, MD-style sessions)
@@ -528,11 +502,11 @@ class PredictionService:
     ) -> RelaxResult:
         """Relax ``graph``'s geometry on served forces (see :mod:`.relax`).
 
-        Every force evaluation is a regular :meth:`predict` — in served
-        mode it rides the micro-batcher alongside interactive traffic,
-        and consecutive steps replay the same traced plan bucket.  The
-        input graph's edges are ignored; the relax session's skin list
-        owns connectivity for the whole descent.  Admission and the
+        Every force evaluation is a regular :meth:`predict` — it rides
+        the micro-batcher alongside interactive traffic, and consecutive
+        steps replay the same traced plan bucket.  The input graph's
+        edges are ignored; the relax session's skin list owns
+        connectivity for the whole descent.  Admission and the
         ``deadline`` (absolute monotonic instant) work as
         :class:`_ForceSession` describes.
         """
@@ -577,24 +551,8 @@ class PredictionService:
 
         return events()
 
-    def _chunk_by_budget(self, requests: list[ServeRequest]) -> list[list[ServeRequest]]:
-        """Partition requests exactly as the batcher's flush would.
-
-        Delegates to :func:`first_chunk_size` (the batcher's own rule)
-        so inline and served mode cannot drift apart.
-        """
-        chunks: list[list[ServeRequest]] = []
-        start = 0
-        while start < len(requests):
-            count = first_chunk_size(
-                requests[start:], self.config.max_atoms, self.config.max_graphs
-            )
-            chunks.append(requests[start : start + count])
-            start += count
-        return chunks
-
     # ------------------------------------------------------------------
-    # batch execution (shared by inline chunks and dispatch workers)
+    # batch execution (dispatch workers, or the calling thread)
     # ------------------------------------------------------------------
     def _hit_result(
         self, key: str, graph: AtomGraph, payload, latency_s: float = 0.0, batch_graphs: int = 1
@@ -645,11 +603,9 @@ class PredictionService:
                     outputs = self.model.serve(batch, plan=self.config.plan)
                 duration = time.perf_counter() - start
                 self.stats.record_batch(batch.num_graphs, batch.num_nodes, duration)
-                batcher = self._batcher
-                if batcher is not None:
-                    # Feed the drain-rate EWMA behind the batcher's
-                    # predicted-wait shed at submit.
-                    batcher.record_service(batch.num_graphs, duration)
+                # Feed the drain-rate EWMA behind the batcher's
+                # predicted-wait shed at submit.
+                self._batcher.record_service(batch.num_graphs, duration)
                 for key, graph, energy, forces in zip(
                     order,
                     graphs,
@@ -710,12 +666,6 @@ class PredictionService:
     def summary(self) -> StatsSummary:
         return self.stats.summary()
 
-    def _all_flush_reasons(self) -> dict[str, int]:
-        """Accumulated flush counters plus the live session's, if any."""
-        batcher = self._batcher  # captured: concurrent stop() nulls the attribute
-        live = batcher.flush_reasons if batcher is not None else {}
-        return add_counts([self._flush_reasons, live])
-
     def _plan_telemetry(self) -> dict:
         """Plan-cache counters for this service's model (JSON-ready)."""
         payload: dict = {"enabled": bool(self.config.plan)}
@@ -739,21 +689,16 @@ class PredictionService:
         let the router shed at the front door before a request ever
         crosses the wire to a replica already in brownout.
         """
-        batcher = self._batcher  # captured: concurrent stop() nulls the attribute
         level = self.admission.brownout.level
         return {
-            "queue_depth": batcher.pending_graphs if batcher is not None else 0,
-            "estimated_wait_s": round(
-                batcher.estimated_wait_s if batcher is not None else 0.0, 6
-            ),
+            "queue_depth": self._batcher.pending_graphs,
+            "estimated_wait_s": round(self._batcher.estimated_wait_s, 6),
             "brownout_level": level,
             "brownout_state": BROWNOUT_STATES[level],
         }
 
     def telemetry(self) -> dict:
         """JSON-ready stats: serving, result cache, buffer pool, plans, engine."""
-        # Capture once: a concurrent stop() nulls the attribute between
-        # a None-check and an attribute access (same race submit() guards).
         batcher = self._batcher
         return {
             "serving": self.summary().as_dict(),
@@ -766,16 +711,13 @@ class PredictionService:
                 "max_graphs": self.config.max_graphs,
                 "flush_interval_s": self.config.flush_interval_s,
                 "max_pending": self.config.max_pending,
-                "rejected": self._rejected + (batcher.rejected if batcher is not None else 0),
-                "expired": self._expired + (batcher.expired if batcher is not None else 0),
-                "shed_predicted": self._shed_predicted
-                + (batcher.shed_predicted if batcher is not None else 0),
-                "estimated_wait_s": batcher.estimated_wait_s if batcher is not None else 0.0,
-                "flush_reasons": self._all_flush_reasons(),
+                "rejected": batcher.rejected,
+                "expired": self._expired + batcher.expired,
+                "shed_predicted": batcher.shed_predicted,
+                "estimated_wait_s": batcher.estimated_wait_s,
+                "flush_reasons": dict(batcher.flush_reasons),
             },
-            "admission": self.admission.telemetry(
-                lane_depths=batcher.lane_depths() if batcher is not None else None
-            ),
+            "admission": self.admission.telemetry(lane_depths=batcher.lane_depths()),
             "engine": {
                 "backend": self.config.backend or active_backend(),
                 "physical_units": self.normalizer is not None,

@@ -1,12 +1,15 @@
 """Stateful search over ``MicroBatcher``: conservation, budgets, fairness, dispatch.
 
 A Hypothesis rule machine drives one batcher through submit / submit-group /
-worker-asks / worker-completes / clock-advance / expire / close in any
-order and checks, after every step, the properties the serving stack
-leans on.  Nothing here sleeps: the batcher's clock is a fake the machine
-advances, and its workers are real threads parked on an instrumented
-condition that tells the machine "parked" and wakes only when the machine
-says so — so every step ends in a quiescent state the invariants can read.
+worker-asks / worker-completes / caller-takes / clock-advance / expire /
+close / reopen in any order and checks, after every step, the properties
+the serving stack leans on.  ``caller_takes`` is the non-blocking take an
+unstarted service's calling thread makes; ``reopen`` is what a stopped
+service does to its batcher once the worker threads have drained it.
+Nothing here sleeps: the batcher's clock is a fake the machine advances,
+and its workers are real threads parked on an instrumented condition that
+tells the machine "parked" and wakes only when the machine says so — so
+every step ends in a quiescent state the invariants can read.
 """
 
 import threading
@@ -152,8 +155,11 @@ class BatcherMachine(RuleBasedStateMachine):
         self.settles += 1
         self._replay()
 
-    def _replay(self) -> None:
-        """Fold what the workers did since the last quiescent state into the model."""
+    def _replay(self, taken: list[ServeRequest] | None = None) -> None:
+        """Fold what the workers did since the last quiescent state into the model.
+
+        ``taken`` is the batch the machine's own thread just took, if any.
+        """
         now = self.clock.now
         for lane, queue in self.lanes.items():
             for request in [r for r in queue if r.done()]:
@@ -164,6 +170,9 @@ class BatcherMachine(RuleBasedStateMachine):
                 self.expired.add(id(request))
             self.lanes[lane] = deque(r for r in queue if not r.done())
         batches = {}
+        if taken is not None:
+            self._check_budgets(taken)
+            batches[threading.current_thread()] = iter(taken)
         for worker in self.workers:
             if worker.state == "holding" and not worker.folded:
                 worker.folded = True
@@ -226,6 +235,8 @@ class BatcherMachine(RuleBasedStateMachine):
         try:
             enqueue()
         except (ServiceOverloaded, DeadlineExceeded, RuntimeError) as error:
+            if type(error) is RuntimeError:
+                assert self.closed, "an open batcher refused a request as closed"
             # The refused request and everything behind it in its group
             # carry the rejection itself; the prefix stays queued.
             refused = [request for request in requests if _failure(request) is error]
@@ -271,6 +282,18 @@ class BatcherMachine(RuleBasedStateMachine):
         self.batcher.record_service(len(worker.batch), seconds)
         worker.state = "out"
 
+    @rule(seconds=st.sampled_from([0.0005, 0.004, 0.05]))
+    def caller_takes(self, seconds):
+        """The machine's own thread takes a batch without blocking, and runs it."""
+        batch = self.batcher.next_batch(wait=False)
+        self._replay(batch)
+        if batch is None:
+            assert not any(self.lanes.values()), "a non-blocking take left pending work behind"
+            return
+        for request in batch:
+            request.resolve(None)
+        self.batcher.record_service(len(batch), seconds)
+
     @rule(seconds=st.sampled_from([0.001, 0.004, 0.006, 0.03, 0.06]))
     def clock_advances(self, seconds):
         self.clock.now += seconds
@@ -291,6 +314,16 @@ class BatcherMachine(RuleBasedStateMachine):
         self.closed = True
         self.batcher.close()
         self._settle()
+
+    @precondition(lambda self: self.closed and not any(self.lanes.values()))
+    @rule()
+    def reopen(self):
+        """Accept work again once the closed queue drained; finished workers may ask anew."""
+        self.batcher.reopen()
+        self.closed = False
+        for worker in self.workers:
+            if worker.state == "finished":
+                worker.state = "out"
 
     # ------------------------------------------------------------------
     # invariants (read in a quiescent state)
@@ -340,6 +373,6 @@ class BatcherMachine(RuleBasedStateMachine):
 
 
 BatcherMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
+    max_examples=40, stateful_step_count=50, deadline=None
 )
 TestBatcherMachine = BatcherMachine.TestCase

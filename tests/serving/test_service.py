@@ -1,5 +1,7 @@
 """End-to-end PredictionService: parity, dedup, caching, workers."""
 
+import dataclasses
+import sys
 import threading
 import time
 
@@ -46,6 +48,49 @@ class _Rendezvous:
     def serve(self, batch, plan=True):
         self._barrier.wait(timeout=10.0)
         return self._model.serve(batch, plan=plan)
+
+
+class _HeldForwards:
+    """A model whose first ``held`` forwards each wait for the test to release them.
+
+    Forward ``failing`` (an index, if given) raises instead of running.
+    """
+
+    def __init__(self, model, held: int, failing: int | None = None) -> None:
+        self._model = model
+        self._lock = threading.Lock()
+        self._count = 0
+        self.failing = failing
+        self.entered = [threading.Event() for _ in range(held)]
+        self.release = [threading.Event() for _ in range(held)]
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def serve(self, batch, plan=True):
+        with self._lock:
+            index, self._count = self._count, self._count + 1
+        if index < len(self.entered):
+            self.entered[index].set()
+            assert self.release[index].wait(10.0)
+        if index == self.failing:
+            raise RuntimeError("backend down")
+        return self._model.serve(batch, plan=plan)
+
+
+def _in_thread(call, *args):
+    """Run ``call(*args)`` on a thread; returns the thread and its outcome box."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call(*args)
+        except BaseException as error:  # noqa: BLE001 — handed to the test
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
 
 
 def _reference(model, graph):
@@ -165,10 +210,15 @@ class TestServed:
         finally:
             service.stop()
 
-    def test_submit_requires_started_service(self, model, graphs):
-        service = PredictionService(model)
-        with pytest.raises(RuntimeError):
-            service.submit(graphs[0])
+    def test_unstarted_submit_runs_on_the_calling_thread(self, model, graphs):
+        request = PredictionService(model).submit(graphs[0])
+        assert request.done()
+        served = PredictionService(model)
+        with served.start(workers=1):
+            expected = served.submit(graphs[0]).wait(10.0)
+        result = request.wait(timeout=0)
+        assert result.energy == expected.energy  # bit-identical, no tolerance
+        np.testing.assert_array_equal(result.forces, expected.forces)
 
 
 class TestConcurrentServing:
@@ -263,6 +313,99 @@ class TestConcurrentServing:
         for backend in ("paralell", "parallel", "auto"):
             with pytest.raises(ValueError, match="unknown kernel backend"):
                 PredictionService(model, ServiceConfig(backend=backend))
+
+
+class TestUnstartedCallers:
+    """With no worker threads, each caller drains the shared queue on its own thread."""
+
+    CONFIG = ServiceConfig(max_atoms=10**9, cache_capacity=0)
+
+    def test_a_request_taken_by_another_caller_is_waited_for(self, model):
+        # One structure per batch, so every result can be compared with a
+        # lone call bit for bit.  A's drain holds its first forward; B's
+        # drain takes A's second structure; A's drain then takes B's
+        # structure, and B — its request in A's hands — must wait for it.
+        a1, a2, b = make_molecule_graphs(3, seed=50)
+        held = _HeldForwards(model, held=3)
+        service = PredictionService(held, dataclasses.replace(self.CONFIG, max_graphs=1))
+        takes: dict[str, int] = {}
+        take = service._batcher.next_batch
+
+        def counted_take(wait=True):
+            name = threading.current_thread().name
+            takes[name] = takes.get(name, 0) + 1
+            return take(wait)
+
+        service._batcher.next_batch = counted_take
+        thread_a, outcome_a = _in_thread(service.predict_many, [a1, a2])
+        assert held.entered[0].wait(10.0)  # A runs a1
+        thread_b, outcome_b = _in_thread(service.predict, b)
+        assert held.entered[1].wait(10.0)  # B runs a2
+        held.release[0].set()
+        assert held.entered[2].wait(10.0)  # A runs b
+        held.release[1].set()
+        give_up = time.monotonic() + 10.0
+        while takes.get(thread_b.name) != 2 and time.monotonic() < give_up:
+            time.sleep(0.001)
+        assert takes[thread_b.name] == 2  # its first take, then the empty queue
+        time.sleep(0.05)
+        assert thread_b.is_alive() and takes[thread_b.name] == 2  # waiting, not spinning
+        held.release[2].set()
+        thread_a.join(10.0)
+        thread_b.join(10.0)
+        assert not thread_a.is_alive() and not thread_b.is_alive()
+        served = [*outcome_a["result"], outcome_b["result"]]
+        for graph, result in zip([a1, a2, b], served):
+            lone = PredictionService(model, self.CONFIG).predict(graph)
+            assert result.energy == lone.energy  # bit-identical, no tolerance
+            np.testing.assert_array_equal(result.forces, lone.forces)
+        assert service.telemetry()["batching"]["flush_reasons"] == {"graphs_budget": 3}
+
+    def test_a_failed_batch_reaches_every_caller_in_it(self, model):
+        # A's drain holds [a1, a2]; B's drain takes [a3, b] — one batch,
+        # two callers — and that forward fails.  Both calls raise it.
+        a1, a2, a3, b = make_molecule_graphs(4, seed=51)
+        held = _HeldForwards(model, held=1, failing=1)
+        service = PredictionService(held, dataclasses.replace(self.CONFIG, max_graphs=2))
+        thread_a, outcome_a = _in_thread(service.predict_many, [a1, a2, a3])
+        assert held.entered[0].wait(10.0)
+        thread_b, outcome_b = _in_thread(service.predict, b)
+        thread_b.join(10.0)
+        assert not thread_b.is_alive()
+        assert "backend down" in str(outcome_b.get("error"))
+        held.release[0].set()
+        thread_a.join(10.0)
+        assert not thread_a.is_alive()
+        assert "backend down" in str(outcome_a.get("error"))
+        # Only A's first batch completed a forward, and the service still
+        # serves: the next call runs on the calling thread.
+        assert [r.num_graphs for r in service.stats.batch_records] == [2]
+        assert service.predict(b).n_atoms == b.n_atoms
+
+    def test_concurrent_callers_share_the_queue_exactly(self, model):
+        # More callers than cores, switching threads as often as the
+        # interpreter allows: every call returns, and one structure per
+        # batch keeps every result bit-identical to a lone call.
+        config = dataclasses.replace(self.CONFIG, max_graphs=1)
+        groups = [make_molecule_graphs(6, seed=60 + index) for index in range(4)]
+        service = PredictionService(model, config)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            calls = [_in_thread(service.predict_many, group) for group in groups]
+            for thread, _ in calls:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread, _ in calls)
+        lone = PredictionService(model, config)
+        for group, (_, outcome) in zip(groups, calls):
+            for graph, result in zip(group, outcome["result"]):
+                expected = lone.predict(graph)
+                assert result.energy == expected.energy
+                np.testing.assert_array_equal(result.forces, expected.forces)
+        assert service.summary().requests == 24
+        assert service.telemetry()["batching"]["flush_reasons"] == {"graphs_budget": 24}
 
 
 class TestGroupServing:
@@ -490,25 +633,20 @@ class TestReviewRegressions:
         # No new model batch ran for it.
         assert len(service.stats.batch_records) == 1
 
-    def test_inline_chunking_matches_batcher_rule(self, model, graphs):
+    def test_unstarted_batches_match_a_one_worker_take_loop(self, model, graphs):
         from repro.serving import MicroBatcher, ServeRequest, structure_hash
-        from repro.serving.batcher import first_chunk_size
 
-        requests = [
-            ServeRequest(graph=g, key=structure_hash(g)) for g in graphs
-        ]
         max_atoms = sum(g.n_atoms for g in graphs[:3])
         service = PredictionService(model, ServiceConfig(max_atoms=max_atoms))
-        chunks = service._chunk_by_budget(requests)
+        service.predict_many(list(graphs))
         batcher = MicroBatcher(max_atoms=max_atoms, max_graphs=64, flush_interval_s=0.0)
-        for request in requests:
-            batcher.submit(ServeRequest(graph=request.graph, key=request.key))
+        batcher.submit_many([ServeRequest(graph=g, key=structure_hash(g)) for g in graphs])
         batcher.close()
-        flushed = []
+        released = []
         while (batch := batcher.next_batch()) is not None:
-            flushed.append([r.key for r in batch])
-        assert [[r.key for r in chunk] for chunk in chunks] == flushed
-        assert first_chunk_size(requests, max_atoms, 64) == len(chunks[0])
+            released.append((len(batch), sum(r.n_atoms for r in batch)))
+        assert len(released) >= 2
+        assert [(r.num_graphs, r.num_atoms) for r in service.stats.batch_records] == released
 
     def test_flush_reasons_survive_stop(self, model, graphs):
         service = PredictionService(model, ServiceConfig(flush_interval_s=0.002))
@@ -519,3 +657,51 @@ class TestReviewRegressions:
         assert not service.running
         reasons = service.telemetry()["batching"]["flush_reasons"]
         assert sum(reasons.values()) >= 1
+
+    def test_telemetry_during_stop_never_exceeds_final(self, model, graphs):
+        # Counters live on the service's one batcher, so a read that lands
+        # inside stop() sees each of them once, never a fold in progress.
+        from repro.serving import DeadlineExceeded, ServiceOverloaded
+
+        gated = GatedModel(model)
+        service = PredictionService(gated, ServiceConfig(max_pending=1)).start(workers=1)
+        running = service.submit(graphs[0])
+        assert gated.entered.wait(10.0)
+        doomed = service.submit(graphs[1], deadline=time.monotonic() + 0.02)
+        with pytest.raises(ServiceOverloaded):
+            service.submit(graphs[2])
+        time.sleep(0.05)
+        gated.gate.set()
+        running.wait(10.0)
+        with pytest.raises(DeadlineExceeded, match="expired"):
+            doomed.wait(10.0)
+        for graph in graphs[3:]:
+            service.predict(graph)
+
+        reads, halt = [], threading.Event()
+
+        def read():
+            while not halt.is_set():
+                batching = service.telemetry()["batching"]
+                reads.append(batching)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            while not reads and reader.is_alive():
+                time.sleep(0.001)
+            service.stop()
+            halt.set()
+            reader.join(10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not reader.is_alive()
+        final = service.telemetry()["batching"]
+        assert final["rejected"] == 1 and final["expired"] == 1
+        for batching in reads:
+            assert batching["rejected"] <= final["rejected"]
+            assert batching["expired"] <= final["expired"]
+            for reason, count in batching["flush_reasons"].items():
+                assert count <= final["flush_reasons"][reason]

@@ -133,6 +133,14 @@ class TestPredict:
         assert main(["predict", "--input", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_batching_budget_is_a_clean_error(self, capsys):
+        # The service builds its batcher at construction, which validates
+        # the budgets there — before any structure is loaded.
+        assert main(["predict", "--graphs", "2", "--max-atoms", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "max_atoms and max_graphs must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestServe:
     def test_requires_a_mode(self, capsys):

@@ -11,7 +11,9 @@ serving workers are where the cores go, so it imports no executor.  It
 also has one scratch allocator, the buffer pool in
 ``repro.tensor.allocator``, which plan replays share with everything else.
 And there is one HTTP stack: both servers subclass the framing in
-``repro.wire``, and nothing runs an event loop.
+``repro.wire``, and nothing runs an event loop.  Batches are cut by
+budget in one place, the micro-batcher, which the prediction service
+builds once and keeps for its lifetime.
 """
 
 import ast
@@ -118,3 +120,22 @@ def test_one_http_stack():
             ):
                 handlers.add(".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts))
     assert handlers == {"repro.wire"}
+
+
+def test_budget_chunking_lives_in_the_batcher():
+    """Only ``serving/batcher.py`` names ``first_chunk_size``; ``self._batcher`` is set once."""
+    users = {
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "first_chunk_size" in path.read_text()
+    }
+    assert users == {"serving/batcher.py"}
+    tree = ast.parse((PACKAGE / "serving" / "service.py").read_text())
+    assignments = [
+        target
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if ast.unparse(target) == "self._batcher"
+    ]
+    assert len(assignments) == 1
