@@ -31,12 +31,18 @@ def gaussian_rbf(distances: np.ndarray, cutoff: float, num_basis: int = 16) -> n
     """Expand distances onto ``num_basis`` Gaussians spanning ``[0, cutoff]``.
 
     The standard distance featurization for message passing on materials
-    (SchNet-style), used by our EGNN's edge network.
+    (SchNet-style), used by our EGNN's edge network.  The operations of
+    ``exp(-0.5 * ((d - c) / width) ** 2)`` run in that order, in place in
+    one float64 buffer, so the bits match that expression.
     """
     distances = np.asarray(distances, dtype=np.float64).reshape(-1, 1)
     centers = np.linspace(0.0, cutoff, num_basis).reshape(1, -1)
     width = cutoff / max(num_basis - 1, 1)
-    return np.exp(-0.5 * ((distances - centers) / width) ** 2)
+    out = np.subtract(distances, centers)
+    out /= width
+    np.square(out, out=out)
+    out *= -0.5
+    return np.exp(out, out=out)
 
 
 def cosine_cutoff(distances: np.ndarray, cutoff: float) -> np.ndarray:

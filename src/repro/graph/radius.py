@@ -220,14 +220,20 @@ def canonicalize_edges(
     incremental :class:`SkinNeighborList` path be compared bit-for-bit
     against a from-scratch :func:`build_edges`, and what makes structure
     hashes and traced-plan inputs deterministic along a trajectory.
-    ``(src, dst, image)`` triples are unique, so the order is total.
+    ``(src, dst, image)`` triples are unique, so the order is total, and
+    any subsequence of a canonical edge list is canonical too: the skin
+    list sorts its candidates once and keeps that order through its
+    per-step distance filter.
     """
     if edge_index.shape[1] == 0:
         return edge_index, edge_shift
-    order = np.lexsort(
-        (edge_shift[:, 2], edge_shift[:, 1], edge_shift[:, 0], edge_index[0], edge_index[1])
-    )
+    order = _canonical_order(edge_index[0], edge_index[1], edge_shift)
     return edge_index[:, order], edge_shift[order]
+
+
+def _canonical_order(src: np.ndarray, dst: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The permutation that sorts edges by ``(dst, src, shift)``."""
+    return np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], src, dst))
 
 
 class SkinNeighborList:
@@ -246,10 +252,12 @@ class SkinNeighborList:
        positions — a handful of vector ops instead of a tree build.
 
     The re-filter reproduces the KD-tree's arithmetic exactly (same
-    float64 replicated offsets, same squared-distance comparison), so
-    after :func:`canonicalize_edges` ordering the incremental result is
-    **bit-identical** to a from-scratch :func:`build_edges` at every
-    step — pinned by ``tests/graph/test_skin_list.py``.
+    float64 replicated offsets, same squared-distance comparison), and
+    the candidates are sorted into :func:`canonicalize_edges` order once,
+    at the rebuild.  The filter keeps a subsequence, which stays in that
+    order, so the incremental result is **bit-identical** to a
+    from-scratch ``canonicalize_edges(*build_edges(...))`` at every step
+    with no per-step sort — pinned by ``tests/graph/test_skin_list.py``.
 
     The cache invalidates itself whenever the candidate set could be
     stale: displacement past the skin bound, a different atom count, a
@@ -299,8 +307,12 @@ class SkinNeighborList:
             shift64 = np.zeros((src.shape[0], 3), dtype=np.float64)
         else:
             src, dst, shift64 = _periodic_neighbors(positions, cell, pbc, radius)
-        self._cand_src, self._cand_dst, self._cand_shift64 = src, dst, shift64
-        self._cand_shift32 = shift64.astype(DEFAULT_DTYPE)
+        # Canonical order by the float32 shifts the output carries, as
+        # canonicalize_edges sorts a from-scratch build.
+        shift32 = shift64.astype(DEFAULT_DTYPE)
+        order = _canonical_order(src, dst, shift32)
+        self._cand_src, self._cand_dst = src[order], dst[order]
+        self._cand_shift64, self._cand_shift32 = shift64[order], shift32[order]
         self._ref_positions = positions.copy()
         self.rebuilds += 1
 
@@ -338,7 +350,6 @@ class SkinNeighborList:
             within = (delta * delta).sum(axis=1) <= self.cutoff * self.cutoff
             edge_index = np.stack([src[within], dst[within]])
             edge_shift = self._cand_shift32[within]
-        edge_index, edge_shift = canonicalize_edges(edge_index, edge_shift)
         if self.max_neighbors is not None:
             edge_index, edge_shift = trim_max_neighbors(
                 positions, edge_index, edge_shift, self.max_neighbors

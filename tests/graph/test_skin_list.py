@@ -201,6 +201,53 @@ class TestCanonicalOrder:
         assert edge_shift.shape == (0, 3)
 
 
+class TestSortsOnce:
+    """Candidates are sorted at the rebuild; ``update()`` never re-sorts."""
+
+    def test_candidates_are_canonical_after_a_rebuild(self):
+        rng = np.random.default_rng(12)
+        positions = rng.uniform(0.0, 5.0, size=(20, 3))
+        nl = SkinNeighborList(cutoff=3.5, skin=0.4)
+        nl.update(positions, TRICLINIC, (True, True, True))
+        candidates = (np.stack([nl._cand_src, nl._cand_dst]), nl._cand_shift32)
+        assert candidates[0].shape[1] > 0
+        assert_bit_identical(candidates, canonicalize_edges(*candidates))
+
+    def test_update_never_calls_canonicalize_edges(self, monkeypatch):
+        import repro.graph.radius as radius
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("canonicalize_edges called on the skin-list path")
+
+        monkeypatch.setattr(radius, "canonicalize_edges", refuse)
+        pbc = (True, True, True)
+
+        rng = np.random.default_rng(14)
+        positions = rng.uniform(0.0, 5.0, size=(24, 3))
+        nl = SkinNeighborList(cutoff=3.5, skin=0.4)
+        for current in random_walk(positions, steps=20, scale=0.01, seed=15):
+            assert_bit_identical(
+                nl.update(current, TRICLINIC, pbc), reference_edges(current, 3.5, TRICLINIC, pbc)
+            )
+        assert nl.reuses > nl.rebuilds
+
+        from repro.graph.radius import trim_max_neighbors
+
+        capped = SkinNeighborList(cutoff=3.5, skin=0.4, max_neighbors=6)
+        for current in random_walk(positions, steps=8, scale=0.01, seed=16):
+            expected = trim_max_neighbors(
+                current, *reference_edges(current, 3.5, TRICLINIC, pbc), max_neighbors=6
+            )
+            assert_bit_identical(capped.update(current, TRICLINIC, pbc), expected)
+        assert capped.reuses > 0
+
+        isolated = np.array([[0.0, 0.0, 0.0], [50.0, 50.0, 50.0]])
+        empty = SkinNeighborList(cutoff=2.0, skin=0.3)
+        for current in (isolated, isolated + 0.01):
+            assert_bit_identical(empty.update(current), reference_edges(current, 2.0))
+        assert (empty.rebuilds, empty.reuses) == (1, 1)
+
+
 class TestValidation:
     @pytest.mark.parametrize("cutoff,skin", [(0.0, 0.3), (-1.0, 0.3), (3.0, 0.0), (3.0, -0.1)])
     def test_rejects_non_positive_parameters(self, cutoff, skin):

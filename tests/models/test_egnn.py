@@ -1,4 +1,4 @@
-"""EGNN backbone: shapes, equivariance, checkpointing parity."""
+"""EGNN backbone: shapes, equivariance, checkpointing parity, subnormal-free RBF input."""
 
 import copy
 
@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from repro.data.sources.builders import bulk_crystal, random_molecule
+from repro.graph.atoms import AtomGraph
 from repro.graph.batch import collate
-from repro.models import EGNNBackbone, HydraModel, ModelConfig
-from repro.tensor import no_grad
+from repro.graph.features import gaussian_rbf
+from repro.graph.radius import build_edges
+from repro.models import EGNNBackbone, HydraModel, ModelConfig, get_preset
+from repro.models.egnn import edge_geometry_arrays_for
+from repro.tensor import kernels, no_grad
+from repro.tensor.plan import compile_plan, plan_inputs
 from tests.helpers import make_molecule_graphs, make_periodic_graphs
 
 
@@ -208,3 +214,56 @@ class TestFusedKernelParity:
         for name, param in model.named_parameters():
             assert param.grad is not None, name
             assert np.allclose(fused_grads[name], param.grad, atol=1e-5), name
+
+
+def _md_stream_cell():
+    """The MD benchmark's cell: unstrained 64-atom rocksalt, sheared triclinic."""
+    shear = np.array([[1.0, 0.0, 0.0], [0.1, 1.0, 0.0], [0.05, 0.08, 1.0]])
+    rng = np.random.default_rng(31)
+    numbers, positions, cell = bulk_crystal(
+        rng, "rocksalt", ["Mg", "O"], 4.21, (2, 2, 2), strain=0.0
+    )
+    return numbers, positions @ shear, cell @ shear, (True, True, True)
+
+
+def _molecule():
+    numbers, positions = random_molecule(np.random.default_rng(32), ["C", "N", "O"], 20)
+    return numbers, positions, None, (False, False, False)
+
+
+class TestSubnormalFlush:
+    """The geometry prologue hands the forward no subnormal RBF entry,
+    and zeroing them moves no output bit."""
+
+    @pytest.mark.parametrize("structure", [_md_stream_cell, _molecule], ids=["md_cell", "molecule"])
+    def test_flush_is_invisible_to_the_planned_forward(self, structure):
+        numbers, positions, cell, pbc = structure()
+        config = get_preset("tiny")
+        edge_index, edge_shift = build_edges(positions, config.cutoff, cell, pbc)
+        graph = AtomGraph(
+            atomic_numbers=numbers,
+            positions=positions,
+            edge_index=edge_index,
+            edge_shift=edge_shift,
+            cell=cell,
+            pbc=pbc,
+        )
+        batch = collate([graph])
+        tiny = np.finfo(np.float32).tiny
+
+        rbf = edge_geometry_arrays_for(batch, config.cutoff, config.num_rbf)["rbf"]
+        assert not ((rbf > 0) & (rbf < tiny)).any()
+
+        src, dst = batch.edge_index
+        _, distances = kernels.edge_geometry_arrays(batch.positions, batch.edge_shift, src, dst)
+        unflushed = gaussian_rbf(distances, config.cutoff, config.num_rbf).astype(np.float32)
+        assert ((unflushed > 0) & (unflushed < tiny)).any()  # the case is live
+        assert np.array_equal(np.where(unflushed < tiny, 0.0, unflushed), rbf)
+
+        model = HydraModel(config, seed=0)
+        plan, _ = compile_plan(model, batch)
+        inputs, dims = plan_inputs(model, batch)
+        flushed_out = plan.replay(inputs, dims)
+        unflushed_out = plan.replay({**inputs, "rbf": unflushed}, dims)
+        for key in ("energy", "forces"):
+            assert np.array_equal(flushed_out[key], unflushed_out[key]), key

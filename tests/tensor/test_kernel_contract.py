@@ -191,3 +191,21 @@ def test_mixed_dtypes_promote_instead_of_quantizing(backend, kernel, rng):
     assert expected.dtype == np.float64
     out = kernels.get_kernel(kernel, backend).forward(*args)
     check(out, expected, np.float64, tol=TOLERANCE[np.float32])
+
+
+@pytest.mark.parametrize("bad", ["src", "dst"])
+@pytest.mark.parametrize("kernel", ["edge_message_linear", "gather_diff"])
+def test_gathers_bounds_check(backend, kernel, bad, rng):
+    """An out-of-range edge endpoint raises; it is never clipped or wrapped."""
+    nodes, edges = 20, 30
+    index = {name: rng.integers(0, nodes, edges).astype(np.int64) for name in ("src", "dst")}
+    index[bad][7] = nodes
+    impl = kernels.get_kernel(kernel, backend)
+    if kernel == "edge_message_linear":
+        h = normal(rng, (nodes, 4), np.float32)
+        feat = normal(rng, (edges, 2), np.float32)
+        args = (h, feat, normal(rng, (10, 3), np.float32), None)
+    else:
+        args = (normal(rng, (nodes, 3), np.float32), normal(rng, (edges, 3), np.float32))
+    with pytest.raises(IndexError):
+        impl.forward(*args, index["src"], index["dst"])

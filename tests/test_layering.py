@@ -13,7 +13,8 @@ also has one scratch allocator, the buffer pool in
 And there is one HTTP stack: both servers subclass the framing in
 ``repro.wire``, and nothing runs an event loop.  Batches are cut by
 budget in one place, the micro-batcher, which the prediction service
-builds once and keeps for its lifetime.
+builds once and keeps for its lifetime.  And no gather pays for a
+buffered ``take(..., out=)``.
 """
 
 import ast
@@ -139,3 +140,25 @@ def test_budget_chunking_lives_in_the_batcher():
         if ast.unparse(target) == "self._batcher"
     ]
     assert len(assignments) == 1
+
+
+def test_no_buffered_take_into_out():
+    """No ``take(..., out=...)`` under the default ``mode="raise"``.
+
+    numpy buffers ``out`` in that mode so a bad index cannot leave it half
+    written, which costs a full copy; ``out[...] = a[idx]`` or a ufunc
+    with ``out=`` over fancy-indexed operands raises the same
+    ``IndexError`` without it.
+    """
+    offenders = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+            if ast.unparse(node.func).split(".")[-1] != "take" or "out" not in keywords:
+                continue
+            mode = keywords.get("mode")
+            if mode is None or (isinstance(mode, ast.Constant) and mode.value == "raise"):
+                offenders.add((path.relative_to(PACKAGE).as_posix(), node.lineno))
+    assert offenders == set()
