@@ -150,7 +150,7 @@ def _load_serving_model(args: argparse.Namespace):
 
 
 def _add_serving_model_args(parser: argparse.ArgumentParser) -> None:
-    from repro.tensor.kernels import available_backends
+    from repro.tensor.kernels import BACKEND
 
     parser.add_argument(
         "--checkpoint", help="path to a training checkpoint (.npz) to serve"
@@ -163,7 +163,7 @@ def _add_serving_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--backend",
-        choices=available_backends(),
+        choices=[BACKEND],
         help="kernel backend for model forwards (default: numpy)",
     )
     parser.add_argument(

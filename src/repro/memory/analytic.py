@@ -34,8 +34,8 @@ FLOAT_BYTES = 4
 class ActivationInventory:
     """Live-buffer inventory of one EGNN layer at the measured peak.
 
-    The counts mirror the *fused* ``repro.models.egnn.EGNNLayer`` path
-    (the kernel-dispatch default): the gather/concat entry of each MLP is
+    The counts mirror the fused kernels of ``repro.models.egnn.EGNNLayer``:
+    the gather/concat entry of each MLP is
     folded into one kernel, so neither the ``(E, 2F+R)`` concat buffer
     nor the two edge-sized gathers exist, each affine map retains one
     output instead of two, and the weighted-unit-vector product is fused

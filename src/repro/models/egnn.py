@@ -18,11 +18,9 @@ where ``u_ij`` is the unit edge vector and ``f_cut`` the smooth cutoff
 envelope.  Equivariance is property-tested in the test suite: rotating
 the input rotates the coordinate channel and leaves ``h`` untouched.
 
-Execution goes through the kernel-dispatch layer
-(:mod:`repro.tensor.kernels`): by default the gather/concat/linear entry
-of each MLP and the multiply/segment-sum aggregations run as fused
-kernels; ``kernels.fusion(False)`` selects the composed primitive-op
-reference path, which the test suite asserts is numerically equivalent.
+The gather/concat/linear entry of each MLP and the multiply/segment-sum
+aggregation run as fused kernels (:mod:`repro.tensor.kernels`); the test
+suite checks them against the composed primitive ops they replace.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.nn.module import Module, ModuleList
 from repro.nn.norm import LayerNorm
 from repro.tensor import kernels
 from repro.tensor.checkpoint import checkpoint_multi
-from repro.tensor.core import DEFAULT_DTYPE, Tensor, concat, gather, segment_sum
+from repro.tensor.core import DEFAULT_DTYPE, Tensor, segment_sum
 from repro.tensor.rng import rng as make_rng, split_rng
 
 
@@ -64,8 +62,8 @@ def edge_geometry_arrays_for(
     src, dst = batch.edge_index
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    # Fused gather-diff kernel: one pass for vectors and clamped
-    # distances (the reference numpy chain is in AtomGraph.edge_vectors).
+    # Fused edge-geometry kernel: one pass for vectors and clamped
+    # distances (the plain numpy chain is in AtomGraph.edge_vectors).
     vectors, distances = kernels.edge_geometry_arrays(
         batch.positions, batch.edge_shift, src, dst
     )
@@ -124,14 +122,6 @@ class EGNNLayer(Module):
         self.norm = LayerNorm(width) if config.layer_norm else None
 
     def forward(self, h: Tensor, x: Tensor, geometry: EdgeGeometry) -> tuple[Tensor, Tensor]:
-        if kernels.fusion_enabled():
-            return self._forward_fused(h, x, geometry)
-        return self._forward_reference(h, x, geometry)
-
-    # ------------------------------------------------------------------
-    # fused path (default): dispatch-layer kernels
-    # ------------------------------------------------------------------
-    def _forward_fused(self, h: Tensor, x: Tensor, geometry: EdgeGeometry) -> tuple[Tensor, Tensor]:
         entry = self.edge_mlp.layers[0]
         messages = kernels.edge_message_linear(
             h, geometry.rbf, entry.weight, entry.bias, geometry.src, geometry.dst
@@ -152,34 +142,11 @@ class EGNNLayer(Module):
         )
         x = x + coord_updates * geometry.inv_degree
 
-        aggregated = kernels.segment_sum(messages, geometry.dst, geometry.num_nodes)
+        aggregated = segment_sum(messages, geometry.dst, geometry.num_nodes)
         node_entry = self.node_mlp.layers[0]
         update = kernels.concat_linear([h, aggregated], node_entry.weight, node_entry.bias)
         update = self.node_mlp.activation(update)
         h = h + self.node_mlp.forward_tail(update, start=1)
-        if self.norm is not None:
-            h = self.norm(h)
-        return h, x
-
-    # ------------------------------------------------------------------
-    # reference path: composed primitive ops (equivalence baseline)
-    # ------------------------------------------------------------------
-    def _forward_reference(self, h: Tensor, x: Tensor, geometry: EdgeGeometry) -> tuple[Tensor, Tensor]:
-        h_src = gather(h, geometry.src)
-        h_dst = gather(h, geometry.dst)
-        edge_input = concat([h_src, h_dst, geometry.rbf], axis=1)
-        messages = self.edge_mlp(edge_input) * geometry.envelope
-        if self.attention_mlp is not None:
-            messages = messages * self.attention_mlp(messages).sigmoid()
-
-        coord_weights = self.coord_mlp(messages)
-        coord_updates = segment_sum(
-            geometry.unit_vectors * coord_weights, geometry.dst, geometry.num_nodes
-        )
-        x = x + coord_updates * geometry.inv_degree
-
-        aggregated = segment_sum(messages, geometry.dst, geometry.num_nodes)
-        h = h + self.node_mlp(concat([h, aggregated], axis=1))
         if self.norm is not None:
             h = self.norm(h)
         return h, x

@@ -15,9 +15,7 @@ class Linear(Module):
 
     ``rng`` is mandatory: every layer in the library draws its weights from
     an explicit generator so whole-model construction is a pure function of
-    the seed.  The forward runs through the kernel-dispatch layer: one
-    fused node by default, the composed ``matmul`` + ``add`` chain under
-    ``kernels.fusion(False)``.
+    the seed.  The forward is one fused node (:func:`repro.tensor.kernels.linear`).
     """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True) -> None:

@@ -124,7 +124,9 @@ class ServeRequest:
         return self.graph.n_atoms
 
     def expired(self, now: float | None = None) -> bool:
-        return self.deadline is not None and (now or time.monotonic()) >= self.deadline
+        if now is None:
+            now = time.monotonic()
+        return self.deadline is not None and now >= self.deadline
 
     def _fire_done(self) -> None:
         callback, self.on_done = self.on_done, None

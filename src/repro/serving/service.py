@@ -12,7 +12,7 @@
 3. **Execute** — a worker collates the batch into one disjoint-union
    :class:`GraphBatch` and runs :meth:`HydraModel.serve` (the zero-
    ``Function``-node ``no_grad`` fast path) under a shared
-   :class:`BufferPool` and the configured kernel backend, then scatters
+   :class:`BufferPool`, then scatters
    per-graph results back to the waiting requests and populates the
    cache.  When the service holds the training run's
    :class:`~repro.data.normalize.Normalizer`, results are denormalized
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,7 @@ from repro.serving.relax import RelaxResult, RelaxSettings, TrajectorySession, r
 from repro.serving.stats import ServingStats, StatsSummary
 from repro.serving.telemetry import MODEL, derive
 from repro.tensor.allocator import BufferPool, use_pool
-from repro.tensor.kernels import active_backend, available_backends, use_backend
+from repro.tensor.kernels import BACKEND
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,8 @@ class ServiceConfig:
     #: of growing an unbounded backlog.  0 disables the bound.
     #: Cache hits never count against it — they bypass the batcher.
     max_pending: int = 0
-    #: Kernel backend model forwards dispatch to (a name from
-    #: :func:`~repro.tensor.kernels.available_backends`); None keeps the
-    #: caller's.  Validated at service construction.
+    #: Kernel backend name: ``None`` or :data:`~repro.tensor.kernels.BACKEND`,
+    #: the only one.  Validated at service construction.
     backend: str | None = None
     #: Traced execution plans (:mod:`repro.tensor.plan`): with ``True``
     #: (the default) the first forward of a shape bucket compiles a
@@ -245,16 +243,12 @@ class PredictionService:
         self._counter_lock = threading.Lock()
         self._relax = _session_counters(converged=0)
         self._md = _session_counters(thermostats={})
-        # No model lock: the engine's grad mode, pool stack, and kernel
-        # dispatch are thread-local, and the shared BufferPool is
-        # internally locked, so N workers run N model forwards truly
-        # concurrently.
-        if self.config.backend is not None and self.config.backend not in available_backends():
-            # get_kernel quietly falls back to numpy for unknown names;
-            # a typo'd config must fail loudly, not silently serve numpy.
+        # No model lock: the engine's grad mode and pool stack are
+        # thread-local, and the shared BufferPool is internally locked,
+        # so N workers run N model forwards truly concurrently.
+        if self.config.backend not in (None, BACKEND):
             raise ValueError(
-                f"unknown kernel backend {self.config.backend!r}; "
-                f"available: {available_backends()}"
+                f"unknown kernel backend {self.config.backend!r}; available: {[BACKEND]}"
             )
 
     @classmethod
@@ -594,12 +588,7 @@ class PredictionService:
             if order:
                 graphs = [by_key[key][0].graph for key in order]
                 batch = collate(graphs)
-                dispatch = (
-                    use_backend(self.config.backend)
-                    if self.config.backend
-                    else nullcontext()
-                )
-                with dispatch, use_pool(self.pool):
+                with use_pool(self.pool):
                     outputs = self.model.serve(batch, plan=self.config.plan)
                 duration = time.perf_counter() - start
                 self.stats.record_batch(batch.num_graphs, batch.num_nodes, duration)
@@ -719,7 +708,7 @@ class PredictionService:
             },
             "admission": self.admission.telemetry(lane_depths=batcher.lane_depths()),
             "engine": {
-                "backend": self.config.backend or active_backend(),
+                "backend": BACKEND,
                 "physical_units": self.normalizer is not None,
             },
         }

@@ -842,21 +842,39 @@ class Gather(Function):
         return (full,)
 
 
-def _segment_sum_array(a: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    """Numpy-level segment sum via a sparse incidence matrix."""
+#: CSR incidence matrices keyed on the segment array's identity.  A
+#: batch's ``src``/``dst``/``node_graph`` are reduced over once per layer
+#: per step; the matrix depends only on the index array, so it is built
+#: once and evicted when the array is garbage collected.
+_incidence_cache: dict[tuple[int, int, str], object] = {}
+
+
+def _incidence(segments: np.ndarray, num_segments: int, dtype: np.dtype):
     from scipy import sparse
 
+    key = (id(segments), int(num_segments), np.dtype(dtype).str)
+    cached = _incidence_cache.get(key)
+    if cached is not None:
+        return cached
     n = segments.shape[0]
-    if a.shape[0] != n:
-        raise ValueError(f"segment ids ({n}) do not match rows ({a.shape[0]})")
-    # An explicit width, not -1: a batch with no edges has zero rows.
-    flat = a.reshape(n, math.prod(a.shape[1:]))
-    incidence = sparse.csr_matrix(
-        (np.ones(n, dtype=a.dtype), (segments, np.arange(n))),
-        shape=(num_segments, n),
+    matrix = sparse.csr_matrix(
+        (np.ones(n, dtype=dtype), (segments, np.arange(n))),
+        shape=(int(num_segments), n),
     )
-    out = incidence @ flat
-    return np.ascontiguousarray(out.reshape((num_segments,) + a.shape[1:]))
+    _incidence_cache[key] = matrix
+    weakref.finalize(segments, _incidence_cache.pop, key, None)
+    return matrix
+
+
+def _segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
+    """Numpy-level segment sum over axis 0 via the cached incidence matrix."""
+    n = segments.shape[0]
+    if values.shape[0] != n:
+        raise ValueError(f"segment ids ({n}) do not match rows ({values.shape[0]})")
+    # An explicit width, not -1: a batch with no edges has zero rows.
+    flat = values.reshape(n, math.prod(values.shape[1:]))
+    out = _incidence(segments, num_segments, values.dtype) @ flat
+    return np.ascontiguousarray(out.reshape((int(num_segments),) + values.shape[1:]))
 
 
 class SegmentSum(Function):
@@ -866,33 +884,21 @@ class SegmentSum(Function):
     messages onto destination nodes, and summing node energies onto graphs.
     Implemented with a sparse incidence matrix, which is far faster than
     ``np.add.at`` for the edge counts realistic batches produce.
+    ``segments`` arrives as an int64 array (:func:`segment_sum` converts).
     """
 
-    #: Execution-plan protocol: a traced SegmentSum freezes to the
-    #: dispatch registry's ``segment_sum`` implementation, whose cached
-    #: incidence matrix computes the identical ``incidence @ flat``
-    #: product without rebuilding the CSR structure every replay.
-    kernel_name = "segment_sum"
-
-    @staticmethod
-    def infer_with(impl, a, segments=None, num_segments=None):
-        return impl.forward(a, segments, num_segments)
-
     def __init__(self, segments: np.ndarray, num_segments: int) -> None:
-        self.segments = np.asarray(segments, dtype=np.int64)
-        self.num_segments = int(num_segments)
+        self.segments, self.num_segments = segments, num_segments
 
     def forward(self, a):
-        return _segment_sum_array(a, self.segments, self.num_segments)
+        return _segment_sum(a, self.segments, self.num_segments)
 
     @staticmethod
     def infer(a, segments, num_segments):
-        return _segment_sum_array(a, np.asarray(segments, dtype=np.int64), int(num_segments))
+        return _segment_sum(a, segments, num_segments)
 
     def backward(self, grad):
-        flat = grad.reshape(self.num_segments, -1)
-        out = flat[self.segments]
-        return (np.ascontiguousarray(out.reshape((self.segments.shape[0],) + grad.shape[1:])),)
+        return (np.ascontiguousarray(grad[self.segments]),)
 
 
 class Where(Function):
@@ -933,7 +939,13 @@ def gather(tensor: Tensor, index: np.ndarray) -> Tensor:
 
 
 def segment_sum(tensor: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``tensor`` into ``num_segments`` buckets given by ``segments``."""
+    """Sum rows of ``tensor`` into ``num_segments`` buckets given by ``segments``.
+
+    The incidence matrix is cached on the identity of the int64
+    ``segments`` array: do not write into an index array after reducing
+    over it.
+    """
+    segments = np.asarray(segments, dtype=np.int64)
     return SegmentSum.apply(tensor, segments=segments, num_segments=num_segments)
 
 

@@ -10,8 +10,7 @@ from repro.tensor.core import Tensor, where
 def silu(x: Tensor) -> Tensor:
     """SiLU / swish activation ``x * sigmoid(x)`` (EGNN's default).
 
-    Dispatches to the fused kernel (one node, one saved array) unless
-    fusion is disabled, in which case it composes the primitives.
+    Runs as the fused kernel: one node, one saved array.
     """
     from repro.tensor import kernels
 

@@ -1,29 +1,17 @@
-"""Kernel-dispatch layer: named compound ops -> backend implementations.
+"""Fused kernels: one hand-written numpy implementation per compound op.
 
 The generic autograd engine in :mod:`repro.tensor.core` composes GNN
 message passing from primitive ops (``gather``, ``concat``, ``matmul``,
 ``segment_sum``), each of which allocates fresh arrays and an autograd
-node.  This module is the seam that replaces those chains with *fused
-kernels*: hand-written forward/backward pairs that do the same math with
-far fewer passes over memory.
+node.  This module replaces those chains with *fused kernels*:
+hand-written forward/backward pairs that do the same math with far fewer
+passes over memory.
 
-Design:
-
-- A **registry** maps ``(kernel name, backend name)`` to an
-  implementation object exposing static ``forward``/``backward``
-  functions over raw numpy arrays.  One backend ships: ``numpy``.  The
-  registry is the dispatch point further backends (compiled extensions,
-  accelerators) plug into without touching model code.
-- **Autograd wrappers** (subclasses of :class:`~repro.tensor.core.Function`)
-  look their compute up in the registry, so a backend swap changes what
-  executes without changing what differentiates.
-- Backend and fusion selection are **thread-local**, so concurrent
-  serving workers can run forwards under different dispatch modes
-  without interfering.
-- A **fusion switch** (:func:`fusion`) lets callers fall
-  back to the composed primitive-op path -- the reference implementation
-  fused kernels are validated against, and the baseline the engine
-  benchmarks compare to.
+Each op has one implementation, a class of static ``forward``/``backward``
+functions over raw numpy arrays, and one autograd wrapper (a
+:class:`~repro.tensor.core.Function` subclass) that calls it directly.
+The wrapper's ``infer`` is also what an execution plan replays, so the
+unplanned forward, backward and plan replay all run the same code.
 
 Kernels:
 
@@ -45,193 +33,48 @@ Kernels:
 ``mul_segment_sum``
     ``segment_sum(a * b)`` without retaining the product (EGNN's
     equivariant coordinate update).
-``gather_diff``
-    The edge-geometry kernel ``v = pos[dst] - (pos[src] + shift)``, with
-    a fused variant that also returns distances for
-    :class:`~repro.models.egnn.EdgeGeometry`.
+``edge_geometry_arrays``
+    Edge vectors ``pos[dst] - (pos[src] + shift)`` and their clamped
+    lengths in one pass, for :class:`~repro.models.egnn.EdgeGeometry`.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-import weakref
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro.tensor import allocator
-from repro.tensor.core import Function, Tensor, _unbroadcast
-from repro.tensor.core import SegmentSum as _CoreSegmentSum
+from repro.tensor.core import Function, Tensor, _segment_sum, _unbroadcast
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: dict[tuple[str, str], object] = {}
-
-#: Backend every thread starts on (overridden per-thread by
-#: :func:`use_backend`).
-_DEFAULT_BACKEND = "numpy"
-
-
-class _DispatchState(threading.local):
-    """Per-thread backend/fusion override stacks.
-
-    Thread-locality is what makes concurrent serving sound: a worker
-    inside ``use_backend(...)`` or ``fusion(False)`` cannot flip another
-    worker's (or the training loop's) dispatch mid-forward.  Fresh
-    threads start with empty stacks, i.e. the numpy backend and fusion
-    on.
-    """
-
-    def __init__(self) -> None:
-        self.backends: list[str] = []
-        self.fusion: list[bool] = []
-
-
-_dispatch = _DispatchState()
-
-
-def register_kernel(name: str, backend: str = "numpy"):
-    """Class decorator registering an implementation for ``name``."""
-
-    def decorate(impl):
-        key = (name, backend)
-        if key in _REGISTRY:
-            raise ValueError(f"kernel {name!r} already registered for backend {backend!r}")
-        _REGISTRY[key] = impl
-        return impl
-
-    return decorate
-
-
-def get_kernel(name: str, backend: str | None = None):
-    """Resolve ``name`` for ``backend`` (default: the active backend).
-
-    Backends may implement a subset of kernels; unresolved names fall
-    back to the reference ``numpy`` implementations.
-    """
-    backend = backend or active_backend()
-    impl = _REGISTRY.get((name, backend))
-    if impl is None and backend != "numpy":
-        impl = _REGISTRY.get((name, "numpy"))
-    if impl is None:
-        raise KeyError(f"no kernel {name!r} for backend {backend!r}")
-    return impl
-
-
-def available_kernels(backend: str | None = None) -> list[str]:
-    """Sorted kernel names registered for ``backend`` (default: all)."""
-    names = {
-        name
-        for name, impl_backend in _REGISTRY
-        if backend is None or impl_backend == backend
-    }
-    return sorted(names)
-
-
-def available_backends() -> list[str]:
-    """Sorted backend names with at least one registered kernel.
-
-    ``get_kernel`` silently falls back to numpy for unknown backend
-    names (forward compatibility for partial backends); callers taking a
-    backend name from *configuration* should validate against this list
-    so a typo fails loudly instead of silently serving numpy.
-    """
-    return sorted({impl_backend for _, impl_backend in _REGISTRY})
-
-
-def active_backend() -> str:
-    """The backend this thread currently dispatches to."""
-    if _dispatch.backends:
-        return _dispatch.backends[-1]
-    return _DEFAULT_BACKEND
+#: The one kernel backend.  ``use_backend`` and ``ServiceConfig.backend``
+#: accept this name and nothing else.
+BACKEND = "numpy"
 
 
 @contextmanager
 def use_backend(name: str):
-    """Dispatch this thread's kernels to ``name`` inside the block."""
-    _dispatch.backends.append(name)
-    try:
-        yield
-    finally:
-        _dispatch.backends.pop()
-
-
-def fusion_enabled() -> bool:
-    """Whether fused kernels are active on this thread (vs primitive ops)."""
-    if _dispatch.fusion:
-        return _dispatch.fusion[-1]
-    return True
-
-
-@contextmanager
-def fusion(enabled: bool):
-    """Force fused kernels on or off on this thread inside the block.
-
-    ``fusion(False)`` routes every kernel entry point through the
-    composed primitive-op implementation -- the reference path used by
-    equivalence tests and as the benchmark baseline.
-    """
-    _dispatch.fusion.append(bool(enabled))
-    try:
-        yield
-    finally:
-        _dispatch.fusion.pop()
+    """Run the block on kernel backend ``name``, which must be :data:`BACKEND`."""
+    if name != BACKEND:
+        raise ValueError(f"unknown kernel backend {name!r}; the only one is {BACKEND!r}")
+    yield
 
 
 # ----------------------------------------------------------------------
-# Cached sparse incidence matrices.
-#
-# Segment reductions over a fixed index array (a batch's ``src``/``dst``)
-# recur once per layer per step; the CSR incidence matrix depends only on
-# the index array, so it is memoized keyed on the array's identity and
-# evicted when the array is garbage collected.
-# ----------------------------------------------------------------------
-_incidence_cache: dict[tuple[int, int, str], object] = {}
-
-
-def _incidence(segments: np.ndarray, num_segments: int, dtype: np.dtype):
-    from scipy import sparse
-
-    key = (id(segments), int(num_segments), np.dtype(dtype).str)
-    cached = _incidence_cache.get(key)
-    if cached is not None:
-        return cached
-    n = segments.shape[0]
-    matrix = sparse.csr_matrix(
-        (np.ones(n, dtype=dtype), (segments, np.arange(n))),
-        shape=(int(num_segments), n),
-    )
-    _incidence_cache[key] = matrix
-    weakref.finalize(segments, _incidence_cache.pop, key, None)
-    return matrix
-
-
-def _segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    """Segment sum over axis 0 using the cached incidence matrix."""
-    # An explicit width, not -1: a batch with no edges has zero rows.
-    flat = values.reshape(segments.shape[0], math.prod(values.shape[1:]))
-    out = _incidence(segments, num_segments, values.dtype) @ flat
-    return np.ascontiguousarray(out.reshape((int(num_segments),) + values.shape[1:]))
-
-
-# ----------------------------------------------------------------------
-# numpy backend implementations
+# Implementations
 # ----------------------------------------------------------------------
 def _common_dtype(*arrays):
     """The numpy promotion dtype of the given arrays (Nones skipped).
 
     Fused kernels write into preallocated buffers with in-place adds, so
     the buffer must already be the *promoted* dtype or a float64 operand
-    would be silently quantized — something the composed reference path
-    (and the engine's Tensor dtype policy) never does.
+    would be silently quantized — something the composed primitive ops
+    (and the engine's Tensor dtype policy) never do.
     """
     return np.result_type(*[a for a in arrays if a is not None])
 
 
-@register_kernel("linear")
-class _LinearNumpy:
+class LinearKernel:
     @staticmethod
     def forward(x, weight, bias=None):
         dtype = _common_dtype(x, weight, bias)
@@ -255,8 +98,7 @@ class _LinearNumpy:
         return grad_x, grad_w, grad_b
 
 
-@register_kernel("silu")
-class _SiLUNumpy:
+class SiLUKernel:
     @staticmethod
     def forward(x):
         # sig = 1 / (1 + exp(-x)), built in place: no temporaries beyond
@@ -281,8 +123,7 @@ class _SiLUNumpy:
         return out
 
 
-@register_kernel("edge_message_linear")
-class _EdgeMessageLinearNumpy:
+class EdgeMessageLinearKernel:
     """Fused ``concat([h[src], h[dst], feat], 1) @ W + b``.
 
     The node-feature blocks of ``W`` are applied *before* the gather, so
@@ -338,8 +179,7 @@ class _EdgeMessageLinearNumpy:
         return grad_h, grad_feat, grad_w, grad_b
 
 
-@register_kernel("concat_linear")
-class _ConcatLinearNumpy:
+class ConcatLinearKernel:
     """Fused ``concat(parts, axis=1) @ W + b`` without the concat buffer."""
 
     @staticmethod
@@ -381,21 +221,7 @@ class _ConcatLinearNumpy:
         return grad_parts, grad_w, grad_b
 
 
-@register_kernel("segment_sum")
-class _SegmentSumNumpy:
-    """Plain segment sum through the cached incidence matrix."""
-
-    @staticmethod
-    def forward(a, segments, num_segments):
-        return _segment_sum(a, segments, num_segments)
-
-    @staticmethod
-    def backward(grad, segments):
-        return np.ascontiguousarray(grad[segments])
-
-
-@register_kernel("mul_segment_sum")
-class _MulSegmentSumNumpy:
+class MulSegmentSumKernel:
     """Fused ``segment_sum(a * b, segments)`` (b may broadcast over columns)."""
 
     @staticmethod
@@ -411,129 +237,85 @@ class _MulSegmentSumNumpy:
         return grad_a, grad_b
 
 
-@register_kernel("gather_diff")
-class _GatherDiffNumpy:
-    """Edge-geometry kernel ``v = pos[dst] - (pos[src] + shift)``."""
-
-    @staticmethod
-    def forward(positions, shift, src, dst):
-        dtype = _common_dtype(positions, shift)
-        if positions.dtype != dtype:
-            # Mixed dtypes: promote instead of accumulating in place.
-            return positions[dst] - (positions[src] + shift)
-        out = allocator.pool_empty((src.shape[0],) + positions.shape[1:], dtype)
-        np.subtract(positions[dst], positions[src], out=out)
+def edge_geometry_arrays(
+    positions: np.ndarray,
+    shift: np.ndarray | None,
+    src: np.ndarray,
+    dst: np.ndarray,
+    eps: float = 1e-9,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors ``pos[dst] - (pos[src] + shift)`` and their lengths, clamped to ``eps``."""
+    dtype = _common_dtype(positions, shift)
+    if positions.dtype != dtype:
+        # Mixed dtypes: promote instead of accumulating in place.
+        vectors = positions[dst] - (positions[src] + shift)
+    else:
+        vectors = allocator.pool_empty((src.shape[0],) + positions.shape[1:], dtype)
+        np.subtract(positions[dst], positions[src], out=vectors)
         if shift is not None:
-            out -= shift
-        return out
-
-    @staticmethod
-    def geometry(positions, shift, src, dst, eps: float = 1e-9):
-        """Fused vectors + distances pass used by ``EdgeGeometry``."""
-        vectors = _GatherDiffNumpy.forward(positions, shift, src, dst)
-        distances = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
-        np.maximum(distances, eps, out=distances)
-        return vectors, distances
-
-    @staticmethod
-    def backward(grad, src, dst, num_nodes, shift_shape, needs=(True, True)):
-        need_pos, need_shift = needs
-        grad_pos = grad_shift = None
-        if need_pos:
-            grad_pos = allocator.pool_zeros((num_nodes,) + grad.shape[1:], grad.dtype)
-            np.add.at(grad_pos, dst, grad)
-            np.subtract.at(grad_pos, src, grad)
-        if need_shift:
-            grad_shift = _unbroadcast(-grad, shift_shape)
-        return grad_pos, grad_shift
+            vectors -= shift
+    distances = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+    np.maximum(distances, eps, out=distances)
+    return vectors, distances
 
 
 # ----------------------------------------------------------------------
-# Autograd wrappers.
-#
-# Besides ``forward``/``backward``/``infer``, each wrapper implements the
-# execution-plan protocol: ``kernel_name`` identifies the registry entry
-# the tracer freezes, and ``infer_with(impl, ...)`` is ``infer`` with the
-# registry lookup already done — the form plan replay calls in its tight
-# loop.
+# Autograd wrappers.  ``infer`` takes index arrays already converted by
+# the entry points below; it is the callable an execution plan replays.
 # ----------------------------------------------------------------------
 class FusedLinear(Function):
     """One-node ``x @ W (+ b)``."""
 
-    kernel_name = "linear"
-
     def forward(self, x, weight, bias=None):
         self.x, self.weight = x, weight
         self.bias_shape = None if bias is None else bias.shape
-        return get_kernel("linear").forward(x, weight, bias)
+        return LinearKernel.forward(x, weight, bias)
 
     @staticmethod
     def infer(x, weight, bias=None):
-        return get_kernel("linear").forward(x, weight, bias)
-
-    @staticmethod
-    def infer_with(impl, x, weight, bias=None):
-        return impl.forward(x, weight, bias)
+        return LinearKernel.forward(x, weight, bias)
 
     def backward(self, grad):
         needs = tuple(p.requires_grad for p in self.parents) + (False,) * (3 - len(self.parents))
-        grads = get_kernel("linear").backward(grad, self.x, self.weight, self.bias_shape, needs)
+        grads = LinearKernel.backward(grad, self.x, self.weight, self.bias_shape, needs)
         return grads[: len(self.parents)]
 
 
 class FusedSiLU(Function):
     """One-node ``x * sigmoid(x)``."""
 
-    kernel_name = "silu"
-
     def forward(self, x):
-        out, sig = get_kernel("silu").forward(x)
+        out, sig = SiLUKernel.forward(x)
         self.x, self.sig = x, sig
         return out
 
     @staticmethod
     def infer(x):
-        out, _ = get_kernel("silu").forward(x)
-        return out
-
-    @staticmethod
-    def infer_with(impl, x):
-        out, _ = impl.forward(x)
+        out, _ = SiLUKernel.forward(x)
         return out
 
     def backward(self, grad):
-        return (get_kernel("silu").backward(grad, self.x, self.sig),)
+        return (SiLUKernel.backward(grad, self.x, self.sig),)
 
 
 class EdgeMessageLinear(Function):
     """Fused ``gather -> concat -> linear`` over edges."""
 
-    kernel_name = "edge_message_linear"
-
-    @staticmethod
-    def infer_with(impl, h, feat, weight, bias=None, src=None, dst=None):
-        return impl.forward(h, feat, weight, bias, src, dst)
-
     def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
+        self.src, self.dst = src, dst
 
     def forward(self, h, feat, weight, bias=None):
         self.h, self.feat, self.weight = h, feat, weight
         self.bias_shape = None if bias is None else bias.shape
-        return get_kernel("edge_message_linear").forward(
-            h, feat, weight, bias, self.src, self.dst
-        )
+        return EdgeMessageLinearKernel.forward(h, feat, weight, bias, self.src, self.dst)
 
-    @classmethod
-    def infer(cls, h, feat, weight, bias=None, src=None, dst=None):
-        return get_kernel("edge_message_linear").forward(
-            h, feat, weight, bias, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        )
+    @staticmethod
+    def infer(h, feat, weight, bias=None, src=None, dst=None):
+        return EdgeMessageLinearKernel.forward(h, feat, weight, bias, src, dst)
 
     def backward(self, grad):
         needs = tuple(p.requires_grad for p in self.parents) + (False,) * (4 - len(self.parents))
-        grads = get_kernel("edge_message_linear").backward(
+        grads = EdgeMessageLinearKernel.backward(
             grad, self.h, self.feat, self.weight, self.src, self.dst, self.bias_shape, needs
         )
         return grads[: len(self.parents)]
@@ -541,13 +323,6 @@ class EdgeMessageLinear(Function):
 
 class ConcatLinear(Function):
     """Fused ``concat(parts, axis=1) @ W (+ b)``."""
-
-    kernel_name = "concat_linear"
-
-    @staticmethod
-    def infer_with(impl, *arrays, num_parts, has_bias):
-        bias = arrays[num_parts + 1] if has_bias else None
-        return impl.forward(arrays[:num_parts], arrays[num_parts], bias)
 
     def __init__(self, num_parts: int, has_bias: bool) -> None:
         self.num_parts = num_parts
@@ -558,17 +333,17 @@ class ConcatLinear(Function):
         self.weight = arrays[self.num_parts]
         bias = arrays[self.num_parts + 1] if self.has_bias else None
         self.bias_shape = None if bias is None else bias.shape
-        return get_kernel("concat_linear").forward(self.parts, self.weight, bias)
+        return ConcatLinearKernel.forward(self.parts, self.weight, bias)
 
-    @classmethod
-    def infer(cls, *arrays, num_parts, has_bias):
+    @staticmethod
+    def infer(*arrays, num_parts, has_bias):
         bias = arrays[num_parts + 1] if has_bias else None
-        return get_kernel("concat_linear").forward(arrays[:num_parts], arrays[num_parts], bias)
+        return ConcatLinearKernel.forward(arrays[:num_parts], arrays[num_parts], bias)
 
     def backward(self, grad):
         flags = [p.requires_grad for p in self.parents]
         needs = (flags[: self.num_parts], flags[self.num_parts], self.has_bias and flags[-1])
-        grad_parts, grad_w, grad_b = get_kernel("concat_linear").backward(
+        grad_parts, grad_w, grad_b = ConcatLinearKernel.backward(
             grad, self.parts, self.weight, self.bias_shape, needs
         )
         out = tuple(grad_parts) + (grad_w,)
@@ -577,120 +352,37 @@ class ConcatLinear(Function):
         return out
 
 
-class CachedSegmentSum(Function):
-    """Segment sum reusing the per-batch cached incidence matrix.
-
-    Same math as :class:`repro.tensor.core.SegmentSum`, but the CSR
-    incidence build is memoized on the index array instead of being
-    reconstructed every layer every step.
-    """
-
-    # Plan protocol shared with core.SegmentSum — both ops freeze to the
-    # same registry kernel, so the replay signature lives in one place.
-    kernel_name = "segment_sum"
-    infer_with = staticmethod(_CoreSegmentSum.infer_with)
-
-    def __init__(self, segments: np.ndarray, num_segments: int) -> None:
-        self.segments = np.asarray(segments, dtype=np.int64)
-        self.num_segments = int(num_segments)
-
-    def forward(self, a):
-        return get_kernel("segment_sum").forward(a, self.segments, self.num_segments)
-
-    @classmethod
-    def infer(cls, a, segments, num_segments):
-        return get_kernel("segment_sum").forward(
-            a, np.asarray(segments, dtype=np.int64), int(num_segments)
-        )
-
-    def backward(self, grad):
-        return (get_kernel("segment_sum").backward(grad, self.segments),)
-
-
 class MulSegmentSum(Function):
     """Fused ``segment_sum(a * b, segments, num_segments)``."""
 
-    kernel_name = "mul_segment_sum"
-
-    @staticmethod
-    def infer_with(impl, a, b, segments=None, num_segments=None):
-        return impl.forward(a, b, segments, num_segments)
-
     def __init__(self, segments: np.ndarray, num_segments: int) -> None:
-        self.segments = np.asarray(segments, dtype=np.int64)
-        self.num_segments = int(num_segments)
+        self.segments, self.num_segments = segments, num_segments
 
     def forward(self, a, b):
         self.a, self.b = a, b
-        return get_kernel("mul_segment_sum").forward(a, b, self.segments, self.num_segments)
+        return MulSegmentSumKernel.forward(a, b, self.segments, self.num_segments)
 
-    @classmethod
-    def infer(cls, a, b, segments, num_segments):
-        return get_kernel("mul_segment_sum").forward(
-            a, b, np.asarray(segments, dtype=np.int64), int(num_segments)
-        )
+    @staticmethod
+    def infer(a, b, segments, num_segments):
+        return MulSegmentSumKernel.forward(a, b, segments, num_segments)
 
     def backward(self, grad):
         needs = tuple(p.requires_grad for p in self.parents)
-        return get_kernel("mul_segment_sum").backward(
-            grad, self.a, self.b, self.segments, needs
-        )
-
-
-class GatherDiff(Function):
-    """Fused ``pos[dst] - (pos[src] + shift)`` with hand-written backward."""
-
-    kernel_name = "gather_diff"
-
-    @staticmethod
-    def infer_with(impl, positions, shift=None, src=None, dst=None):
-        return impl.forward(positions, shift, src, dst)
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-
-    def forward(self, positions, shift=None):
-        self.num_nodes = positions.shape[0]
-        self.shift_shape = None if shift is None else shift.shape
-        return get_kernel("gather_diff").forward(positions, shift, self.src, self.dst)
-
-    @classmethod
-    def infer(cls, positions, shift=None, src=None, dst=None):
-        return get_kernel("gather_diff").forward(
-            positions, shift, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        )
-
-    def backward(self, grad):
-        needs = tuple(p.requires_grad for p in self.parents) + (False,) * (2 - len(self.parents))
-        grads = get_kernel("gather_diff").backward(
-            grad, self.src, self.dst, self.num_nodes, self.shift_shape, needs
-        )
-        return grads[: len(self.parents)]
+        return MulSegmentSumKernel.backward(grad, self.a, self.b, self.segments, needs)
 
 
 # ----------------------------------------------------------------------
-# Public entry points (fusion-aware)
+# Public entry points
 # ----------------------------------------------------------------------
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map through the dispatch layer.
-
-    With fusion disabled this decomposes into the primitive op chain
-    (``matmul`` + ``add``), the reference the fused kernel is verified
-    against.
-    """
-    if not fusion_enabled():
-        out = x @ weight
-        return out if bias is None else out + bias
+    """Affine map ``x @ W (+ b)`` as one node."""
     if bias is None:
         return FusedLinear.apply(x, weight)
     return FusedLinear.apply(x, weight, bias)
 
 
 def silu(x: Tensor) -> Tensor:
-    """Fused SiLU (falls back to ``x * sigmoid(x)`` with fusion off)."""
-    if not fusion_enabled():
-        return x * x.sigmoid()
+    """SiLU ``x * sigmoid(x)`` as one node."""
     return FusedSiLU.apply(x)
 
 
@@ -703,12 +395,8 @@ def edge_message_linear(
     dst: np.ndarray,
 ) -> Tensor:
     """Fused message-passing entry: ``concat([h[src], h[dst], feat]) @ W + b``."""
-    from repro.tensor.core import concat, gather
-
-    if not fusion_enabled():
-        edge_input = concat([gather(h, src), gather(h, dst), feat], axis=1)
-        out = edge_input @ weight
-        return out if bias is None else out + bias
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     if bias is None:
         return EdgeMessageLinear.apply(h, feat, weight, src=src, dst=dst)
     return EdgeMessageLinear.apply(h, feat, weight, bias, src=src, dst=dst)
@@ -716,53 +404,13 @@ def edge_message_linear(
 
 def concat_linear(parts: list[Tensor], weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Fused ``concat(parts, axis=1) @ W + b``."""
-    from repro.tensor.core import concat
-
-    if not fusion_enabled():
-        out = concat(list(parts), axis=1) @ weight
-        return out if bias is None else out + bias
     tensors = tuple(parts) + (weight,)
     if bias is not None:
         tensors += (bias,)
     return ConcatLinear.apply(*tensors, num_parts=len(parts), has_bias=bias is not None)
 
 
-def segment_sum(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Segment sum with the incidence matrix cached per index array."""
-    from repro.tensor.core import segment_sum as core_segment_sum
-
-    if not fusion_enabled():
-        return core_segment_sum(a, segments, num_segments)
-    return CachedSegmentSum.apply(a, segments=segments, num_segments=num_segments)
-
-
 def mul_segment_sum(a: Tensor, b: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     """Fused ``segment_sum(a * b)``."""
-    from repro.tensor.core import segment_sum
-
-    if not fusion_enabled():
-        return segment_sum(a * b, segments, num_segments)
+    segments = np.asarray(segments, dtype=np.int64)
     return MulSegmentSum.apply(a, b, segments=segments, num_segments=num_segments)
-
-
-def gather_diff(positions: Tensor, shift: Tensor | None, src: np.ndarray, dst: np.ndarray) -> Tensor:
-    """Edge displacement vectors ``pos[dst] - (pos[src] + shift)``."""
-    from repro.tensor.core import gather
-
-    if not fusion_enabled():
-        out = gather(positions, dst) - gather(positions, src)
-        return out if shift is None else out - shift
-    if shift is None:
-        return GatherDiff.apply(positions, src=src, dst=dst)
-    return GatherDiff.apply(positions, shift, src=src, dst=dst)
-
-
-def edge_geometry_arrays(
-    positions: np.ndarray,
-    shift: np.ndarray | None,
-    src: np.ndarray,
-    dst: np.ndarray,
-    eps: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (vectors, clamped distances) pass for batch preprocessing."""
-    return get_kernel("gather_diff").geometry(positions, shift, src, dst, eps)

@@ -2,9 +2,9 @@
 
 The ``no_grad`` fast path skips autograd ``Function`` nodes but still
 pays full Python dispatch on every served forward: a ``Tensor`` wrapper
-and module call per op, and a kernel-registry lookup per kernel.  For a
-serving replica answering the same *shapes* of traffic all day, that
-cost should be paid once per shape bucket, not per request.
+and module call per op.  For a serving replica answering the same
+*shapes* of traffic all day, that cost should be paid once per shape
+bucket, not per request.
 
 This module is the tracing compiler that makes it so:
 
@@ -14,9 +14,8 @@ This module is the tracing compiler that makes it so:
   :meth:`PlanTracer.record`, which resolves each argument to a *slot*
   (a previous step's output), a *named input* (a batch-derived array the
   prologue recomputes per replay), or a *baked constant* (model
-  parameters, scalar coercions).  Kernel ops are frozen to the active
-  backend's registry implementation **now**, so replays never consult
-  the registry again.
+  parameters, scalar coercions).  Each op is frozen to its ``infer``,
+  the same callable the traced forward ran.
 - **Scratch.**  A replay draws its scratch from whatever
   :class:`~repro.tensor.allocator.BufferPool` the caller has active (the
   service's shared pool for a served forward; plain ``np.empty`` with
@@ -26,7 +25,7 @@ This module is the tracing compiler that makes it so:
 - **Replay.**  :meth:`ExecutionPlan.replay` recomputes the batch-derived
   inputs (edge geometry, pooling weights — work the unplanned path does
   too), then runs the step list as generated straight-line code over raw
-  ndarrays: no ``Tensor`` objects, no registry lookups.  The first
+  ndarrays: no ``Tensor`` objects, no module calls.  The first
   replay is verified bit-identical to the traced forward before the plan
   is admitted.
 
@@ -41,23 +40,20 @@ Safety rails, because a wrong plan is worse than a slow one:
   ``num_nodes``/``num_graphs`` dimension it tracks (disambiguated by
   which input array indexes the segments), so replays with a different
   atom count in the same bucket reduce into the right number of rows.
-- :class:`PlanCache` keys plans on power-of-two buckets
-  of ``(nodes, edges, graphs)`` plus the active backend and fusion mode,
-  watches parameter storage identity (a rebound parameter array drops
-  every plan), and falls back to the unplanned path — permanently, per
-  key — whenever compilation refuses.
+- :class:`PlanCache` keys plans on power-of-two buckets of ``(nodes,
+  edges, graphs)``, watches parameter storage identity (a rebound
+  parameter array drops every plan), and falls back to the unplanned
+  path — permanently, per key — whenever compilation refuses.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.tensor.core import DEFAULT_DTYPE, Tensor, no_grad, tracing
-from repro.tensor import kernels
 
 
 class PlanTraceError(RuntimeError):
@@ -92,7 +88,7 @@ class _Step:
         self.args = args  # tuple[(kind, payload), ...]
         self.kwargs = kwargs  # dict[str, (kind, payload)]
         self.out = out  # output slot index
-        self.label = label  # e.g. "FusedLinear[numpy]" — introspection only
+        self.label = label  # the op's class name — introspection only
 
 
 class PlanTracer:
@@ -150,12 +146,11 @@ class PlanTracer:
         out = cls.infer(*arrays, **kwargs)
         if not isinstance(out, np.ndarray):
             out = np.asarray(out)
-        fn, label = self._freeze(cls)
         slot = self.num_slots
         self.num_slots += 1
         self._slot_of[id(out)] = slot
         self._live.append(out)
-        self.steps.append(_Step(fn, args, kw, slot, label))
+        self.steps.append(_Step(cls.infer, args, kw, slot, cls.__name__))
         return out
 
     def _ref(self, value):
@@ -195,18 +190,9 @@ class PlanTracer:
                 )
         return (_CONST, value)
 
-    def _freeze(self, cls):
-        """The replay callable: registry-free for kernel-backed ops."""
-        name = getattr(cls, "kernel_name", None)
-        if name is None:
-            return cls.infer, cls.__name__
-        backend = kernels.active_backend()
-        impl = kernels.get_kernel(name, backend=backend)
-        return functools.partial(cls.infer_with, impl), f"{cls.__name__}[{backend}]"
-
 
 class ExecutionPlan:
-    """A frozen kernel program for one (model, shape-bucket, dispatch mode)."""
+    """A frozen kernel program for one (model, shape-bucket)."""
 
     def __init__(
         self,
@@ -425,20 +411,12 @@ def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
     return plan, outputs
 
 
-def plan_key(batch) -> tuple:
-    """The cache key: power-of-two shape buckets + dispatch mode.
+def plan_key(batch) -> tuple[int, int, int]:
+    """The cache key: power-of-two buckets of (nodes, edges, graphs).
 
-    Bucketing bounds how many plans a model compiles; the backend and
-    fusion components keep plans compiled under one dispatch mode from
-    replaying under another.
+    Bucketing bounds how many plans a model compiles.
     """
-    return (
-        bucket(batch.num_nodes),
-        bucket(batch.num_edges),
-        bucket(batch.num_graphs),
-        kernels.active_backend(),
-        kernels.fusion_enabled(),
-    )
+    return bucket(batch.num_nodes), bucket(batch.num_edges), bucket(batch.num_graphs)
 
 
 # ----------------------------------------------------------------------

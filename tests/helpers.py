@@ -2,58 +2,32 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import threading
+from collections import Counter
 
 import numpy as np
 
-from repro.tensor import kernels
 from repro.tensor.core import Tensor
 
 
-@contextmanager
-def registered_backend(name: str, **impls):
-    """Register ``impls`` (kernel name → implementation) as backend ``name`` for the block."""
-    for kernel, impl in impls.items():
-        kernels.register_kernel(kernel, backend=name)(impl)
-    try:
-        yield name
-    finally:
-        for kernel in impls:
-            kernels._REGISTRY.pop((kernel, name), None)
+def count_calls(monkeypatch, owner, *names: str) -> Counter:
+    """Swap each ``owner.<name>`` for a pass-through that counts its calls.
 
-
-@contextmanager
-def delegating_backend(name: str = "delegate"):
-    """Register backend ``name`` for every numpy kernel, forwarding to numpy.
-
-    Yields a counter of ``(kernel, method)`` calls, so a test can tell the
-    backend really ran, on whichever thread dispatched to it.
+    Used on the kernel implementations (``kernels.LinearKernel`` ...) to
+    show which code a forward, backward or plan replay really ran.  The
+    counter is locked, so the substitutes may run on serving workers.
     """
-    import threading
-    from collections import Counter
-
     calls: Counter = Counter()
     lock = threading.Lock()
+    for name in names:
 
-    def counted(kernel, method, target):
-        def call(*args, **kwargs):
+        def call(*args, _name=name, _target=getattr(owner, name), **kwargs):
             with lock:
-                calls[(kernel, method)] += 1
-            return target(*args, **kwargs)
+                calls[_name] += 1
+            return _target(*args, **kwargs)
 
-        return staticmethod(call)
-
-    impls = {}
-    for kernel in kernels.available_kernels("numpy"):
-        reference = kernels.get_kernel(kernel, backend="numpy")
-        methods = {
-            method: counted(kernel, method, getattr(reference, method))
-            for method in ("forward", "backward", "geometry")
-            if hasattr(reference, method)
-        }
-        impls[kernel] = type(f"Delegate_{kernel}", (), methods)
-    with registered_backend(name, **impls):
-        yield calls
+        monkeypatch.setattr(owner, name, call)
+    return calls
 
 
 def numeric_gradient(f, arrays: list[np.ndarray], index: int, eps: float = 1e-6) -> np.ndarray:

@@ -16,6 +16,7 @@ from repro.models.egnn import edge_geometry_arrays_for
 from repro.tensor import kernels, no_grad
 from repro.tensor.plan import compile_plan, plan_inputs
 from tests.helpers import make_molecule_graphs, make_periodic_graphs
+from tests.reference import composed_ops
 
 
 @pytest.fixture(scope="module")
@@ -182,15 +183,13 @@ class TestCheckpointingParity:
 
 
 class TestFusedKernelParity:
-    """The fused dispatch path must match the composed primitive-op path."""
+    """The fused kernels must match the composed primitive ops they replace."""
 
     def test_forward_identical(self, batch):
-        from repro.tensor import kernels
-
         model = HydraModel(ModelConfig(hidden_dim=32, num_layers=3, attention=True), seed=6)
         with no_grad():
             fused = model(batch)
-            with kernels.fusion(False):
+            with composed_ops():
                 reference = model(batch)
         for key in ("energy", "forces"):
             assert np.allclose(
@@ -198,8 +197,6 @@ class TestFusedKernelParity:
             ), key
 
     def test_backward_identical(self, batch):
-        from repro.tensor import kernels
-
         model = HydraModel(ModelConfig(hidden_dim=32, num_layers=2), seed=6)
         target_e = np.zeros((batch.num_graphs, 1), dtype=np.float32)
         target_f = np.zeros((batch.num_nodes, 3), dtype=np.float32)
@@ -209,7 +206,7 @@ class TestFusedKernelParity:
         fused_grads = {name: p.grad.copy() for name, p in model.named_parameters()}
 
         model.zero_grad()
-        with kernels.fusion(False):
+        with composed_ops():
             model.loss(model(batch), target_e, target_f).backward()
         for name, param in model.named_parameters():
             assert param.grad is not None, name

@@ -194,6 +194,18 @@ class TestGroupEnqueue:
         assert [r.key for r in batch] == ["0", "1", "2", "3", "4"]
 
 
+def test_expired_reads_the_instant_it_is_given():
+    """``now=0.0`` is an instant, not "no instant": the wall clock is not read."""
+    request = _requests(1)[0]
+    request.deadline = 1.0
+    assert not request.expired(now=0.0)
+    assert request.expired(now=1.0)
+    request.deadline = -1.0
+    assert request.expired(now=0.0)
+    request.deadline = None
+    assert not request.expired(now=0.0)
+
+
 def test_oversized_structure_ships_alone():
     requests = _requests(3)
     big = max(requests, key=lambda r: r.n_atoms)

@@ -11,10 +11,10 @@ import pytest
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
 from repro.serving import PredictionService, ServeRequest, ServiceConfig
-from repro.tensor import function_nodes_created
+from repro.tensor import function_nodes_created, kernels
 from tests.helpers import (
     GatedModel,
-    delegating_backend,
+    count_calls,
     make_molecule_graphs,
     make_periodic_graphs,
     predicted_split,
@@ -285,21 +285,19 @@ class TestConcurrentServing:
         # not quietly come back.
         assert not hasattr(PredictionService(model), "_model_lock")
 
-    def test_workers4_under_registered_backend(self, model):
-        # ServiceConfig.backend reaches the worker threads: their forwards
-        # dispatch to the configured backend, not their thread's default.
+    def test_workers4_run_a_substituted_kernel(self, model, monkeypatch):
+        # Worker threads call each op's one implementation: a substitute
+        # patched over it runs in their forwards too.
         graphs = make_molecule_graphs(8, seed=22)
-        with delegating_backend("delegate") as calls:
-            config = ServiceConfig(
-                max_graphs=4, max_atoms=10**9, cache_capacity=0, backend="delegate"
-            )
-            inline = PredictionService(model, config).predict_many(list(graphs))
-            service = PredictionService(model, config)
-            before = calls[("edge_message_linear", "forward")]
-            with service.start(workers=4):
-                served = service.predict_many(list(graphs))
-            assert calls[("edge_message_linear", "forward")] > before
-            assert service.telemetry()["engine"]["backend"] == "delegate"
+        calls = count_calls(monkeypatch, kernels.EdgeMessageLinearKernel, "forward")
+        config = ServiceConfig(max_graphs=4, max_atoms=10**9, cache_capacity=0, backend="numpy")
+        inline = PredictionService(model, config).predict_many(list(graphs))
+        service = PredictionService(model, config)
+        before = calls["forward"]
+        with service.start(workers=4):
+            served = service.predict_many(list(graphs))
+        assert calls["forward"] > before
+        assert service.telemetry()["engine"]["backend"] == "numpy"
         for a, b in zip(inline, served):
             assert abs(a.energy - b.energy) < 1e-5
 
@@ -308,8 +306,8 @@ class TestConcurrentServing:
         assert service.telemetry()["engine"] == {"backend": "numpy", "physical_units": False}
 
     def test_unknown_backend_rejected_at_construction(self, model):
-        # get_kernel silently falls back to numpy for unknown backends,
-        # so a typo'd (or retired) config must fail loudly here instead.
+        # numpy is the only backend: a typo'd (or retired) name fails
+        # loudly instead of serving numpy under another name.
         for backend in ("paralell", "parallel", "auto"):
             with pytest.raises(ValueError, match="unknown kernel backend"):
                 PredictionService(model, ServiceConfig(backend=backend))

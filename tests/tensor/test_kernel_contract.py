@@ -1,26 +1,19 @@
-"""The raw-array kernel contract every registered backend must meet.
+"""The raw-array contract of each fused kernel.
 
 Each test calls one kernel's ``forward``/``backward`` directly on numpy
-arrays — the interface a backend implements — and checks it against
-the plain numpy expression the kernel fuses.  Cases run in float32 and
-float64 (a kernel keeps its input dtype) and on empty inputs (a batch of
-isolated atoms has no edges).  The suite is parametrized over
-:func:`~repro.tensor.kernels.available_backends`, so a backend
-registered in the package is held to the same contract as ``numpy``.
+arrays and checks it against the plain numpy expression the kernel
+fuses.  Cases run in float32 and float64 (a kernel keeps its input
+dtype) and on empty inputs (a batch of isolated atoms has no edges).
 """
 
 import numpy as np
 import pytest
 
 from repro.tensor import kernels
+from repro.tensor.core import SegmentSum
 
 DTYPES = [np.float32, np.float64]
 TOLERANCE = {np.float32: 1e-4, np.float64: 1e-10}
-
-
-@pytest.fixture(params=kernels.available_backends())
-def backend(request):
-    return request.param
 
 
 @pytest.fixture(params=DTYPES, ids=lambda dtype: np.dtype(dtype).name)
@@ -55,10 +48,10 @@ def check(got, expected, dtype, tol=None):
     np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
 
 
-def test_linear(backend, dtype, populated, rng):
+def test_linear(dtype, populated, rng):
     rows = 300 if populated else 0
     x, w, b = normal(rng, (rows, 24), dtype), normal(rng, (24, 16), dtype), normal(rng, (16,), dtype)
-    impl = kernels.get_kernel("linear", backend)
+    impl = kernels.LinearKernel
     check(impl.forward(x, w, b), x @ w + b, dtype)
     grad = normal(rng, (rows, 16), dtype)
     grad_x, grad_w, grad_b = impl.backward(grad, x, w, b.shape)
@@ -67,9 +60,9 @@ def test_linear(backend, dtype, populated, rng):
     check(grad_b, grad.sum(axis=0), dtype)
 
 
-def test_silu(backend, dtype, populated, rng):
+def test_silu(dtype, populated, rng):
     x = normal(rng, (257 if populated else 0, 33), dtype)
-    impl = kernels.get_kernel("silu", backend)
+    impl = kernels.SiLUKernel
     out, sig = impl.forward(x)
     expected_sig = 1.0 / (1.0 + np.exp(-x))
     check(sig, expected_sig, dtype)
@@ -78,7 +71,7 @@ def test_silu(backend, dtype, populated, rng):
     check(impl.backward(grad, x, sig), grad * expected_sig * (1.0 + x * (1.0 - expected_sig)), dtype)
 
 
-def test_edge_message_linear(backend, dtype, populated, rng):
+def test_edge_message_linear(dtype, populated, rng):
     nodes, edges, width, feat_width, out_width = 60, 400 if populated else 0, 16, 8, 12
     h = normal(rng, (nodes, width), dtype)
     feat = normal(rng, (edges, feat_width), dtype)
@@ -86,7 +79,7 @@ def test_edge_message_linear(backend, dtype, populated, rng):
     bias = normal(rng, (out_width,), dtype)
     src = rng.integers(0, nodes, edges).astype(np.int64)
     dst = rng.integers(0, nodes, edges).astype(np.int64)
-    impl = kernels.get_kernel("edge_message_linear", backend)
+    impl = kernels.EdgeMessageLinearKernel
     edge_input = np.concatenate([h[src], h[dst], feat], axis=1)
     check(impl.forward(h, feat, weight, bias, src, dst), edge_input @ weight + bias, dtype)
 
@@ -101,11 +94,11 @@ def test_edge_message_linear(backend, dtype, populated, rng):
     check(grad_b, grad.sum(axis=0), dtype)
 
 
-def test_concat_linear(backend, dtype, populated, rng):
+def test_concat_linear(dtype, populated, rng):
     rows = 220 if populated else 0
     parts = [normal(rng, (rows, width), dtype) for width in (8, 16, 4)]
     weight, bias = normal(rng, (28, 10), dtype), normal(rng, (10,), dtype)
-    impl = kernels.get_kernel("concat_linear", backend)
+    impl = kernels.ConcatLinearKernel
     joined = np.concatenate(parts, axis=1)
     check(impl.forward(parts, weight, bias), joined @ weight + bias, dtype)
 
@@ -118,21 +111,21 @@ def test_concat_linear(backend, dtype, populated, rng):
     check(grad_b, grad.sum(axis=0), dtype)
 
 
-def test_segment_sum(backend, dtype, populated, rng):
+def test_segment_sum(dtype, populated, rng):
     rows = 500 if populated else 0
     values = normal(rng, (rows, 7), dtype)
     segments = np.sort(rng.integers(0, 40, rows)).astype(np.int64)
-    impl = kernels.get_kernel("segment_sum", backend)
-    check(impl.forward(values, segments, 40), scatter_add(values, segments, 40), dtype)
+    check(SegmentSum.infer(values, segments, 40), scatter_add(values, segments, 40), dtype)
     grad = normal(rng, (40, 7), dtype)
-    check(impl.backward(grad, segments), grad[segments], dtype)
+    (grad_values,) = SegmentSum(segments, 40).backward(grad)
+    check(grad_values, grad[segments], dtype)
 
 
-def test_mul_segment_sum(backend, dtype, populated, rng):
+def test_mul_segment_sum(dtype, populated, rng):
     rows = 480 if populated else 0
     a, b = normal(rng, (rows, 3), dtype), normal(rng, (rows, 1), dtype)
     segments = np.sort(rng.integers(0, 33, rows)).astype(np.int64)
-    impl = kernels.get_kernel("mul_segment_sum", backend)
+    impl = kernels.MulSegmentSumKernel
     check(impl.forward(a, b, segments, 33), scatter_add(a * b, segments, 33), dtype)
     grad = normal(rng, (33, 3), dtype)
     grad_a, grad_b = impl.backward(grad, a, b, segments)
@@ -140,22 +133,15 @@ def test_mul_segment_sum(backend, dtype, populated, rng):
     check(grad_b, (grad[segments] * a).sum(axis=1, keepdims=True), dtype)
 
 
-def test_gather_diff_and_geometry(backend, dtype, populated, rng):
+def test_edge_geometry(dtype, populated, rng):
     nodes, edges = 90, 600 if populated else 0
     positions, shift = normal(rng, (nodes, 3), dtype), normal(rng, (edges, 3), dtype)
     src = rng.integers(0, nodes, edges).astype(np.int64)
     dst = rng.integers(0, nodes, edges).astype(np.int64)
-    impl = kernels.get_kernel("gather_diff", backend)
     expected = positions[dst] - (positions[src] + shift)
-    check(impl.forward(positions, shift, src, dst), expected, dtype)
-    vectors, distances = impl.geometry(positions, shift, src, dst)
+    vectors, distances = kernels.edge_geometry_arrays(positions, shift, src, dst)
     check(vectors, expected, dtype)
     check(distances, np.maximum(np.linalg.norm(expected, axis=1), 1e-9), dtype)
-
-    grad = normal(rng, (edges, 3), dtype)
-    grad_pos, grad_shift = impl.backward(grad, src, dst, nodes, shift.shape)
-    check(grad_pos, scatter_add(grad, dst, nodes) - scatter_add(grad, src, nodes), dtype)
-    check(grad_shift, -grad, dtype)
 
 
 def _mixed_dtype_case(kernel, rng):
@@ -180,8 +166,16 @@ def _mixed_dtype_case(kernel, rng):
     return (positions, shift, src, dst), positions[dst] - (positions[src] + shift)
 
 
-@pytest.mark.parametrize("kernel", ["linear", "edge_message_linear", "concat_linear", "gather_diff"])
-def test_mixed_dtypes_promote_instead_of_quantizing(backend, kernel, rng):
+IMPLEMENTATIONS = {
+    "linear": kernels.LinearKernel.forward,
+    "edge_message_linear": kernels.EdgeMessageLinearKernel.forward,
+    "concat_linear": kernels.ConcatLinearKernel.forward,
+    "edge_geometry": lambda *args: kernels.edge_geometry_arrays(*args)[0],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(IMPLEMENTATIONS))
+def test_mixed_dtypes_promote_instead_of_quantizing(kernel, rng):
     """A float64 operand promotes the result; it is never rounded to float32.
 
     Products of float32 blocks may be formed in float32 before the
@@ -189,18 +183,17 @@ def test_mixed_dtypes_promote_instead_of_quantizing(backend, kernel, rng):
     """
     args, expected = _mixed_dtype_case(kernel, rng)
     assert expected.dtype == np.float64
-    out = kernels.get_kernel(kernel, backend).forward(*args)
+    out = IMPLEMENTATIONS[kernel](*args)
     check(out, expected, np.float64, tol=TOLERANCE[np.float32])
 
 
 @pytest.mark.parametrize("bad", ["src", "dst"])
-@pytest.mark.parametrize("kernel", ["edge_message_linear", "gather_diff"])
-def test_gathers_bounds_check(backend, kernel, bad, rng):
+@pytest.mark.parametrize("kernel", ["edge_message_linear", "edge_geometry"])
+def test_gathers_bounds_check(kernel, bad, rng):
     """An out-of-range edge endpoint raises; it is never clipped or wrapped."""
     nodes, edges = 20, 30
     index = {name: rng.integers(0, nodes, edges).astype(np.int64) for name in ("src", "dst")}
     index[bad][7] = nodes
-    impl = kernels.get_kernel(kernel, backend)
     if kernel == "edge_message_linear":
         h = normal(rng, (nodes, 4), np.float32)
         feat = normal(rng, (edges, 2), np.float32)
@@ -208,4 +201,4 @@ def test_gathers_bounds_check(backend, kernel, bad, rng):
     else:
         args = (normal(rng, (nodes, 3), np.float32), normal(rng, (edges, 3), np.float32))
     with pytest.raises(IndexError):
-        impl.forward(*args, index["src"], index["dst"])
+        IMPLEMENTATIONS[kernel](*args, index["src"], index["dst"])

@@ -1,4 +1,4 @@
-"""Kernel-dispatch registry, buffer pool, and the inference fast path."""
+"""Kernel substitution, buffer pool, and the inference fast path."""
 
 import numpy as np
 import pytest
@@ -9,67 +9,8 @@ from repro.models import HydraModel, ModelConfig
 from repro.tensor import kernels
 from repro.tensor.allocator import BufferPool, active_pool, pool_empty, pool_zeros, use_pool
 from repro.tensor.core import Tensor, function_nodes_created, no_grad
-from tests.helpers import (
-    delegating_backend,
-    make_molecule_graphs,
-    make_periodic_graphs,
-    registered_backend,
-)
-
-
-class TestRegistry:
-    def test_core_kernels_registered(self):
-        names = kernels.available_kernels("numpy")
-        for expected in (
-            "linear",
-            "silu",
-            "edge_message_linear",
-            "concat_linear",
-            "segment_sum",
-            "mul_segment_sum",
-            "gather_diff",
-        ):
-            assert expected in names
-
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(KeyError):
-            kernels.get_kernel("definitely_not_a_kernel")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.register_kernel("linear")(object())
-
-    def test_unknown_backend_falls_back_to_numpy(self):
-        with kernels.use_backend("future-accelerator"):
-            assert kernels.active_backend() == "future-accelerator"
-            impl = kernels.get_kernel("linear")
-        assert impl is kernels.get_kernel("linear", backend="numpy")
-
-    def test_backend_override_dispatches(self):
-        calls = []
-
-        class _Probe:
-            @staticmethod
-            def forward(x, weight, bias=None):
-                calls.append("hit")
-                return kernels.get_kernel("linear", backend="numpy").forward(x, weight, bias)
-
-        with registered_backend("test-backend", linear=_Probe):
-            x = Tensor(np.ones((2, 3)))
-            w = Tensor(np.ones((3, 2)))
-            with kernels.use_backend("test-backend"):
-                kernels.linear(x, w)
-            assert calls == ["hit"]
-        assert "test-backend" not in kernels.available_backends()
-
-    def test_fusion_switch_restores(self):
-        assert kernels.fusion_enabled()
-        with kernels.fusion(False):
-            assert not kernels.fusion_enabled()
-            with kernels.fusion(True):
-                assert kernels.fusion_enabled()
-            assert not kernels.fusion_enabled()
-        assert kernels.fusion_enabled()
+from tests.helpers import count_calls, make_molecule_graphs, make_periodic_graphs
+from tests.reference import composed_ops
 
 
 class TestBufferPool:
@@ -231,7 +172,7 @@ class TestInferenceFastPath:
         batch = collate([atom])
         model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
         unplanned = model.predict(batch, plan=False)
-        with kernels.fusion(False):
+        with composed_ops():
             reference = model.predict(batch, plan=False)
         model.predict(batch, plan=True)
         replayed = model.predict(batch, plan=True)
@@ -244,81 +185,79 @@ class TestInferenceFastPath:
             np.testing.assert_array_equal(replayed[key].numpy(), unplanned[key].numpy())
 
 
-class TestDelegatingBackend:
-    """A backend registered for every kernel (forwarding to numpy) is what
-    the model runs under ``use_backend``: forward, backward and the
-    no-grad fast path all dispatch to it, with numpy's exact bits."""
+class TestSubstitutedKernels:
+    """Each op has one implementation, called directly: a substitute
+    patched over it runs in forward, backward and the no-grad fast path,
+    with the implementation's exact bits."""
 
     def _batch(self):
         return collate(make_molecule_graphs(4, seed=5) + make_periodic_graphs(2, seed=5))
 
-    def test_training_losses_match_numpy(self):
+    def test_training_losses_match(self, monkeypatch):
         from repro.optim import Adam
 
         batch = self._batch()
         target_e = np.zeros((batch.num_graphs, 1), dtype=np.float32)
         target_f = np.zeros((batch.num_nodes, 3), dtype=np.float32)
 
-        def losses(backend: str) -> list[float]:
+        def losses() -> list[float]:
             model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=3)
             optimizer = Adam(model.parameters(), lr=1e-3)
             out = []
-            with kernels.use_backend(backend):
-                for _ in range(3):
-                    model.zero_grad()
-                    loss = model.loss(model(batch), target_e, target_f)
-                    loss.backward()
-                    optimizer.step()
-                    out.append(loss.item())
+            for _ in range(3):
+                model.zero_grad()
+                loss = model.loss(model(batch), target_e, target_f)
+                loss.backward()
+                optimizer.step()
+                out.append(loss.item())
             return out
 
-        with delegating_backend("delegate") as calls:
-            delegated = losses("delegate")
-        assert delegated == losses("numpy")
-        assert calls[("edge_message_linear", "forward")] > 0
-        assert calls[("edge_message_linear", "backward")] > 0
+        reference = losses()
+        calls = count_calls(monkeypatch, kernels.EdgeMessageLinearKernel, "forward", "backward")
+        assert losses() == reference
+        assert calls["forward"] > 0
+        assert calls["backward"] > 0
 
-    def test_predict_matches_numpy(self):
+    def test_predict_matches(self, monkeypatch):
         batch = self._batch()
         model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
         reference = model.predict(batch, plan=False)
-        with delegating_backend("delegate") as calls, kernels.use_backend("delegate"):
-            predicted = model.predict(batch, plan=False)
+        calls = count_calls(monkeypatch, kernels.LinearKernel, "forward", "backward")
+        predicted = model.predict(batch, plan=False)
         for key in ("energy", "forces"):
             np.testing.assert_array_equal(predicted[key].numpy(), reference[key].numpy())
-        assert calls[("linear", "forward")] > 0
-        assert not any(method == "backward" for _, method in calls)
+        assert calls["forward"] > 0
+        assert calls["backward"] == 0
 
-    def test_no_function_nodes_under_delegating_no_grad(self):
-        """The no-node inference invariant holds on any registered backend."""
+    def test_no_function_nodes_with_a_substituted_kernel(self, monkeypatch):
         batch = self._batch()
         model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
-        with delegating_backend("delegate") as calls, kernels.use_backend("delegate"):
-            model.predict(batch)  # warm any lazy setup
-            before = function_nodes_created()
-            with no_grad():
-                predictions = model(batch)
-            assert function_nodes_created() == before
+        calls = count_calls(monkeypatch, kernels.SiLUKernel, "forward")
+        model.predict(batch)  # warm any lazy setup
+        before = function_nodes_created()
+        with no_grad():
+            predictions = model(batch)
+        assert function_nodes_created() == before
         assert predictions["energy"].requires_grad is False
         assert predictions["energy"]._ctx is None
-        assert calls[("silu", "forward")] > 0
+        assert calls["forward"] > 0
 
-    def test_grad_tensors_flow_through_registered_kernels(self):
+    def test_grad_tensors_flow_through_substituted_kernels(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 8)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((8, 4)).astype(np.float32), requires_grad=True)
 
-        def run(backend):
+        def run():
             x.zero_grad()
             w.zero_grad()
-            with kernels.use_backend(backend):
-                kernels.silu(kernels.linear(x, w)).sum().backward()
+            kernels.silu(kernels.linear(x, w)).sum().backward()
             return np.array(x.grad), np.array(w.grad)
 
-        with delegating_backend("delegate") as calls:
-            gx_delegated, gw_delegated = run("delegate")
-        gx_numpy, gw_numpy = run("numpy")
-        np.testing.assert_array_equal(gx_delegated, gx_numpy)
-        np.testing.assert_array_equal(gw_delegated, gw_numpy)
-        assert calls[("linear", "backward")] == 1
-        assert calls[("silu", "backward")] == 1
+        gx_reference, gw_reference = run()
+        linear_calls = count_calls(monkeypatch, kernels.LinearKernel, "backward")
+        silu_calls = count_calls(monkeypatch, kernels.SiLUKernel, "backward")
+        gx, gw = run()
+        np.testing.assert_array_equal(gx, gx_reference)
+        np.testing.assert_array_equal(gw, gw_reference)
+        assert linear_calls["backward"] == 1
+        assert silu_calls["backward"] == 1

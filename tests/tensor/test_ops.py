@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, concat, gather, kernels, segment_sum, where
+from tests import reference
 from tests.helpers import gradcheck
 
 
@@ -230,28 +231,8 @@ class TestFusedKernels:
 
     def test_cached_segment_sum_gradient(self):
         gradcheck(
-            lambda a: (kernels.segment_sum(a, self.DST, 3) ** 2).sum(),
+            lambda a: (segment_sum(a, self.DST, 3) ** 2).sum(),
             [(6, 4)],
-        )
-
-    def test_gather_diff_gradient(self):
-        # The fused edge-geometry kernel differentiates through positions
-        # and periodic shifts.
-        gradcheck(
-            lambda p, s: (kernels.gather_diff(p, s, self.SRC, self.DST) ** 2).sum(),
-            [(3, 3), (6, 3)],
-        )
-
-    def test_gather_diff_no_shift_gradient(self):
-        gradcheck(
-            lambda p: (kernels.gather_diff(p, None, self.SRC, self.DST) ** 2).sum(),
-            [(3, 3)],
-        )
-
-    def test_gather_diff_broadcast_shift_gradient(self):
-        gradcheck(
-            lambda p, s: (kernels.gather_diff(p, s, self.SRC, self.DST) ** 2).sum(),
-            [(3, 3), (1, 3)],
         )
 
     def test_mixed_dtype_promotes_like_reference(self):
@@ -261,10 +242,9 @@ class TestFusedKernels:
         w = Tensor(np.ones((2, 2), dtype=np.float32))
         b64 = Tensor(np.full((2,), 0.5, dtype=np.float64), dtype=np.float64)
         fused = kernels.linear(x, w, b64)
-        with kernels.fusion(False):
-            reference = kernels.linear(x, w, b64)
-        assert fused.dtype == reference.dtype == np.float64
-        np.testing.assert_array_equal(fused.numpy(), reference.numpy())
+        composed = reference.linear(x, w, b64)
+        assert fused.dtype == composed.dtype == np.float64
+        np.testing.assert_array_equal(fused.numpy(), composed.numpy())
 
     def test_fused_matches_unfused_edge_message(self):
         rng = np.random.default_rng(7)
@@ -273,6 +253,5 @@ class TestFusedKernels:
         w = Tensor(rng.normal(size=(7, 4)))
         b = Tensor(rng.normal(size=(4,)))
         fused = kernels.edge_message_linear(h, f, w, b, self.SRC, self.DST)
-        with kernels.fusion(False):
-            reference = kernels.edge_message_linear(h, f, w, b, self.SRC, self.DST)
-        np.testing.assert_allclose(fused.numpy(), reference.numpy(), atol=1e-5)
+        composed = reference.edge_message_linear(h, f, w, b, self.SRC, self.DST)
+        np.testing.assert_allclose(fused.numpy(), composed.numpy(), atol=1e-5)

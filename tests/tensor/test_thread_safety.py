@@ -2,7 +2,7 @@
 
 These are the invariants that let serving workers run model forwards
 concurrently without a global model lock: every piece of engine context
-(``no_grad``, ``use_pool``, ``use_tracker``, ``use_backend``) is
+(``no_grad``, ``use_pool``, ``use_tracker``) is
 thread-local, and the shared structures (one ``BufferPool``, the node
 counter) are safe under concurrent access.
 """
@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
-from repro.tensor import kernels
 from repro.tensor.allocator import (
     BufferPool,
     MemoryTracker,
@@ -29,7 +28,7 @@ from repro.tensor.core import (
     grad_enabled,
     no_grad,
 )
-from tests.helpers import delegating_backend, make_molecule_graphs, registered_backend
+from tests.helpers import make_molecule_graphs
 
 
 def _run_in_thread(fn, *args):
@@ -151,44 +150,6 @@ class TestContextStackIsolation:
         b.join(10.0)
         assert seen["holder"] is tracker
         assert seen["tracker"] is global_tracker()
-
-    def test_use_backend_is_thread_local(self):
-        inside = threading.Event()
-        release = threading.Event()
-        seen: dict[str, str] = {}
-
-        def holder():
-            with kernels.use_backend("test-backend"):
-                inside.set()
-                assert release.wait(10.0)
-                seen["holder"] = kernels.active_backend()
-
-        def observer():
-            assert inside.wait(10.0)
-            seen["observer"] = kernels.active_backend()
-            release.set()
-
-        numpy_linear = kernels.get_kernel("linear", backend="numpy")
-        with registered_backend("test-backend", linear=numpy_linear):
-            a = threading.Thread(target=holder)
-            b = threading.Thread(target=observer)
-            a.start()
-            b.start()
-            a.join(10.0)
-            b.join(10.0)
-        assert seen == {"holder": "test-backend", "observer": "numpy"}
-
-    def test_new_threads_start_on_numpy(self):
-        # A thread spawned inside use_backend does not inherit it: the
-        # override is the spawning thread's alone.
-        def dispatch():
-            return kernels.active_backend(), kernels.get_kernel("linear")
-
-        with delegating_backend("delegate"), kernels.use_backend("delegate"):
-            assert kernels.get_kernel("linear") is not kernels.get_kernel("linear", "numpy")
-            backend, impl = _run_in_thread(dispatch)
-        assert backend == "numpy"
-        assert impl is kernels.get_kernel("linear", "numpy")
 
     def test_tracker_category_stack_is_thread_local(self):
         tracker = MemoryTracker("shared")

@@ -153,7 +153,7 @@ class TestServe:
         assert main(["serve", "--http", "0", "--selftest"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_backend_choices_are_the_registered_backends(self, capsys):
+    def test_backend_accepts_only_numpy(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--http", "0", "--backend", "parallel"])
         assert exit_info.value.code == 2

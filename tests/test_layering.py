@@ -14,11 +14,16 @@ And there is one HTTP stack: both servers subclass the framing in
 ``repro.wire``, and nothing runs an event loop.  Batches are cut by
 budget in one place, the micro-batcher, which the prediction service
 builds once and keeps for its lifetime.  And no gather pays for a
-buffered ``take(..., out=)``.
+buffered ``take(..., out=)``.  Each fused op has one implementation,
+called directly: the one test that imports the package checks that
+``repro.tensor.kernels`` holds no dispatch state and plans key on shape.
 """
 
 import ast
+import re
 import sys
+import threading
+from types import SimpleNamespace
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -162,3 +167,25 @@ def test_no_buffered_take_into_out():
             if mode is None or (isinstance(mode, ast.Constant) and mode.value == "raise"):
                 offenders.add((path.relative_to(PACKAGE).as_posix(), node.lineno))
     assert offenders == set()
+
+
+def test_one_implementation_per_kernel():
+    """No per-thread dispatch state, no name → implementation table, no
+    dispatch mode in the plan key, and no fusion switch anywhere."""
+    from repro.tensor import kernels
+    from repro.tensor.plan import bucket, plan_key
+
+    for name, value in vars(kernels).items():
+        if name.startswith("__"):
+            continue
+        assert not isinstance(value, threading.local), name
+        assert not (isinstance(value, type) and issubclass(value, threading.local)), name
+        assert not (isinstance(value, dict) and any(map(callable, value.values()))), name
+    batch = SimpleNamespace(num_nodes=600, num_edges=1000, num_graphs=3)
+    assert plan_key(batch) == (bucket(600), bucket(1000), bucket(3))
+    users = {
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if re.search(r"\bfusion", path.read_text(), re.IGNORECASE)
+    }
+    assert users == set()
