@@ -845,8 +845,10 @@ class Gather(Function):
 #: CSR incidence matrices keyed on the segment array's identity.  A
 #: batch's ``src``/``dst``/``node_graph`` are reduced over once per layer
 #: per step; the matrix depends only on the index array, so it is built
-#: once and evicted when the array is garbage collected.
-_incidence_cache: dict[tuple[int, int, str], object] = {}
+#: once and evicted when the array is garbage collected.  Each entry keeps
+#: a copy of the index it was built from, and a hit whose array no longer
+#: equals that copy (it was written into) rebuilds the matrix.
+_incidence_cache: dict[tuple[int, int, str], tuple[np.ndarray, object]] = {}
 
 
 def _incidence(segments: np.ndarray, num_segments: int, dtype: np.dtype):
@@ -854,15 +856,16 @@ def _incidence(segments: np.ndarray, num_segments: int, dtype: np.dtype):
 
     key = (id(segments), int(num_segments), np.dtype(dtype).str)
     cached = _incidence_cache.get(key)
-    if cached is not None:
-        return cached
+    if cached is not None and np.array_equal(cached[0], segments):
+        return cached[1]
     n = segments.shape[0]
     matrix = sparse.csr_matrix(
         (np.ones(n, dtype=dtype), (segments, np.arange(n))),
         shape=(int(num_segments), n),
     )
-    _incidence_cache[key] = matrix
-    weakref.finalize(segments, _incidence_cache.pop, key, None)
+    if cached is None:
+        weakref.finalize(segments, _incidence_cache.pop, key, None)
+    _incidence_cache[key] = (segments.copy(), matrix)
     return matrix
 
 
@@ -942,8 +945,7 @@ def segment_sum(tensor: Tensor, segments: np.ndarray, num_segments: int) -> Tens
     """Sum rows of ``tensor`` into ``num_segments`` buckets given by ``segments``.
 
     The incidence matrix is cached on the identity of the int64
-    ``segments`` array: do not write into an index array after reducing
-    over it.
+    ``segments`` array and rebuilt if the array was written into since.
     """
     segments = np.asarray(segments, dtype=np.int64)
     return SegmentSum.apply(tensor, segments=segments, num_segments=num_segments)

@@ -202,3 +202,28 @@ def test_gathers_bounds_check(kernel, bad, rng):
         args = (normal(rng, (nodes, 3), np.float32), normal(rng, (edges, 3), np.float32))
     with pytest.raises(IndexError):
         IMPLEMENTATIONS[kernel](*args, index["src"], index["dst"])
+
+
+SEGMENT_SUMS = {
+    "segment_sum": lambda values, segments: SegmentSum.infer(values, segments, 10),
+    "mul_segment_sum": lambda values, segments: kernels.MulSegmentSumKernel.forward(
+        values, np.ones((values.shape[0], 1), values.dtype), segments, 10
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["high", "negative", "written"])
+@pytest.mark.parametrize("kernel", sorted(SEGMENT_SUMS))
+def test_segment_sums_bounds_check(kernel, bad, rng):
+    """An out-of-range segment id raises; it is never dropped or wrapped.
+
+    ``written`` reduces over a valid index first, so the incidence matrix
+    is cached, then writes the bad id into that same array.
+    """
+    values = normal(rng, (30, 4), np.float32)
+    segments = rng.integers(0, 10, 30).astype(np.int64)
+    if bad == "written":
+        SEGMENT_SUMS[kernel](values, segments)
+    segments[7] = -1 if bad == "negative" else 10
+    with pytest.raises(ValueError):
+        SEGMENT_SUMS[kernel](values, segments)

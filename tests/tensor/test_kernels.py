@@ -261,3 +261,12 @@ class TestSubstitutedKernels:
         np.testing.assert_array_equal(gw, gw_reference)
         assert linear_calls["backward"] == 1
         assert silu_calls["backward"] == 1
+
+
+def test_use_backend_accepts_only_numpy():
+    with kernels.use_backend(kernels.BACKEND):
+        pass
+    for name in ("cuda", "triton", "NUMPY", ""):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            with kernels.use_backend(name):
+                pytest.fail("the block ran on an unknown backend")

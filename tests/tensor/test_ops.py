@@ -255,3 +255,53 @@ class TestFusedKernels:
         fused = kernels.edge_message_linear(h, f, w, b, self.SRC, self.DST)
         composed = reference.edge_message_linear(h, f, w, b, self.SRC, self.DST)
         np.testing.assert_allclose(fused.numpy(), composed.numpy(), atol=1e-5)
+
+
+class TestIncidenceCache:
+    """Segment sums cache the CSR incidence matrix of their index array."""
+
+    SUMS = {
+        "segment_sum": lambda x, seg, n: segment_sum(x, seg, n),
+        "mul_segment_sum": lambda x, seg, n: kernels.mul_segment_sum(
+            x, Tensor(np.ones((x.shape[0], 1))), seg, n
+        ),
+    }
+
+    @pytest.mark.parametrize("op", sorted(SUMS))
+    def test_writes_into_the_index_are_seen(self, op):
+        seg = np.array([0, 0, 1], dtype=np.int64)
+        x = Tensor(np.ones((3, 1)))
+        np.testing.assert_array_equal(self.SUMS[op](x, seg, 2).numpy().ravel(), [2.0, 1.0])
+        seg[:] = 1
+        np.testing.assert_array_equal(self.SUMS[op](x, seg, 2).numpy().ravel(), [0.0, 3.0])
+
+    def test_one_index_serves_several_counts_and_dtypes(self):
+        seg = np.array([0, 2, 2, 1], dtype=np.int64)
+        values = np.arange(8.0).reshape(4, 2)
+        for num_segments in (3, 5):
+            for dtype in (np.float32, np.float64):
+                got = segment_sum(Tensor(values.astype(dtype), dtype=dtype), seg, num_segments)
+                expected = np.zeros((num_segments, 2), dtype=dtype)
+                np.add.at(expected, seg, values.astype(dtype))
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got.numpy(), expected)
+
+    def test_entry_dies_with_its_index(self):
+        from repro.tensor import core
+
+        seg = np.array([1, 0, 1], dtype=np.int64)
+        segment_sum(Tensor(np.ones((3, 2))), seg, 2)
+        key = id(seg)
+        assert any(k[0] == key for k in core._incidence_cache)
+        del seg
+        assert not any(k[0] == key for k in core._incidence_cache)
+
+    def test_converted_index_leaves_no_entry(self):
+        from repro.tensor import core
+
+        seg32 = np.array([2, 0, 2, 1], dtype=np.int32)
+        before = len(core._incidence_cache)
+        for _ in range(3):
+            got = segment_sum(Tensor(np.ones((4, 1))), seg32, 3)
+            np.testing.assert_array_equal(got.numpy().ravel(), [1.0, 1.0, 2.0])
+        assert len(core._incidence_cache) == before

@@ -27,6 +27,7 @@ from repro.tensor.core import (
     function_nodes_created,
     grad_enabled,
     no_grad,
+    segment_sum,
 )
 from tests.helpers import make_molecule_graphs
 
@@ -294,3 +295,47 @@ class TestPlannedConcurrentServing:
             np.testing.assert_array_equal(out["energy"], expected["energy"])
             np.testing.assert_array_equal(out["forces"], expected["forces"])
         assert len(model.plans) == 1  # racing compiles collapsed to one plan
+
+
+class TestIncidenceCacheConcurrency:
+    def test_concurrent_segment_sums_match_scatter_add(self):
+        """Threads sharing one index and rewriting their own never read a
+        stale or foreign incidence matrix."""
+        import sys
+
+        shared = np.random.default_rng(0).integers(0, 16, 400).astype(np.int64)
+        values = np.random.default_rng(1).standard_normal((400, 3))
+        errors: list = []
+
+        def expected(seg):
+            out = np.zeros((16, 3))
+            np.add.at(out, seg, values)
+            return out
+
+        shared_expected = expected(shared)
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            own = rng.integers(0, 16, 400).astype(np.int64)
+            try:
+                for _ in range(40):
+                    got = segment_sum(Tensor(values, dtype=np.float64), shared, 16).numpy()
+                    np.testing.assert_allclose(got, shared_expected, rtol=1e-12, atol=1e-12)
+                    own[:] = rng.integers(0, 16, 400)
+                    got = segment_sum(Tensor(values, dtype=np.float64), own, 16).numpy()
+                    np.testing.assert_allclose(got, expected(own), rtol=1e-12, atol=1e-12)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads), "worker thread hung"
+        assert not errors, errors[0]
