@@ -33,10 +33,10 @@ Two layers, deliberately separated:
   stops each model's service, which drains queued requests.
 
 The server is threaded (one handler thread per connection) because the
-engine underneath is: grad mode, pool stacks, and kernel dispatch are
-thread-local (PR 3), and the batcher admits requests from any thread —
-so HTTP concurrency maps directly onto the service's worker
-concurrency with no extra locking here.
+engine underneath is: grad mode, the plan tracer and pool stacks are
+thread-local, each kernel runs on its caller's thread, and the batcher
+admits requests from any thread — so HTTP concurrency maps directly
+onto the service's worker concurrency with no extra locking here.
 """
 
 from __future__ import annotations

@@ -18,12 +18,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, gain: fl
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DEFAULT_DTYPE)
 
 
-def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """He uniform init, appropriate before ReLU-family activations."""
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DEFAULT_DTYPE)
-
-
 def normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
     """Gaussian init with configurable standard deviation."""
     return (rng.normal(0.0, std, size=shape)).astype(DEFAULT_DTYPE)

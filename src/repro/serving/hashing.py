@@ -7,11 +7,9 @@ else.  Labels (energy/forces) are *outputs*; including them would split
 identical inference requests into distinct keys whenever one client
 happens to attach reference labels.
 
-Positions are hashed as raw float64 bytes by default: serving traffic
-that resubmits a structure resubmits the same bytes.  An optional
-``decimals`` rounding absorbs end-of-float noise for clients that
-re-derive coordinates (e.g. from a relaxation trajectory written at
-lower precision).
+Positions are hashed as their raw bytes, unrounded: serving traffic
+that resubmits a structure resubmits the same bytes, and two geometries
+that differ anywhere (consecutive MD steps, say) never share a key.
 """
 
 from __future__ import annotations
@@ -31,24 +29,14 @@ def _digest_array(hasher: "hashlib._Hash", array: np.ndarray) -> None:
     hasher.update(contiguous.tobytes())
 
 
-def structure_hash(graph: AtomGraph, decimals: int | None = None) -> str:
-    """Return a hex digest identifying ``graph``'s model inputs.
-
-    ``decimals`` optionally rounds the float arrays (positions, shifts,
-    cell) before hashing so nearly-identical coordinates collide.
-    """
-
-    def maybe_round(array: np.ndarray) -> np.ndarray:
-        if decimals is None:
-            return array
-        return np.round(array, decimals)
-
+def structure_hash(graph: AtomGraph) -> str:
+    """Return a hex digest identifying ``graph``'s model inputs."""
     hasher = hashlib.sha256()
     _digest_array(hasher, graph.atomic_numbers)
-    _digest_array(hasher, maybe_round(graph.positions))
+    _digest_array(hasher, graph.positions)
     _digest_array(hasher, graph.edge_index)
-    _digest_array(hasher, maybe_round(graph.edge_shift))
+    _digest_array(hasher, graph.edge_shift)
     if graph.cell is not None:
-        _digest_array(hasher, maybe_round(np.asarray(graph.cell, dtype=np.float64)))
+        _digest_array(hasher, np.asarray(graph.cell, dtype=np.float64))
     hasher.update(bytes(int(flag) for flag in graph.pbc))
     return hasher.hexdigest()

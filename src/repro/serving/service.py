@@ -24,10 +24,10 @@ owns for its lifetime.  Who executes the batches is the only variable:
 block on their own requests — what an RPC front end wants; an unstarted
 service (or one stopped again) has none, so each call drains the queue
 on its own thread until its requests are done — what batch jobs and
-benchmarks want.  The engine's grad mode, pool stack, and kernel
-dispatch are all thread-local, so workers (and concurrent callers)
-execute model forwards **truly concurrently** — there is no global
-model lock.
+benchmarks want.  The engine's grad mode, plan tracer and pool stack
+are thread-local, and each kernel runs on its caller's thread, so
+workers (and concurrent callers) execute model forwards **truly
+concurrently** — there is no global model lock.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class ServiceConfig:
     #: default ``lane_aging_s``.
     flush_interval_s: float = 0.005
     cache_capacity: int = 4096  # LRU entries; <=0 disables caching
-    hash_decimals: int | None = None  # optional coordinate rounding for keys
     request_timeout_s: float = 30.0  # client-side wait bound on queued work
     #: Admission control: queued structures beyond this bound are
     #: rejected with :class:`ServiceOverloaded` at submit time instead
@@ -331,7 +330,7 @@ class PredictionService:
         """
         lease = self.admission.admit(client_id, lane) if admit else None
         try:
-            key = structure_hash(graph, self.config.hash_decimals)
+            key = structure_hash(graph)
             request = ServeRequest(
                 graph=graph,
                 key=key,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,103 +33,44 @@ from repro.tensor.allocator import GRADIENTS, track_array
 DEFAULT_DTYPE = np.float32
 
 
-class _NodeCounter:
-    """Per-thread count of autograd nodes, summable across threads."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
-class _CounterHandle:
-    """Weakref-able sentinel that dies with its owning thread's locals."""
-
-    __slots__ = ("__weakref__",)
-
-
-_live_counters: list[_NodeCounter] = []
-_retired_counters: deque[_NodeCounter] = deque()
-_retired_nodes = 0
-_counters_lock = threading.Lock()
-
-
-def _retire_counter(counter: _NodeCounter) -> None:
-    """Queue a dead thread's counter for folding into the retired total.
-
-    Runs as a ``weakref.finalize`` callback, which cyclic GC may fire on
-    *any* thread at *any* allocation — including one currently holding
-    ``_counters_lock``.  It must therefore be lock-free: a plain
-    (atomic) deque append.  :func:`_drain_retired` does the actual
-    folding under the lock.  This keeps the process-wide node total
-    monotone without retaining one counter per thread ever created — a
-    long-lived server cycling worker threads holds O(live threads)
-    counters, not O(threads ever).
-    """
-    _retired_counters.append(counter)
-
-
-def _drain_retired() -> None:
-    """Fold queued dead-thread counters (caller holds ``_counters_lock``)."""
-    global _retired_nodes
-    while True:
-        try:
-            counter = _retired_counters.popleft()
-        except IndexError:
-            break
-        _retired_nodes += counter.count
-        try:
-            _live_counters.remove(counter)
-        except ValueError:
-            pass
-
-
 class _GradState(threading.local):
-    """Thread-local grad mode + node counter + plan tracer.
+    """Thread-local grad mode + plan tracer.
 
     ``threading.local`` re-runs ``__init__`` in every thread that touches
     the instance, so each thread starts with recording *enabled* (the
-    same default the process-global flag used to give the main thread)
-    and its own node counter.  Concurrent model forwards — the serving
-    workers — therefore cannot leak
-    ``no_grad`` state into each other.  ``tracer`` is the execution-plan
-    recorder (:mod:`repro.tensor.plan`), also per-thread so one worker's
-    plan compilation never captures another worker's ops.
+    same default the process-global flag used to give the main thread).
+    Concurrent model forwards — the serving workers — therefore cannot
+    leak ``no_grad`` state into each other.  ``tracer`` is the
+    execution-plan recorder (:mod:`repro.tensor.plan`), also per-thread
+    so one worker's plan compilation never captures another worker's ops.
     """
 
     def __init__(self) -> None:
         self.enabled = True
         self.tracer = None
-        self.counter = _NodeCounter()
-        # The handle lives only in this thread's local dict; when the
-        # thread dies the finalizer folds the counter into the retired
-        # total and drops it from the live list.
-        self._handle = _CounterHandle()
-        with _counters_lock:
-            _drain_retired()
-            _live_counters.append(self.counter)
-        weakref.finalize(self._handle, _retire_counter, self.counter)
 
 
 _state = _GradState()
+
+_nodes_created = 0
+_nodes_lock = threading.Lock()
 
 
 def function_nodes_created() -> int:
     """Total autograd ``Function`` nodes constructed so far in this process.
 
     The inference fast path must keep this flat under ``no_grad``
-    (asserted in the test suite and the engine benchmarks).  The total is
-    the retired count of dead threads plus the live per-thread counters,
-    so concurrent serving workers never race on one shared integer and
-    the value stays monotone across thread churn.
+    (asserted in the test suite and the engine benchmarks).  One
+    process-wide count, incremented under a lock so no thread's count
+    is lost.
     """
-    with _counters_lock:
-        _drain_retired()
-        return _retired_nodes + sum(counter.count for counter in _live_counters)
+    return _nodes_created
 
 
 def _count_node() -> None:
-    _state.counter.count += 1
+    global _nodes_created
+    with _nodes_lock:
+        _nodes_created += 1
 
 
 def grad_enabled() -> bool:
@@ -179,11 +119,6 @@ def tracing(tracer):
         _state.tracer = previous
 
 
-def active_tracer():
-    """The plan tracer capturing this thread's ops, or ``None``."""
-    return _state.tracer
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -202,10 +137,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Function:
     """One node of the autograd graph.
 
-    Subclasses implement ``forward`` (numpy in, numpy out) and ``backward``
+    Subclasses implement ``forward`` (numpy in, numpy out), ``backward``
     (output grad in, one grad per parent out, ``None`` for non-differentiable
-    parents).  Instances store whatever ``forward`` saved on ``self``; those
-    references are what keep activation memory alive until backward.
+    parents) and a static ``infer``: the graph-free forward that the no-grad
+    fast path and plan replay run, with the node's constructor arguments
+    as keywords.  Instances store whatever ``forward`` saved on ``self``;
+    those references are what keep activation memory alive until backward.
     """
 
     parents: tuple["Tensor", ...] = ()
@@ -215,18 +152,6 @@ class Function:
 
     def backward(self, grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
         raise NotImplementedError
-
-    @classmethod
-    def infer(cls, *arrays: np.ndarray, **kwargs) -> np.ndarray:
-        """Graph-free forward used when no gradient will be needed.
-
-        Subclasses override this with an implementation that neither saves
-        intermediates nor copies defensively.  The fallback instantiates a
-        throwaway node (and counts it, so the no-node invariant of the
-        inference fast path stays observable).
-        """
-        _count_node()
-        return cls(**kwargs).forward(*arrays)
 
     @classmethod
     def apply(cls, *tensors: "Tensor", **kwargs) -> "Tensor":
@@ -309,10 +234,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._ctx is None
 
     def numpy(self) -> np.ndarray:
         """Return the underlying array (shared, not copied)."""

@@ -7,11 +7,11 @@ node.  This module replaces those chains with *fused kernels*:
 hand-written forward/backward pairs that do the same math with far fewer
 passes over memory.
 
-Each op has one implementation, a class of static ``forward``/``backward``
-functions over raw numpy arrays, and one autograd wrapper (a
-:class:`~repro.tensor.core.Function` subclass) that calls it directly.
-The wrapper's ``infer`` is also what an execution plan replays, so the
-unplanned forward, backward and plan replay all run the same code.
+Each op is one :class:`~repro.tensor.core.Function` subclass.  Its
+static ``infer`` holds the forward math: the no-grad fast path calls
+it, an execution plan replays it, and ``forward`` saves what
+``backward`` needs and then calls it too.  Patching an op's ``infer``
+(or ``backward``) therefore substitutes it everywhere at once.
 
 Kernels:
 
@@ -61,7 +61,7 @@ def use_backend(name: str):
 
 
 # ----------------------------------------------------------------------
-# Implementations
+# Fused ops
 # ----------------------------------------------------------------------
 def _common_dtype(*arrays):
     """The numpy promotion dtype of the given arrays (Nones skipped).
@@ -74,9 +74,16 @@ def _common_dtype(*arrays):
     return np.result_type(*[a for a in arrays if a is not None])
 
 
-class LinearKernel:
+class FusedLinear(Function):
+    """One-node ``x @ W (+ b)``."""
+
+    def forward(self, x, weight, bias=None):
+        self.x, self.weight = x, weight
+        self.bias_shape = None if bias is None else bias.shape
+        return FusedLinear.infer(x, weight, bias)
+
     @staticmethod
-    def forward(x, weight, bias=None):
+    def infer(x, weight, bias=None):
         dtype = _common_dtype(x, weight, bias)
         if x.dtype != dtype or weight.dtype != dtype:
             # Mixed dtypes (e.g. float64 bias on float32 weights): take
@@ -89,41 +96,51 @@ class LinearKernel:
             out += bias
         return out
 
-    @staticmethod
-    def backward(grad, x, weight, bias_shape, needs=(True, True, True)):
-        need_x, need_w, need_b = needs
-        grad_x = grad @ weight.T if need_x else None
-        grad_w = x.T @ grad if need_w else None
-        grad_b = _unbroadcast(grad, bias_shape) if need_b else None
-        return grad_x, grad_w, grad_b
+    def backward(self, grad):
+        need_x, need_w, *need_b = (p.requires_grad for p in self.parents)
+        grad_x = grad @ self.weight.T if need_x else None
+        grad_w = self.x.T @ grad if need_w else None
+        if not need_b:
+            return grad_x, grad_w
+        return grad_x, grad_w, _unbroadcast(grad, self.bias_shape) if need_b[0] else None
 
 
-class SiLUKernel:
-    @staticmethod
-    def forward(x):
-        # sig = 1 / (1 + exp(-x)), built in place: no temporaries beyond
-        # the two buffers the op keeps anyway (output and saved sigmoid).
-        sig = allocator.pool_empty(x.shape, np.result_type(x, np.float32))
-        np.negative(x, out=sig)
-        np.exp(sig, out=sig)
-        sig += 1.0
-        np.reciprocal(sig, out=sig)
-        out = allocator.pool_empty(x.shape, sig.dtype)
-        np.multiply(x, sig, out=out)
-        return out, sig
+def _silu(x):
+    """``(x * sig, sig)`` with ``sig = 1 / (1 + exp(-x))`` built in place:
+    no temporaries beyond the output and the sigmoid training saves."""
+    sig = allocator.pool_empty(x.shape, np.result_type(x, np.float32))
+    np.negative(x, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    out = allocator.pool_empty(x.shape, sig.dtype)
+    np.multiply(x, sig, out=out)
+    return out, sig
 
-    @staticmethod
-    def backward(grad, x, sig):
-        # d/dx [x * sig(x)] = sig * (1 + x * (1 - sig)), chained in place.
-        out = np.subtract(1.0, sig)
-        out *= x
-        out += 1.0
-        out *= sig
-        out *= grad
+
+class FusedSiLU(Function):
+    """One-node ``x * sigmoid(x)``."""
+
+    def forward(self, x):
+        out, self.sig = _silu(x)
+        self.x = x
         return out
 
+    @staticmethod
+    def infer(x):
+        return _silu(x)[0]
 
-class EdgeMessageLinearKernel:
+    def backward(self, grad):
+        # d/dx [x * sig(x)] = sig * (1 + x * (1 - sig)), chained in place.
+        out = np.subtract(1.0, self.sig)
+        out *= self.x
+        out += 1.0
+        out *= self.sig
+        out *= grad
+        return (out,)
+
+
+class EdgeMessageLinear(Function):
     """Fused ``concat([h[src], h[dst], feat], 1) @ W + b``.
 
     The node-feature blocks of ``W`` are applied *before* the gather, so
@@ -131,14 +148,20 @@ class EdgeMessageLinearKernel:
     the (E, 2F+R) concat buffer never exists.
     """
 
+    def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
+        self.src, self.dst = src, dst
+
+    def forward(self, h, feat, weight, bias=None):
+        self.h, self.feat, self.weight = h, feat, weight
+        self.bias_shape = None if bias is None else bias.shape
+        return EdgeMessageLinear.infer(h, feat, weight, bias, src=self.src, dst=self.dst)
+
     @staticmethod
-    def forward(h, feat, weight, bias, src, dst):
+    def infer(h, feat, weight, bias=None, *, src, dst):
         width = h.shape[1]
-        w_src = weight[:width]
-        w_dst = weight[width : 2 * width]
+        proj_src = h @ weight[:width]
+        proj_dst = h @ weight[width : 2 * width]
         w_feat = weight[2 * width :]
-        proj_src = h @ w_src
-        proj_dst = h @ w_dst
         dtype = _common_dtype(proj_src, feat, bias)
         if proj_src.dtype != dtype:
             # Mixed dtypes: promote instead of accumulating in place.
@@ -153,37 +176,48 @@ class EdgeMessageLinearKernel:
             out += bias
         return out
 
-    @staticmethod
-    def backward(grad, h, feat, weight, src, dst, bias_shape, needs=(True, True, True, True)):
-        need_h, need_feat, need_w, need_b = needs
+    def backward(self, grad):
+        need_h, need_feat, need_w, *need_b = (p.requires_grad for p in self.parents)
+        h, feat, weight = self.h, self.feat, self.weight
         width = h.shape[1]
-        num_nodes = h.shape[0]
         w_src = weight[:width]
         w_dst = weight[width : 2 * width]
-        w_feat = weight[2 * width :]
-        grad_h = grad_feat = grad_w = grad_b = None
+        grad_h = grad_feat = grad_w = None
         if need_h or need_w:
             # Reduce edge gradients onto nodes once; both grad_h and the
             # node blocks of grad_w are N-sized matmuls against them.
-            sum_src = _segment_sum(grad, src, num_nodes)
-            sum_dst = _segment_sum(grad, dst, num_nodes)
+            sum_src = _segment_sum(grad, self.src, h.shape[0])
+            sum_dst = _segment_sum(grad, self.dst, h.shape[0])
         if need_h:
             grad_h = sum_src @ w_src.T
             grad_h += sum_dst @ w_dst.T
         if need_feat:
-            grad_feat = grad @ w_feat.T
+            grad_feat = grad @ weight[2 * width :].T
         if need_w:
             grad_w = np.concatenate([h.T @ sum_src, h.T @ sum_dst, feat.T @ grad])
-        if need_b:
-            grad_b = _unbroadcast(grad, bias_shape)
+        if not need_b:
+            return grad_h, grad_feat, grad_w
+        grad_b = _unbroadcast(grad, self.bias_shape) if need_b[0] else None
         return grad_h, grad_feat, grad_w, grad_b
 
 
-class ConcatLinearKernel:
-    """Fused ``concat(parts, axis=1) @ W + b`` without the concat buffer."""
+class ConcatLinear(Function):
+    """Fused ``concat(parts, axis=1) @ W (+ b)`` without the concat buffer."""
+
+    def __init__(self, num_parts: int, has_bias: bool) -> None:
+        self.num_parts = num_parts
+        self.has_bias = has_bias
+
+    def forward(self, *arrays):
+        self.parts = arrays[: self.num_parts]
+        self.weight = arrays[self.num_parts]
+        self.bias_shape = arrays[-1].shape if self.has_bias else None
+        return ConcatLinear.infer(*arrays, num_parts=self.num_parts, has_bias=self.has_bias)
 
     @staticmethod
-    def forward(parts, weight, bias=None):
+    def infer(*arrays, num_parts, has_bias):
+        parts, weight = arrays[:num_parts], arrays[num_parts]
+        bias = arrays[num_parts + 1] if has_bias else None
         dtype = _common_dtype(*parts, weight, bias)
         if any(part.dtype != dtype for part in parts) or weight.dtype != dtype:
             # Mixed dtypes: promote instead of accumulating in place.
@@ -206,34 +240,43 @@ class ConcatLinearKernel:
             out += bias
         return out
 
-    @staticmethod
-    def backward(grad, parts, weight, bias_shape, needs):
-        need_parts, need_w, need_b = needs
-        grad_parts = []
+    def backward(self, grad):
+        needs = [p.requires_grad for p in self.parents]
+        grads = []
         offset = 0
-        for part, need in zip(parts, need_parts):
+        for part, need in zip(self.parts, needs):
             width = part.shape[1]
-            block = weight[offset : offset + width]
-            grad_parts.append(grad @ block.T if need else None)
+            grads.append(grad @ self.weight[offset : offset + width].T if need else None)
             offset += width
-        grad_w = np.concatenate([part.T @ grad for part in parts]) if need_w else None
-        grad_b = _unbroadcast(grad, bias_shape) if need_b else None
-        return grad_parts, grad_w, grad_b
+        if needs[self.num_parts]:
+            grads.append(np.concatenate([part.T @ grad for part in self.parts]))
+        else:
+            grads.append(None)
+        if self.has_bias:
+            grads.append(_unbroadcast(grad, self.bias_shape) if needs[-1] else None)
+        return tuple(grads)
 
 
-class MulSegmentSumKernel:
-    """Fused ``segment_sum(a * b, segments)`` (b may broadcast over columns)."""
+class MulSegmentSum(Function):
+    """Fused ``segment_sum(a * b, segments, num_segments)`` without
+    retaining the product (``b`` may broadcast over columns)."""
+
+    def __init__(self, segments: np.ndarray, num_segments: int) -> None:
+        self.segments, self.num_segments = segments, num_segments
+
+    def forward(self, a, b):
+        self.a, self.b = a, b
+        return MulSegmentSum.infer(a, b, segments=self.segments, num_segments=self.num_segments)
 
     @staticmethod
-    def forward(a, b, segments, num_segments):
+    def infer(a, b, segments, num_segments):
         return _segment_sum(np.multiply(a, b), segments, num_segments)
 
-    @staticmethod
-    def backward(grad, a, b, segments, needs=(True, True)):
-        need_a, need_b = needs
-        expanded = grad[segments]
-        grad_a = _unbroadcast(expanded * b, a.shape) if need_a else None
-        grad_b = _unbroadcast(expanded * a, b.shape) if need_b else None
+    def backward(self, grad):
+        need_a, need_b = (p.requires_grad for p in self.parents)
+        expanded = grad[self.segments]
+        grad_a = _unbroadcast(expanded * self.b, self.a.shape) if need_a else None
+        grad_b = _unbroadcast(expanded * self.a, self.b.shape) if need_b else None
         return grad_a, grad_b
 
 
@@ -257,118 +300,6 @@ def edge_geometry_arrays(
     distances = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
     np.maximum(distances, eps, out=distances)
     return vectors, distances
-
-
-# ----------------------------------------------------------------------
-# Autograd wrappers.  ``infer`` takes index arrays already converted by
-# the entry points below; it is the callable an execution plan replays.
-# ----------------------------------------------------------------------
-class FusedLinear(Function):
-    """One-node ``x @ W (+ b)``."""
-
-    def forward(self, x, weight, bias=None):
-        self.x, self.weight = x, weight
-        self.bias_shape = None if bias is None else bias.shape
-        return LinearKernel.forward(x, weight, bias)
-
-    @staticmethod
-    def infer(x, weight, bias=None):
-        return LinearKernel.forward(x, weight, bias)
-
-    def backward(self, grad):
-        needs = tuple(p.requires_grad for p in self.parents) + (False,) * (3 - len(self.parents))
-        grads = LinearKernel.backward(grad, self.x, self.weight, self.bias_shape, needs)
-        return grads[: len(self.parents)]
-
-
-class FusedSiLU(Function):
-    """One-node ``x * sigmoid(x)``."""
-
-    def forward(self, x):
-        out, sig = SiLUKernel.forward(x)
-        self.x, self.sig = x, sig
-        return out
-
-    @staticmethod
-    def infer(x):
-        out, _ = SiLUKernel.forward(x)
-        return out
-
-    def backward(self, grad):
-        return (SiLUKernel.backward(grad, self.x, self.sig),)
-
-
-class EdgeMessageLinear(Function):
-    """Fused ``gather -> concat -> linear`` over edges."""
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
-        self.src, self.dst = src, dst
-
-    def forward(self, h, feat, weight, bias=None):
-        self.h, self.feat, self.weight = h, feat, weight
-        self.bias_shape = None if bias is None else bias.shape
-        return EdgeMessageLinearKernel.forward(h, feat, weight, bias, self.src, self.dst)
-
-    @staticmethod
-    def infer(h, feat, weight, bias=None, src=None, dst=None):
-        return EdgeMessageLinearKernel.forward(h, feat, weight, bias, src, dst)
-
-    def backward(self, grad):
-        needs = tuple(p.requires_grad for p in self.parents) + (False,) * (4 - len(self.parents))
-        grads = EdgeMessageLinearKernel.backward(
-            grad, self.h, self.feat, self.weight, self.src, self.dst, self.bias_shape, needs
-        )
-        return grads[: len(self.parents)]
-
-
-class ConcatLinear(Function):
-    """Fused ``concat(parts, axis=1) @ W (+ b)``."""
-
-    def __init__(self, num_parts: int, has_bias: bool) -> None:
-        self.num_parts = num_parts
-        self.has_bias = has_bias
-
-    def forward(self, *arrays):
-        self.parts = arrays[: self.num_parts]
-        self.weight = arrays[self.num_parts]
-        bias = arrays[self.num_parts + 1] if self.has_bias else None
-        self.bias_shape = None if bias is None else bias.shape
-        return ConcatLinearKernel.forward(self.parts, self.weight, bias)
-
-    @staticmethod
-    def infer(*arrays, num_parts, has_bias):
-        bias = arrays[num_parts + 1] if has_bias else None
-        return ConcatLinearKernel.forward(arrays[:num_parts], arrays[num_parts], bias)
-
-    def backward(self, grad):
-        flags = [p.requires_grad for p in self.parents]
-        needs = (flags[: self.num_parts], flags[self.num_parts], self.has_bias and flags[-1])
-        grad_parts, grad_w, grad_b = ConcatLinearKernel.backward(
-            grad, self.parts, self.weight, self.bias_shape, needs
-        )
-        out = tuple(grad_parts) + (grad_w,)
-        if self.has_bias:
-            out += (grad_b,)
-        return out
-
-
-class MulSegmentSum(Function):
-    """Fused ``segment_sum(a * b, segments, num_segments)``."""
-
-    def __init__(self, segments: np.ndarray, num_segments: int) -> None:
-        self.segments, self.num_segments = segments, num_segments
-
-    def forward(self, a, b):
-        self.a, self.b = a, b
-        return MulSegmentSumKernel.forward(a, b, self.segments, self.num_segments)
-
-    @staticmethod
-    def infer(a, b, segments, num_segments):
-        return MulSegmentSumKernel.forward(a, b, segments, num_segments)
-
-    def backward(self, grad):
-        needs = tuple(p.requires_grad for p in self.parents)
-        return MulSegmentSumKernel.backward(grad, self.a, self.b, self.segments, needs)
 
 
 # ----------------------------------------------------------------------

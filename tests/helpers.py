@@ -13,9 +13,10 @@ from repro.tensor.core import Tensor
 def count_calls(monkeypatch, owner, *names: str) -> Counter:
     """Swap each ``owner.<name>`` for a pass-through that counts its calls.
 
-    Used on the kernel implementations (``kernels.LinearKernel`` ...) to
-    show which code a forward, backward or plan replay really ran.  The
-    counter is locked, so the substitutes may run on serving workers.
+    Used on a fused op's ``infer`` or ``backward`` (``kernels.FusedLinear``
+    ...) to show which code a forward, backward or plan replay really
+    ran.  The counter is locked, so the substitutes may run on serving
+    workers.
     """
     calls: Counter = Counter()
     lock = threading.Lock()

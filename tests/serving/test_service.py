@@ -286,17 +286,17 @@ class TestConcurrentServing:
         assert not hasattr(PredictionService(model), "_model_lock")
 
     def test_workers4_run_a_substituted_kernel(self, model, monkeypatch):
-        # Worker threads call each op's one implementation: a substitute
-        # patched over it runs in their forwards too.
+        # Worker threads call each op's ``infer``: a substitute patched
+        # over it runs in their forwards too.
         graphs = make_molecule_graphs(8, seed=22)
-        calls = count_calls(monkeypatch, kernels.EdgeMessageLinearKernel, "forward")
+        calls = count_calls(monkeypatch, kernels.EdgeMessageLinear, "infer")
         config = ServiceConfig(max_graphs=4, max_atoms=10**9, cache_capacity=0, backend="numpy")
         inline = PredictionService(model, config).predict_many(list(graphs))
         service = PredictionService(model, config)
-        before = calls["forward"]
+        before = calls["infer"]
         with service.start(workers=4):
             served = service.predict_many(list(graphs))
-        assert calls["forward"] > before
+        assert calls["infer"] > before
         assert service.telemetry()["engine"]["backend"] == "numpy"
         for a, b in zip(inline, served):
             assert abs(a.energy - b.energy) < 1e-5

@@ -1,16 +1,17 @@
 """The raw-array contract of each fused kernel.
 
-Each test calls one kernel's ``forward``/``backward`` directly on numpy
-arrays and checks it against the plain numpy expression the kernel
-fuses.  Cases run in float32 and float64 (a kernel keeps its input
-dtype) and on empty inputs (a batch of isolated atoms has no edges).
+Each test runs one op's forward and backward through a node, directly
+on numpy arrays, and checks them against the plain numpy expression the
+op fuses; ``infer`` is checked wherever it is called alone.  Cases run
+in float32 and float64 (a kernel keeps its input dtype) and on empty
+inputs (a batch of isolated atoms has no edges).
 """
 
 import numpy as np
 import pytest
 
 from repro.tensor import kernels
-from repro.tensor.core import SegmentSum
+from repro.tensor.core import SegmentSum, Tensor
 
 DTYPES = [np.float32, np.float64]
 TOLERANCE = {np.float32: 1e-4, np.float64: 1e-10}
@@ -41,6 +42,13 @@ def scatter_add(values, segments, num_segments):
     return out
 
 
+def through_node(node, arrays, grad):
+    """``node.forward(*arrays)`` then ``node.backward(grad)``, with every
+    input differentiable; returns the node's output and gradients."""
+    node.parents = tuple(Tensor(array, requires_grad=True) for array in arrays)
+    return node.forward(*arrays), node.backward(grad)
+
+
 def check(got, expected, dtype, tol=None):
     assert got.dtype == dtype
     assert got.shape == expected.shape
@@ -51,10 +59,9 @@ def check(got, expected, dtype, tol=None):
 def test_linear(dtype, populated, rng):
     rows = 300 if populated else 0
     x, w, b = normal(rng, (rows, 24), dtype), normal(rng, (24, 16), dtype), normal(rng, (16,), dtype)
-    impl = kernels.LinearKernel
-    check(impl.forward(x, w, b), x @ w + b, dtype)
     grad = normal(rng, (rows, 16), dtype)
-    grad_x, grad_w, grad_b = impl.backward(grad, x, w, b.shape)
+    out, (grad_x, grad_w, grad_b) = through_node(kernels.FusedLinear(), (x, w, b), grad)
+    check(out, x @ w + b, dtype)
     check(grad_x, grad @ w.T, dtype)
     check(grad_w, x.T @ grad, dtype)
     check(grad_b, grad.sum(axis=0), dtype)
@@ -62,13 +69,14 @@ def test_linear(dtype, populated, rng):
 
 def test_silu(dtype, populated, rng):
     x = normal(rng, (257 if populated else 0, 33), dtype)
-    impl = kernels.SiLUKernel
-    out, sig = impl.forward(x)
-    expected_sig = 1.0 / (1.0 + np.exp(-x))
-    check(sig, expected_sig, dtype)
-    check(out, x * expected_sig, dtype)
+    node = kernels.FusedSiLU()
     grad = normal(rng, x.shape, dtype)
-    check(impl.backward(grad, x, sig), grad * expected_sig * (1.0 + x * (1.0 - expected_sig)), dtype)
+    out, (grad_x,) = through_node(node, (x,), grad)
+    expected_sig = 1.0 / (1.0 + np.exp(-x))
+    check(node.sig, expected_sig, dtype)
+    check(out, x * expected_sig, dtype)
+    check(kernels.FusedSiLU.infer(x), x * expected_sig, dtype)
+    check(grad_x, grad * expected_sig * (1.0 + x * (1.0 - expected_sig)), dtype)
 
 
 def test_edge_message_linear(dtype, populated, rng):
@@ -79,12 +87,12 @@ def test_edge_message_linear(dtype, populated, rng):
     bias = normal(rng, (out_width,), dtype)
     src = rng.integers(0, nodes, edges).astype(np.int64)
     dst = rng.integers(0, nodes, edges).astype(np.int64)
-    impl = kernels.EdgeMessageLinearKernel
     edge_input = np.concatenate([h[src], h[dst], feat], axis=1)
-    check(impl.forward(h, feat, weight, bias, src, dst), edge_input @ weight + bias, dtype)
-
     grad = normal(rng, (edges, out_width), dtype)
-    grad_h, grad_feat, grad_w, grad_b = impl.backward(grad, h, feat, weight, src, dst, bias.shape)
+    node = kernels.EdgeMessageLinear(src, dst)
+    out, (grad_h, grad_feat, grad_w, grad_b) = through_node(node, (h, feat, weight, bias), grad)
+    check(out, edge_input @ weight + bias, dtype)
+
     grad_input = grad @ weight.T
     expected_h = scatter_add(grad_input[:, :width], src, nodes)
     expected_h += scatter_add(grad_input[:, width : 2 * width], dst, nodes)
@@ -98,12 +106,11 @@ def test_concat_linear(dtype, populated, rng):
     rows = 220 if populated else 0
     parts = [normal(rng, (rows, width), dtype) for width in (8, 16, 4)]
     weight, bias = normal(rng, (28, 10), dtype), normal(rng, (10,), dtype)
-    impl = kernels.ConcatLinearKernel
     joined = np.concatenate(parts, axis=1)
-    check(impl.forward(parts, weight, bias), joined @ weight + bias, dtype)
-
     grad = normal(rng, (rows, 10), dtype)
-    grad_parts, grad_w, grad_b = impl.backward(grad, parts, weight, bias.shape, ([True] * 3, True, True))
+    node = kernels.ConcatLinear(num_parts=3, has_bias=True)
+    out, (*grad_parts, grad_w, grad_b) = through_node(node, (*parts, weight, bias), grad)
+    check(out, joined @ weight + bias, dtype)
     grad_joined = grad @ weight.T
     for got, (start, stop) in zip(grad_parts, [(0, 8), (8, 24), (24, 28)]):
         check(got, grad_joined[:, start:stop], dtype)
@@ -125,10 +132,9 @@ def test_mul_segment_sum(dtype, populated, rng):
     rows = 480 if populated else 0
     a, b = normal(rng, (rows, 3), dtype), normal(rng, (rows, 1), dtype)
     segments = np.sort(rng.integers(0, 33, rows)).astype(np.int64)
-    impl = kernels.MulSegmentSumKernel
-    check(impl.forward(a, b, segments, 33), scatter_add(a * b, segments, 33), dtype)
     grad = normal(rng, (33, 3), dtype)
-    grad_a, grad_b = impl.backward(grad, a, b, segments)
+    out, (grad_a, grad_b) = through_node(kernels.MulSegmentSum(segments, 33), (a, b), grad)
+    check(out, scatter_add(a * b, segments, 33), dtype)
     check(grad_a, grad[segments] * b, dtype)
     check(grad_b, (grad[segments] * a).sum(axis=1, keepdims=True), dtype)
 
@@ -159,7 +165,7 @@ def _mixed_dtype_case(kernel, rng):
     if kernel == "concat_linear":
         parts = [x32, normal(rng, (50, 2), np.float64)]
         w = normal(rng, (10, 4), np.float32)
-        return (parts, w, None), np.concatenate(parts, axis=1) @ w
+        return (parts, w), np.concatenate(parts, axis=1) @ w
     positions = x32[:, :3]
     shift = normal(rng, (30, 3), np.float64)
     src, dst = rng.integers(0, 50, 30), rng.integers(0, 50, 30)
@@ -167,9 +173,13 @@ def _mixed_dtype_case(kernel, rng):
 
 
 IMPLEMENTATIONS = {
-    "linear": kernels.LinearKernel.forward,
-    "edge_message_linear": kernels.EdgeMessageLinearKernel.forward,
-    "concat_linear": kernels.ConcatLinearKernel.forward,
+    "linear": kernels.FusedLinear.infer,
+    "edge_message_linear": lambda h, feat, weight, bias, src, dst: kernels.EdgeMessageLinear.infer(
+        h, feat, weight, bias, src=src, dst=dst
+    ),
+    "concat_linear": lambda parts, weight: kernels.ConcatLinear.infer(
+        *parts, weight, num_parts=len(parts), has_bias=False
+    ),
     "edge_geometry": lambda *args: kernels.edge_geometry_arrays(*args)[0],
 }
 
@@ -206,7 +216,7 @@ def test_gathers_bounds_check(kernel, bad, rng):
 
 SEGMENT_SUMS = {
     "segment_sum": lambda values, segments: SegmentSum.infer(values, segments, 10),
-    "mul_segment_sum": lambda values, segments: kernels.MulSegmentSumKernel.forward(
+    "mul_segment_sum": lambda values, segments: kernels.MulSegmentSum.infer(
         values, np.ones((values.shape[0], 1), values.dtype), segments, 10
     ),
 }

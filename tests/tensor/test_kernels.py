@@ -186,9 +186,9 @@ class TestInferenceFastPath:
 
 
 class TestSubstitutedKernels:
-    """Each op has one implementation, called directly: a substitute
-    patched over it runs in forward, backward and the no-grad fast path,
-    with the implementation's exact bits."""
+    """Each op is one ``Function``: a substitute patched over its
+    ``infer`` or ``backward`` runs in training forwards, backward and the
+    no-grad fast path, with the original's exact bits."""
 
     def _batch(self):
         return collate(make_molecule_graphs(4, seed=5) + make_periodic_graphs(2, seed=5))
@@ -213,26 +213,26 @@ class TestSubstitutedKernels:
             return out
 
         reference = losses()
-        calls = count_calls(monkeypatch, kernels.EdgeMessageLinearKernel, "forward", "backward")
+        calls = count_calls(monkeypatch, kernels.EdgeMessageLinear, "infer", "backward")
         assert losses() == reference
-        assert calls["forward"] > 0
+        assert calls["infer"] > 0
         assert calls["backward"] > 0
 
     def test_predict_matches(self, monkeypatch):
         batch = self._batch()
         model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
         reference = model.predict(batch, plan=False)
-        calls = count_calls(monkeypatch, kernels.LinearKernel, "forward", "backward")
+        calls = count_calls(monkeypatch, kernels.FusedLinear, "infer", "backward")
         predicted = model.predict(batch, plan=False)
         for key in ("energy", "forces"):
             np.testing.assert_array_equal(predicted[key].numpy(), reference[key].numpy())
-        assert calls["forward"] > 0
+        assert calls["infer"] > 0
         assert calls["backward"] == 0
 
     def test_no_function_nodes_with_a_substituted_kernel(self, monkeypatch):
         batch = self._batch()
         model = HydraModel(ModelConfig(hidden_dim=16, num_layers=2), seed=0)
-        calls = count_calls(monkeypatch, kernels.SiLUKernel, "forward")
+        calls = count_calls(monkeypatch, kernels.FusedSiLU, "infer")
         model.predict(batch)  # warm any lazy setup
         before = function_nodes_created()
         with no_grad():
@@ -240,7 +240,7 @@ class TestSubstitutedKernels:
         assert function_nodes_created() == before
         assert predictions["energy"].requires_grad is False
         assert predictions["energy"]._ctx is None
-        assert calls["forward"] > 0
+        assert calls["infer"] > 0
 
     def test_grad_tensors_flow_through_substituted_kernels(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -254,8 +254,8 @@ class TestSubstitutedKernels:
             return np.array(x.grad), np.array(w.grad)
 
         gx_reference, gw_reference = run()
-        linear_calls = count_calls(monkeypatch, kernels.LinearKernel, "backward")
-        silu_calls = count_calls(monkeypatch, kernels.SiLUKernel, "backward")
+        linear_calls = count_calls(monkeypatch, kernels.FusedLinear, "backward")
+        silu_calls = count_calls(monkeypatch, kernels.FusedSiLU, "backward")
         gx, gw = run()
         np.testing.assert_array_equal(gx, gx_reference)
         np.testing.assert_array_equal(gw, gw_reference)

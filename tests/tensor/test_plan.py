@@ -80,16 +80,16 @@ class TestBitExactReplay:
         assert_same_outputs(unplanned, replayed)
 
     def test_substituted_kernel_runs_in_replay(self, monkeypatch):
-        """A replay calls each op's one implementation, substitutes included."""
+        """A replay calls each op's ``infer``, substitutes included."""
         model = fresh_model()
         batch = collate(make_molecule_graphs(3, seed=2))
         reference = model.serve(batch, plan=False)
-        calls = count_calls(monkeypatch, kernels.EdgeMessageLinearKernel, "forward")
+        calls = count_calls(monkeypatch, kernels.EdgeMessageLinear, "infer")
         unplanned = model.serve(batch, plan=False)
         model.serve(batch, plan=True)
-        before = calls["forward"]
+        before = calls["infer"]
         replayed = model.serve(batch, plan=True)
-        assert calls["forward"] > before
+        assert calls["infer"] > before
         assert_same_outputs(unplanned, replayed)
         assert_same_outputs(reference, replayed)
 
@@ -334,7 +334,7 @@ class TestPlanInternals:
         low, high = sorted((first.num_edges, second.num_edges))
         assert low < high  # need the edge counts to straddle the floor
         floor = (low + high + 1) // 2  # low < floor <= high
-        linear = kernels.LinearKernel.forward
+        linear = kernels.FusedLinear.infer
 
         def row_floor_linear(x, weight, bias=None):
             """``linear``, staged through one extra pooled buffer at ``floor``
@@ -347,7 +347,7 @@ class TestPlanInternals:
             np.copyto(staged, out)
             return staged
 
-        monkeypatch.setattr(kernels.LinearKernel, "forward", row_floor_linear)
+        monkeypatch.setattr(kernels.FusedLinear, "infer", row_floor_linear)
         for order in ((first, second), (second, first)):
             model = fresh_model()
             with allocator.use_pool(allocator.BufferPool()):

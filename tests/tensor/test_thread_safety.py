@@ -7,6 +7,7 @@ thread-local, and the shared structures (one ``BufferPool``, the node
 counter) are safe under concurrent access.
 """
 
+import gc
 import threading
 
 import numpy as np
@@ -85,19 +86,24 @@ class TestGradModeIsolation:
             assert _run_in_thread(grad_enabled) is True
 
     def test_node_counter_sums_across_threads(self):
+        """Nodes built on short-lived threads are all counted, exactly,
+        after the threads are joined and collected."""
         before = function_nodes_created()
 
         def build_graph():
             x = Tensor(np.ones((4, 4), dtype=np.float32), requires_grad=True)
             (x * 2.0).sum().backward()
 
-        threads = [threading.Thread(target=build_graph) for _ in range(4)]
+        threads = [threading.Thread(target=build_graph) for _ in range(16)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(10.0)
-        # 4 threads x (Mul, Sum) >= 8 nodes, all visible from the main thread.
-        assert function_nodes_created() >= before + 8
+        assert not any(thread.is_alive() for thread in threads)
+        del threads
+        gc.collect()
+        # 16 threads x (Mul, Sum), all visible from the main thread.
+        assert function_nodes_created() == before + 32
 
 
 class TestContextStackIsolation:

@@ -17,6 +17,8 @@ builds once and keeps for its lifetime.  And no gather pays for a
 buffered ``take(..., out=)``.  Each fused op has one implementation,
 called directly: the one test that imports the package checks that
 ``repro.tensor.kernels`` holds no dispatch state and plans key on shape.
+Each op is one ``Function`` subclass with its own ``infer``, and the
+engine's node count needs no per-thread bookkeeping.
 """
 
 import ast
@@ -189,3 +191,39 @@ def test_one_implementation_per_kernel():
         if re.search(r"\bfusion", path.read_text(), re.IGNORECASE)
     }
     assert users == set()
+
+
+def test_each_op_is_one_function():
+    """``repro.tensor.kernels`` defines only ``Function`` subclasses; each
+    op under ``src`` but ``CheckpointFunction`` has its own ``infer``, and
+    ``Function`` has none to fall back on; ``repro.tensor.core`` finalizes
+    nothing but its incidence-cache entries."""
+    bases, methods = {}, {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                key = (module, node.name)
+                bases[key] = {ast.unparse(base).split(".")[-1] for base in node.bases}
+                methods[key] = {
+                    item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                }
+    ops: set = set()
+    while True:
+        names = {"Function"} | {name for _, name in ops}
+        grown = {key for key, parents in bases.items() if parents & names}
+        if grown == ops:
+            break
+        ops = grown
+    assert "infer" not in methods[("tensor/core.py", "Function")]
+    assert ("tensor/kernels.py", "FusedLinear") in ops
+    assert {key for key in bases if key[0] == "tensor/kernels.py"} <= ops
+    lacking = {key for key in ops if "infer" not in methods[key]}
+    assert lacking == {("tensor/checkpoint.py", "CheckpointFunction")}
+
+    finalizers = set()
+    for node in ast.parse((PACKAGE / "tensor" / "core.py").read_text()).body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("finalize"):
+                finalizers.add(getattr(node, "name", ast.unparse(node)))
+    assert finalizers == {"_incidence"}
