@@ -168,7 +168,7 @@ def bench_cached_serving_session(benchmark):
 
 
 def bench_threaded_dispatch_smoke(benchmark):
-    """Multi-worker served mode: correct results under concurrency."""
+    """Two-slot served mode: a call split between slots matches inline."""
     model, graphs = _workload()
     inline = PredictionService(
         model, ServiceConfig(cache_capacity=0, max_atoms=10**9)
@@ -180,8 +180,7 @@ def bench_threaded_dispatch_smoke(benchmark):
             model, ServiceConfig(flush_interval_s=0.002, max_atoms=10**9)
         )
         with service.start(workers=2):
-            pending = [service.submit(g) for g in graphs]
-            results = [p.wait(30.0) for p in pending]
+            results = service.predict_many(graphs)
         return float(np.abs(np.array([r.energy for r in results]) - expected).max())
 
     error = session()

@@ -214,7 +214,7 @@ def main() -> int:
 
         # 3. Burst beyond --max-pending 1 -> 429 with a typed error body.
         # One call is enqueued as one group, so its second structure finds
-        # the first still queued whatever the worker is doing.
+        # the first still queued whatever the slot is doing.
         burst = [
             {
                 "atomic_numbers": [6, 6],

@@ -57,9 +57,9 @@ def main() -> None:
         # 3. Local client over the same registry: same code path, no
         # sockets.  The wire format round-trips float64 bit-exactly, so a
         # structure sent alone comes back identical to the last bit; a
-        # multi-structure call is shared between whichever workers are
-        # free, so its forwards may be composed differently and agree to
-        # float32 round-off.
+        # multi-structure call is split between the slots free when it
+        # is taken, so its forwards may be composed differently and agree
+        # to float32 round-off.
         local = Client.local(registry)
         local_results = local.predict(corpus.graphs)
         close = all(

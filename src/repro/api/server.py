@@ -30,13 +30,15 @@ Two layers, deliberately separated:
 
   Every response body — success or failure — is JSON.  Shutdown is
   graceful: :meth:`ApiServer.close` stops accepting connections, then
-  stops each model's service, which drains queued requests.
+  stops each model's service; a request still queued is run by its
+  own handler thread.
 
 The server is threaded (one handler thread per connection) because the
 engine underneath is: grad mode, the plan tracer and pool stacks are
 thread-local, each kernel runs on its caller's thread, and the batcher
-admits requests from any thread — so HTTP concurrency maps directly
-onto the service's worker concurrency with no extra locking here.
+admits requests from any thread.  Each handler thread runs its own
+request's forwards, up to ``workers`` of them at once (the service's
+slots), so there is no dispatch thread and no extra locking here.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class ApiGateway:
 
     One started :class:`PredictionService` per served model, created on
     first use (mirroring the registry's lazy checkpoint loading) and
-    stopped — queue drained — by :meth:`close`.
+    stopped by :meth:`close`.
     """
 
     def __init__(
@@ -263,7 +265,7 @@ class ApiGateway:
         # holding the gateway lock through it would stall healthz/stats
         # probes (and sibling models) for the whole warmup.  A racing
         # duplicate build is wasteful but harmless — only the winner is
-        # started; the loser is never started, so it owns no threads.
+        # started; the loser never serves a request.
         candidate = PredictionService.from_registry(self.registry, name, config=self.config)
         with self._lock:
             if self._closed:
@@ -446,7 +448,7 @@ class ApiGateway:
         }
 
     def close(self) -> None:
-        """Stop every service: drain their queues."""
+        """Stop every service (each queued request's caller still runs it)."""
         with self._lock:
             self._closed = True
             services = list(self._services.values())

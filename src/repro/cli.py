@@ -319,7 +319,7 @@ def _serve_http(args: argparse.Namespace) -> int:
     print(f"bound_port={server.bound_port}", flush=True)
     print(
         f"serving model {args.model_name!r} on {server.url} "
-        f"({args.workers} worker(s), budget {args.max_atoms} atoms / "
+        f"({args.workers} slot(s), budget {args.max_atoms} atoms / "
         f"{args.max_graphs} graphs, max_pending "
         f"{args.max_pending or 'unbounded'})",
         flush=True,
@@ -494,7 +494,7 @@ def _serve_selftest(args: argparse.Namespace) -> int:
     indices = rng.integers(0, len(corpus.graphs), size=args.requests)
     print(
         f"serving {args.requests} requests over {len(corpus.graphs)} unique "
-        f"structures with {args.workers} worker(s) "
+        f"structures with {args.workers} slot(s) "
         f"(budget: {config.max_atoms} atoms / {config.max_graphs} graphs, "
         f"backend {config.backend or 'default'}, "
         f"plans {'on' if config.plan else 'off'}, "
@@ -502,14 +502,12 @@ def _serve_selftest(args: argparse.Namespace) -> int:
     )
     service.start(workers=args.workers)
     try:
-        # Closed-loop clients: at most --concurrency requests in flight.
-        # Later waves re-request structures earlier waves computed, which
-        # is what turns repeats into cache hits.
+        # Closed-loop waves: at most --concurrency requests in flight, sent
+        # as one call.  Later waves re-request structures earlier waves
+        # computed, which is what turns repeats into cache hits.
         for start in range(0, len(indices), args.concurrency):
             wave = indices[start : start + args.concurrency]
-            pending = [service.submit(corpus.graphs[i]) for i in wave]
-            for request in pending:
-                request.wait(config.request_timeout_s)
+            service.predict_many([corpus.graphs[i] for i in wave])
     except ServiceOverloaded as error:
         print(f"error: server overloaded: {error}", file=sys.stderr)
         print(
@@ -659,7 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--requests", type=int, default=96, help="total requests (selftest)"
     )
-    serve_parser.add_argument("--workers", type=int, default=2)
+    serve_parser.add_argument(
+        "--workers", type=int, default=2, help="slots: a cap on concurrent forwards"
+    )
     serve_parser.add_argument(
         "--concurrency", type=int, default=16, help="in-flight requests per wave (selftest)"
     )
@@ -676,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--flush-interval",
         type=float,
         default=0.005,
-        help="no longer delays a batch (a free worker takes queued work at once); "
-        "still reported in /v1/stats and seeds the default --lane-aging",
+        help="no longer delays a batch (a caller with a free slot takes queued work "
+        "at once); still reported in /v1/stats and seeds the default --lane-aging",
     )
     serve_parser.add_argument(
         "--client-rate",

@@ -44,12 +44,20 @@ def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
     return 1.0 - residual / total
 
 
-def fit_power_law(x, y, floor: bool = True) -> PowerLawFit:
-    """Least-squares fit of a (floored) power law.
+#: The exponent search range; a scaling exponent outside it is not a scaling law.
+ALPHA_MAX = 4.0
+_ALPHA_GRID = np.linspace(0.0, ALPHA_MAX, 81)
 
-    Positivity of ``a`` and ``c`` is enforced through an exp/softplus
-    parameterization; several restarts guard against local minima (the
-    loss surface in (alpha, log a) is mildly multimodal).
+
+def fit_power_law(x, y, floor: bool = True) -> PowerLawFit:
+    """Least-squares fit of a (floored) power law, ``a, c >= 0``.
+
+    For a fixed exponent the model is linear in ``(a, c)``, so both come
+    from a non-negative least-squares solve and only ``alpha`` is
+    searched: on a coarse grid over ``[0, ALPHA_MAX]``, then by a bounded
+    scalar minimization between the best grid point's neighbours.
+    Profiling ``(a, c)`` out this way finds floor-dominated curves that a
+    joint local search started away from the floor misses.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -60,29 +68,30 @@ def fit_power_law(x, y, floor: bool = True) -> PowerLawFit:
     if (x <= 0).any():
         raise ValueError("x must be positive")
 
-    c_floor = float(max(y.min() * 0.5, 1e-12)) if floor else 0.0
+    # Columns scaled to a maximum of 1 keep the solve well conditioned
+    # across decades of x; ``a`` is unscaled at the end.
+    ratio = x / x.min()
+    ones = np.ones((x.size, 1))
 
-    def model(params: np.ndarray) -> np.ndarray:
-        log_a, alpha, raw_c = params
-        c = c_floor * (1.0 / (1.0 + np.exp(-raw_c))) * 2.0 if floor else 0.0
-        return np.exp(log_a) * x**-alpha + c
+    def solve(alpha: float) -> tuple[np.ndarray, float]:
+        column = ratio[:, None] ** -alpha
+        return optimize.nnls(np.hstack([column, ones]) if floor else column, y)
 
-    def objective(params: np.ndarray) -> float:
-        return float(((model(params) - y) ** 2).sum())
-
-    best = None
-    spread = float(y.max() - y.min())
-    for alpha0 in (0.05, 0.1, 0.3, 0.6):
-        start = np.array([np.log(max(spread, 1e-6) * x.min() ** alpha0), alpha0, 0.0])
-        result = optimize.minimize(objective, start, method="Nelder-Mead",
-                                   options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-14})
-        if best is None or result.fun < best.fun:
-            best = result
-    log_a, alpha, raw_c = best.x
-    c = c_floor * (1.0 / (1.0 + np.exp(-raw_c))) * 2.0 if floor else 0.0
-    fit = PowerLawFit(float(np.exp(log_a)), float(alpha), float(c), 0.0)
-    predicted = fit.predict(x)
-    return PowerLawFit(fit.a, fit.alpha, fit.c, _r_squared(y, predicted))
+    residuals = [solve(alpha)[1] for alpha in _ALPHA_GRID]
+    best = int(np.argmin(residuals))
+    low = _ALPHA_GRID[max(best - 1, 0)]
+    high = _ALPHA_GRID[min(best + 1, _ALPHA_GRID.size - 1)]
+    refined = optimize.minimize_scalar(
+        lambda alpha: solve(alpha)[1],
+        bounds=(low, high),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    alpha = float(refined.x) if refined.fun <= residuals[best] else float(_ALPHA_GRID[best])
+    coefficients, _ = solve(alpha)
+    a = float(coefficients[0] * x.min() ** alpha)
+    c = float(coefficients[1]) if floor else 0.0
+    return PowerLawFit(a, alpha, c, _r_squared(y, a * x**-alpha + c))
 
 
 def bootstrap_exponent(

@@ -23,7 +23,6 @@ from repro.serving.admission import (
 from repro.serving.batcher import (
     DEFAULT_LANE,
     FLUSH_ATOMS,
-    FLUSH_CLOSE,
     FLUSH_GRAPHS,
     FLUSH_WORKER,
     LANE_WEIGHTS,
@@ -67,7 +66,6 @@ __all__ = [
     "BROWNOUT_STATES",
     "DEFAULT_LANE",
     "FLUSH_ATOMS",
-    "FLUSH_CLOSE",
     "FLUSH_GRAPHS",
     "FLUSH_WORKER",
     "LANES",

@@ -1,33 +1,32 @@
-"""Dynamic micro-batching: queue requests, hand them to free workers.
+"""Dynamic micro-batching: queue requests, let their callers run them in slots.
 
 The throughput of the fused inference path scales with batch size —
 collating K small structures into one disjoint-union graph amortizes
 per-call overhead across K structures — but serving traffic arrives one
 structure at a time.  The :class:`MicroBatcher` bridges the two with one
-rule: *a worker that asks for work takes what is pending now, and takes
-only its share when other workers are also free*.
+rule: *a caller that takes a slot takes what is pending now, and takes
+only its share when other slots are also free*.
 
-- **Free worker.**  Nothing is queued beside an idle worker:
-  :meth:`MicroBatcher.next_batch` returns as soon as anything is
-  pending.  Requests accumulate — and batches form — only while every
-  worker is busy; the next worker to come free takes them in
-  weighted-fair order.
+- **Slots.**  ``workers`` caps how many forwards run at once.  While
+  any of a caller's structures is queued, :meth:`MicroBatcher.take`
+  hands it a free slot and a batch in weighted-fair order (its own
+  structures or not); :meth:`MicroBatcher.release` gives the slot back
+  and wakes the callers parked while every slot was busy.
 - **Budgets.**  One take stops at the **atom budget** (``max_atoms``,
   the knob that bounds peak activation memory per forward) or the
   **graph budget** (``max_graphs``), whichever comes first.
-- **Share.**  When several workers are free at once (a multi-structure
-  call arriving at an idle service, enqueued whole by
-  :meth:`MicroBatcher.submit_many`), each take's atom budget is cut to
-  ``ceil(pending atoms / free workers)``, so the call becomes that many
-  similar-sized forwards running side by side instead of one large
-  batch and a remainder.
+- **Share.**  Each take's atom budget is cut to
+  ``ceil(pending atoms / free slots)``, so a multi-structure call
+  (enqueued whole by :meth:`MicroBatcher.submit_many`) taken while
+  several slots are free becomes that many similar-sized forwards
+  instead of one large batch and a remainder.
 
-So queue delay is paid only while every worker is busy; there is no
-flush timer.  ``flush_interval_s`` is still accepted and reported, and
-still seeds the default lane-aging bound, but it no longer delays a
-batch.  Atoms-not-graphs as the primary budget is what a variable-size
-graph workload needs, since forward cost tracks nodes and edges, not
-graph count.
+So queue delay is paid only while every slot is busy; there is no flush
+timer.  ``flush_interval_s`` is still accepted and reported, and still
+seeds the default lane-aging bound, but it no longer delays a batch.
+Atoms-not-graphs as the primary budget is what a variable-size graph
+workload needs, since forward cost tracks nodes and edges, not graph
+count.
 
 **Priority lanes.**  The queue is split into three lanes —
 ``interactive``, ``bulk``, ``background`` — scheduled by weighted fair
@@ -50,7 +49,8 @@ its latency bound.  Deadline shedding is equally eager: a request whose
 ``deadline`` has already passed — or whose *predicted* queue wait
 (pending work over the measured drain rate) would outlive it — is
 rejected at submit with :class:`DeadlineExceeded` instead of being
-discovered dead at dequeue.
+discovered dead at dequeue.  A parked caller that gives up takes its
+queued requests back out, so nothing stays queued without a caller.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ class DeadlineExceeded(RuntimeError):
 class ServeRequest:
     """One enqueued structure, with its completion signal.
 
-    Workers fulfil the request by calling :meth:`resolve` (or
-    :meth:`fail`); the submitting client blocks in :meth:`wait`.
+    Whichever caller's batch holds the request fulfils it by calling
+    :meth:`resolve` (or :meth:`fail`); its own caller blocks in
+    :meth:`wait` if another caller took it.
     """
 
     graph: AtomGraph
@@ -115,6 +116,8 @@ class ServeRequest:
     #: Invoked exactly once when the request completes (either way) —
     #: the hook admission leases use to release concurrency slots.
     on_done: object = field(default=None, repr=False, compare=False)
+    #: In a lane right now (set and cleared under the batcher's lock).
+    queued: bool = field(default=False, init=False, repr=False, compare=False)
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
     _result: object = None
     _error: BaseException | None = None
@@ -156,11 +159,10 @@ class ServeRequest:
 
 
 #: What bounded a batch when it left the queue (recorded for
-#: telemetry/tests): a full budget's worth was pending, the queue was
-#: draining at close, or a free worker simply took what there was.
+#: telemetry/tests): a full budget's worth was pending, or a caller
+#: with a free slot simply took what there was.
 FLUSH_ATOMS = "atoms_budget"
 FLUSH_GRAPHS = "graphs_budget"
-FLUSH_CLOSE = "close"
 FLUSH_WORKER = "free_worker"
 
 
@@ -188,7 +190,7 @@ def first_chunk_size(
 
 
 class MicroBatcher:
-    """Bounded accumulation queue handing budget-sized batches to free workers."""
+    """Bounded accumulation queue handing budget-sized batches to callers with a free slot."""
 
     def __init__(
         self,
@@ -208,8 +210,6 @@ class MicroBatcher:
             raise ValueError("max_pending must be >= 0 (0 disables admission control)")
         if lane_aging_s is not None and lane_aging_s < 0:
             raise ValueError("lane_aging_s must be >= 0")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.max_atoms = int(max_atoms)
         self.max_graphs = int(max_graphs)
         self.flush_interval_s = float(flush_interval_s)
@@ -222,9 +222,9 @@ class MicroBatcher:
             if lane_aging_s is not None
             else max(0.05, 10.0 * self.flush_interval_s)
         )
-        #: Consumer-thread count — the queue-wait estimator's drain
-        #: concurrency hint, set by the service at start() and stop().
-        self.workers = int(workers)
+        self._cond = threading.Condition()
+        self.workers = workers
+        self.busy = 0  # slots running a forward right now
         #: Called with each dequeued request's queue age (seconds); the
         #: brownout controller's saturation signal.
         self.on_dequeue_wait = on_dequeue_wait
@@ -236,12 +236,9 @@ class MicroBatcher:
         self._vtime = 0.0  # virtual clock of the most recent dequeue
         self._pending_count = 0
         self._pending_atoms = 0
-        self._free_workers = 0  # consumers inside next_batch() right now
         #: EWMA of measured per-graph service time (record_service), the
         #: basis of the predicted-wait shed at submit.
         self._per_graph_s: float | None = None
-        self._closed = False
-        self._cond = threading.Condition()
         self.flush_reasons: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -252,7 +249,7 @@ class MicroBatcher:
         self.submit_many([request])
 
     def submit_many(self, requests: list[ServeRequest]) -> None:
-        """Enqueue a group under one lock hold: a worker sees all of it or none.
+        """Enqueue a group under one lock hold: a take sees all of it or none.
 
         Every request passes the checks of :meth:`submit`, in order.  The
         first one refused raises its rejection; the requests ahead of it
@@ -273,14 +270,10 @@ class MicroBatcher:
                 for request in requests[queued:]:
                     request.fail(error)
                 raise
-            finally:
-                self._cond.notify_all()
 
     def _enqueue_locked(self, request: ServeRequest, now: float) -> None:
         if request.lane not in self._lanes:
             raise ValueError(f"unknown lane {request.lane!r}; expected one of {LANES}")
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed MicroBatcher")
         if request.expired(now):
             # Expired on arrival: reject before it occupies queue
             # space a live request could use.
@@ -311,19 +304,22 @@ class MicroBatcher:
             # in credit accumulated while empty.
             self._virtual[request.lane] = max(self._virtual[request.lane], self._vtime)
         lane.append(request)
+        request.queued = True
         self._pending_count += 1
         self._pending_atoms += request.n_atoms
 
-    def close(self) -> None:
-        """Stop accepting requests; queued work drains as final batches."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+    @property
+    def workers(self) -> int:
+        """Slot count: how many forwards may run at once."""
+        return self._workers
 
-    def reopen(self) -> None:
-        """Accept requests again after :meth:`close` (counters carry on)."""
+    @workers.setter
+    def workers(self, count: int) -> None:
+        if count < 1:
+            raise ValueError("workers must be >= 1")
         with self._cond:
-            self._closed = False
+            self._workers = int(count)
+            self._cond.notify_all()  # new slots are free slots
 
     @property
     def pending_graphs(self) -> int:
@@ -355,7 +351,7 @@ class MicroBatcher:
     def _estimated_wait_locked(self) -> float:
         if self._per_graph_s is None or not self._pending_count:
             return 0.0
-        return self._pending_count * self._per_graph_s / max(1, self.workers)
+        return self._pending_count * self._per_graph_s / self._workers
 
     @property
     def estimated_wait_s(self) -> float:
@@ -364,7 +360,7 @@ class MicroBatcher:
             return self._estimated_wait_locked()
 
     # ------------------------------------------------------------------
-    # consumer side
+    # caller side: slots
     # ------------------------------------------------------------------
     def _flush_reason(self) -> str:
         """What bounds the batch about to leave a non-empty queue."""
@@ -372,7 +368,7 @@ class MicroBatcher:
             return FLUSH_ATOMS
         if self._pending_count >= self.max_graphs:
             return FLUSH_GRAPHS
-        return FLUSH_CLOSE if self._closed else FLUSH_WORKER
+        return FLUSH_WORKER
 
     def _select_lane(self, now: float) -> str:
         """Which lane serves next: aged head first, else smallest clock."""
@@ -398,14 +394,13 @@ class MicroBatcher:
         assert best is not None  # caller checked _pending_count
         return best
 
-    def _take_batch(self, now: float) -> list[ServeRequest]:
-        """Pop this worker's batch via weighted-fair selection.
+    def _take_batch(self, now: float, free: int) -> list[ServeRequest]:
+        """Pop one slot's batch via weighted-fair selection.
 
         Always takes at least one request; FIFO within each lane.  The
         budgets are :func:`first_chunk_size`'s, with the atom budget cut
-        to this worker's share of what is pending when other workers are
-        free to take the rest; alone, or under saturation, the share is
-        the whole of ``max_atoms``.
+        to this slot's share of what is pending among the ``free`` slots
+        (this one included).
         """
         batch: list[ServeRequest] = []
 
@@ -417,6 +412,7 @@ class MicroBatcher:
                 head = self._lanes[lane][0]
                 yield head
                 self._lanes[lane].popleft()
+                head.queued = False
                 self._pending_count -= 1
                 self._pending_atoms -= head.n_atoms
                 self._vtime = self._virtual[lane]
@@ -425,57 +421,68 @@ class MicroBatcher:
                 if self.on_dequeue_wait is not None:
                     self.on_dequeue_wait(max(0.0, now - head.submitted_at))
 
-        share = -(-self._pending_atoms // self._free_workers)
+        share = -(-self._pending_atoms // free)
         first_chunk_size(heads(), min(self.max_atoms, share), self.max_graphs)
         return batch
 
-    def _drop_expired(self, now: float) -> None:
-        """Fail and remove pending requests whose deadline has passed.
+    def _fail_queued(self, gone: list[ServeRequest], error) -> int:
+        """Take the queued requests ``gone`` out of their lanes; fail each with ``error(it)``."""
+        if gone:
+            ids = {id(request) for request in gone}
+            for lane, queue in self._lanes.items():
+                self._lanes[lane] = deque(r for r in queue if id(r) not in ids)
+        for request in gone:
+            request.queued = False
+            self._pending_count -= 1
+            self._pending_atoms -= request.n_atoms
+            request.fail(error(request))
+        return len(gone)
 
-        Runs at every dequeue decision: an expired entry never reaches a
-        worker, so no forward is burned on a result the caller has
-        already given up on.  The waiting client is released immediately
-        with :class:`DeadlineExceeded` rather than at flush time.
-        """
-        for lane, queue in self._lanes.items():
-            if not any(request.expired(now) for request in queue):
-                continue
-            kept: deque[ServeRequest] = deque()
-            for request in queue:
-                if request.expired(now):
-                    self.expired += 1
-                    self._pending_count -= 1
-                    self._pending_atoms -= request.n_atoms
-                    request.fail(
-                        DeadlineExceeded(
-                            f"request {request.key[:12]} expired after waiting "
-                            f"{now - request.submitted_at:.3f}s in the queue"
-                        )
-                    )
-                else:
-                    kept.append(request)
-            self._lanes[lane] = kept
+    def take(
+        self, mine: list[ServeRequest], until: float | None = None
+    ) -> list[ServeRequest] | None:
+        """A slot (held until :meth:`release`) and a batch, while any of ``mine`` is queued.
 
-    def next_batch(self, wait: bool = True) -> list[ServeRequest] | None:
-        """Block until anything is queued; ``None`` once closed and drained.
-
-        Safe to call from many worker threads; each released batch goes
-        to exactly one caller, and no caller waits beside queued work.
-        With ``wait=False`` this is a take that never blocks: ``None``
-        means nothing is pending once expired entries are dropped.
+        ``None`` once none is.  With every slot busy the caller parks until
+        a release, its earliest queued deadline or ``until`` (monotonic); at
+        ``until`` it gives up, failing its queued requests with TimeoutError.
         """
         with self._cond:
-            self._free_workers += 1
-            try:
-                while True:
-                    now = time.monotonic()
-                    self._drop_expired(now)
-                    if self._pending_count:
-                        reason = self._flush_reason()
-                        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-                        return self._take_batch(now)
-                    if self._closed or not wait:
-                        return None
-                    self._cond.wait()
-            finally:
-                self._free_workers -= 1
+            while True:
+                now = time.monotonic()
+                # An expired entry never reaches a forward.
+                self.expired += self._fail_queued(
+                    [r for queue in self._lanes.values() for r in queue if r.expired(now)],
+                    lambda request: DeadlineExceeded(
+                        f"request {request.key[:12]} expired after waiting "
+                        f"{now - request.submitted_at:.3f}s in the queue"
+                    ),
+                )
+                own = [request for request in mine if request.queued]
+                if not own:
+                    return None
+                free = self._workers - self.busy
+                if free > 0:
+                    self.busy += 1
+                    reason = self._flush_reason()
+                    self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
+                    return self._take_batch(now, free)
+                if until is not None and now >= until:
+                    self._fail_queued(
+                        own,
+                        lambda request: TimeoutError(
+                            f"request {request.key[:12]} given up after waiting "
+                            f"{now - request.submitted_at:.3f}s in the queue"
+                        ),
+                    )
+                    return None
+                wake = [request.deadline for request in own if request.deadline is not None]
+                if until is not None:
+                    wake.append(until)
+                self._cond.wait(min(wake) - now if wake else None)
+
+    def release(self) -> None:
+        """Give a slot back; parked callers wake to take it."""
+        with self._cond:
+            self.busy -= 1
+            self._cond.notify_all()

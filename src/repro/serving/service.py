@@ -7,9 +7,10 @@
    looked up in the :class:`ResultCache`; a hit returns immediately
    without touching the model.
 2. **Micro-batch** — misses are enqueued into a :class:`MicroBatcher`,
-   which hands them to a free worker at once and lets them accumulate,
-   up to an atom/graph budget, only while every worker is busy.
-3. **Execute** — a worker collates the batch into one disjoint-union
+   which hands them back to their caller at once when a slot is free
+   and lets them accumulate, up to an atom/graph budget, only while
+   every slot is busy.
+3. **Execute** — the caller collates the batch into one disjoint-union
    :class:`GraphBatch` and runs :meth:`HydraModel.serve` (the zero-
    ``Function``-node ``no_grad`` fast path) under a shared
    :class:`BufferPool`, then scatters
@@ -19,14 +20,15 @@
    to physical units before caching.
 
 Every call takes that one path through the one batcher the service
-owns for its lifetime.  Who executes the batches is the only variable:
-``start(workers=N)`` spins up N dispatch threads, so concurrent clients
-block on their own requests — what an RPC front end wants; an unstarted
-service (or one stopped again) has none, so each call drains the queue
-on its own thread until its requests are done — what batch jobs and
-benchmarks want.  The engine's grad mode, plan tracer and pool stack
-are thread-local, and each kernel runs on its caller's thread, so
-workers (and concurrent callers) execute model forwards **truly
+owns for its lifetime, and runs its batches on its own thread: while
+any of its structures is queued it takes a slot and a batch, runs it
+and gives the slot back.  ``start(workers=N)`` sets N slots — a cap on
+concurrent forwards, not N threads; an unstarted (or stopped) service
+has one.  A multi-structure call that finds another slot free starts
+one short-lived helper thread running the same loop, so the call is
+split between the free slots.  The engine's grad mode, plan tracer and
+pool stack are thread-local, and each kernel runs on its caller's
+thread, so concurrent callers execute model forwards **truly
 concurrently** — there is no global model lock.
 """
 
@@ -84,8 +86,8 @@ class ServiceConfig:
 
     max_atoms: int = 512  # micro-batch atom budget (bounds forward memory)
     max_graphs: int = 64  # micro-batch graph budget
-    #: No longer delays a batch (a free worker takes queued work at
-    #: once); kept because it is reported in ``/v1/stats`` and seeds the
+    #: No longer delays a batch (a caller with a free slot takes queued
+    #: work at once); kept because it is reported in ``/v1/stats`` and seeds the
     #: default ``lane_aging_s``.
     flush_interval_s: float = 0.005
     cache_capacity: int = 4096  # LRU entries; <=0 disables caching
@@ -147,7 +149,7 @@ class _ForceSession:
     Admission runs once, here — a session is one request, not one per
     force evaluation.  :meth:`predict` is what the integrator drives:
     the deadline is re-checked before every evaluation (a long run stops
-    between steps rather than holding a worker past its budget), then
+    between steps rather than holding a slot past its budget), then
     the call inherits the lane for scheduling but never re-charges
     quotas.  :meth:`on_step` counts evaluations, skin-list outcomes and
     elapsed time as they happen, so an aborted run keeps its progress
@@ -212,7 +214,7 @@ class PredictionService:
         self.normalizer = normalizer
         self.cache = ResultCache(self.config.cache_capacity)
         self.stats = ServingStats()
-        self._workers: list[threading.Thread] = []
+        self._started = False
         self._expired = 0  # session deadline expiries (the batcher counts its own)
         # Quota + brownout policy gate (always present; with default
         # config it admits everything and only counts).
@@ -244,7 +246,7 @@ class PredictionService:
         self._md = _session_counters(thermostats={})
         # No model lock: the engine's grad mode and pool stack are
         # thread-local, and the shared BufferPool is internally locked,
-        # so N workers run N model forwards truly concurrently.
+        # so N slots run N model forwards truly concurrently.
         if self.config.backend not in (None, BACKEND):
             raise ValueError(
                 f"unknown kernel backend {self.config.backend!r}; available: {[BACKEND]}"
@@ -263,36 +265,25 @@ class PredictionService:
         return cls(model, **kwargs)
 
     # ------------------------------------------------------------------
-    # lifecycle (worker threads)
+    # lifecycle (slots)
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return bool(self._workers)
+        return self._started
 
     def start(self, workers: int = 1) -> "PredictionService":
-        """Spin up ``workers`` dispatch threads consuming the batcher."""
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        """Allow ``workers`` concurrent forwards (slots); starts no thread."""
         if self.running:
             raise RuntimeError("service already started")
         self._batcher.workers = workers
-        for index in range(workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"serving-worker-{index}", daemon=True
-            )
-            thread.start()
-            self._workers.append(thread)
+        self._started = True
         return self
 
     def stop(self) -> None:
-        """Drain queued requests and join the workers; callers run their own batches again."""
+        """Back to one slot.  Nothing waits to drain: every queued request's caller runs it."""
         if self.running:
-            self._batcher.close()
-            for thread in self._workers:
-                thread.join()
-            self._workers.clear()
             self._batcher.workers = 1
-            self._batcher.reopen()
+            self._started = False
 
     def __enter__(self) -> "PredictionService":
         if not self.running:
@@ -302,17 +293,23 @@ class PredictionService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _worker_loop(self) -> None:
-        while (batch := self._batcher.next_batch()) is not None:
+    def _serve(self, requests: list[ServeRequest], until: float) -> None:
+        """Run batches on this thread while any of ``requests`` is queued, up to ``until``."""
+        helper, batcher = len(requests) > 1, self._batcher
+        while (batch := batcher.take(requests, until)) is not None:
+            # An unlocked read: at worst a helper starts late or finds nothing.
+            if helper and batcher.busy < batcher.workers and any(r.queued for r in requests):
+                helper = False
+                threading.Thread(target=self._serve, args=(requests, until), daemon=True).start()
             self._run(batch)
 
     def _run(self, batch: list[ServeRequest]) -> None:
-        """Execute one batch on this thread, which survives a failed forward."""
+        """Execute one taken batch on this thread, which survives a failed forward."""
         try:
             self._execute(batch)
         except Exception:  # noqa: BLE001
             # _execute already failed every waiter in the batch, and each
-            # waiter re-raises it; the thread goes on to the next batch.
+            # waiter re-raises it; the thread goes on to its next take.
             pass
 
     # ------------------------------------------------------------------
@@ -325,8 +322,8 @@ class PredictionService:
 
         A cache hit comes back already resolved.  Otherwise the request
         carries its admission lease as ``on_done``, so whoever resolves
-        or fails it — a worker, or the batcher refusing it — frees the
-        concurrency slot, exactly once.
+        or fails it — a caller's batch, or the batcher refusing, dropping
+        or giving it up — frees the client's concurrency lease, exactly once.
         """
         lease = self.admission.admit(client_id, lane) if admit else None
         try:
@@ -355,35 +352,25 @@ class PredictionService:
     def _dispatch(
         self, graphs: list[AtomGraph], deadline, lane: str, client_id, admit: bool
     ) -> list[ServeRequest]:
-        """Prepare ``graphs`` and enqueue the misses as one group; returns the handles.
+        """Prepare ``graphs``, enqueue the misses as one group and run them; returns the handles.
 
-        If a structure is refused (quota, queue bound, deadline) this
-        raises that rejection, but only after the structures admitted
-        ahead of it — charged, so queued — have been handed on.
+        A handle is done on return unless another caller's batch holds
+        it.  If a structure is refused (quota, queue bound, deadline)
+        this raises that rejection, but only after the structures
+        admitted ahead of it — charged, so queued — have been run.
         """
+        until = time.monotonic() + self.config.request_timeout_s
         requests: list[ServeRequest] = []
         try:
             for graph in graphs:
                 requests.append(self._prepare(graph, deadline, lane, client_id, admit))
         finally:
+            queued = [request for request in requests if not request.done()]
             try:
-                self._batcher.submit_many([request for request in requests if not request.done()])
+                self._batcher.submit_many(queued)
             finally:
-                self._drain(requests)
+                self._serve(queued, until)
         return requests
-
-    def _drain(self, requests: list[ServeRequest]) -> None:
-        """With no worker threads, run queued batches on this thread until ``requests`` are done.
-
-        The calling thread is the worker.  A request another caller's
-        thread took is left to that thread: waiting on its handle blocks
-        until it is resolved.
-        """
-        if self.running:
-            return
-        for request in requests:
-            while not request.done() and (batch := self._batcher.next_batch(wait=False)):
-                self._run(batch)
 
     def submit(
         self,
@@ -393,14 +380,13 @@ class PredictionService:
         client_id: str | None = None,
         admit: bool = True,
     ) -> ServeRequest:
-        """Enqueue one structure; returns its handle.
+        """Serve one structure on the calling thread; returns its handle.
 
-        Cache hits are resolved immediately — the returned request is
-        already ``done()`` and never enters the batcher; so is a miss on
-        an unstarted service, which executes on the calling thread
-        (unless a concurrent caller took it first).  ``deadline``
-        is an absolute ``time.monotonic()`` instant; entries still
-        queued past it are dropped at dequeue with
+        Cache hits are resolved immediately and never enter the batcher;
+        a miss executes on the calling thread, so the returned request
+        is ``done()`` unless a concurrent caller's batch took it first.
+        ``deadline`` is an absolute ``time.monotonic()`` instant; entries
+        still queued past it are dropped at dequeue with
         :class:`~repro.serving.batcher.DeadlineExceeded` instead of
         burning a forward.  Admission policy (quotas, brownout) runs
         *before* the cache lookup, so hits charge rate buckets too;
@@ -432,14 +418,13 @@ class PredictionService:
     ) -> list[PredictionResult]:
         """Serve a list of structures; results come back in input order.
 
-        The cache misses are enqueued as one group, cut into batches by
-        the batching budgets — shared between the free dispatch workers,
-        or taken in turn by the calling thread on an unstarted service.
-        With a ``deadline`` (absolute monotonic instant), expired work is
-        shed at submit or dropped at dequeue, never executed.  If a
-        structure is refused (quota, queue bound, deadline) the call
-        raises that rejection; the structures ahead of it still run and
-        fill the cache.
+        The cache misses are enqueued as one group and cut into batches
+        by the batching budgets, which this thread — and one helper while
+        another slot is free — takes in turn.  With a ``deadline``
+        (absolute monotonic instant), expired work is shed at submit or
+        dropped at dequeue, never executed.  If a structure is refused
+        (quota, queue bound, deadline) the call raises that rejection;
+        the structures ahead of it still run and fill the cache.
         """
         requests = self._dispatch(graphs, deadline, lane, client_id, True)
         give_up = time.monotonic() + self.config.request_timeout_s
@@ -545,7 +530,7 @@ class PredictionService:
         return events()
 
     # ------------------------------------------------------------------
-    # batch execution (dispatch workers, or the calling thread)
+    # batch execution (on the calling thread, in a slot)
     # ------------------------------------------------------------------
     def _hit_result(
         self, key: str, graph: AtomGraph, payload, latency_s: float = 0.0, batch_graphs: int = 1
@@ -563,13 +548,15 @@ class PredictionService:
         )
 
     def _execute(self, requests: list[ServeRequest]) -> None:
-        """Run one micro-batch: dedupe, collate, forward, scatter."""
-        if not requests:
-            return
+        """Run one taken micro-batch: dedupe, collate, forward, release the slot, scatter.
+
+        Releasing before any result is out means a call that has its
+        results holds no slot: the next call finds every slot it used free.
+        """
         start = time.perf_counter()
         try:
             # Dedupe identical structures within the batch, and re-check
-            # the cache: another worker's batch may have computed a key
+            # the cache: another caller's batch may have computed a key
             # between this request's submit-time miss and now.
             order: list[str] = []
             by_key: dict[str, list[ServeRequest]] = {}
@@ -614,38 +601,39 @@ class PredictionService:
                     payload = (energy, forces)
                     self.cache.put(key, payload)
                     ready[key] = payload
-
-            now = time.monotonic()
-            computed = set(order)
-            for key, group in by_key.items():
-                energy, forces = ready[key]
-                # A key absent from `order` was satisfied by the peek
-                # re-check (another batch computed it since this
-                # request's submit-time miss) — that is a cache-served
-                # result and must be labeled as one.
-                from_cache = key not in computed
-                for request in group:
-                    latency = max(0.0, now - request.submitted_at)
-                    request.resolve(
-                        PredictionResult(
-                            key=key,
-                            energy=energy,
-                            forces=forces,
-                            n_atoms=request.n_atoms,
-                            cached=from_cache,
-                            latency_s=latency,
-                            batch_graphs=len(order) or 1,
-                            physical_units=self.normalizer is not None,
-                        )
-                    )
-                    self.stats.record_request(
-                        latency_s=latency, cached=from_cache, batch_graphs=len(order) or 1
-                    )
         except BaseException as error:  # noqa: BLE001 — fail every waiter, not just one
+            self._batcher.release()
             for request in requests:
-                if not request.done():
-                    request.fail(error)
+                request.fail(error)
             raise
+        self._batcher.release()
+
+        now = time.monotonic()
+        computed = set(order)
+        for key, group in by_key.items():
+            energy, forces = ready[key]
+            # A key absent from `order` was satisfied by the peek
+            # re-check (another batch computed it since this request's
+            # submit-time miss) — that is a cache-served result and must
+            # be labeled as one.
+            from_cache = key not in computed
+            for request in group:
+                latency = max(0.0, now - request.submitted_at)
+                request.resolve(
+                    PredictionResult(
+                        key=key,
+                        energy=energy,
+                        forces=forces,
+                        n_atoms=request.n_atoms,
+                        cached=from_cache,
+                        latency_s=latency,
+                        batch_graphs=len(order) or 1,
+                        physical_units=self.normalizer is not None,
+                    )
+                )
+                self.stats.record_request(
+                    latency_s=latency, cached=from_cache, batch_graphs=len(order) or 1
+                )
 
     # ------------------------------------------------------------------
     # telemetry

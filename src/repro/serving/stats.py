@@ -2,7 +2,7 @@
 
 The serving claim worth regressing against is a *distribution* claim —
 dynamic batching trades a little p95 latency (requests queue while
-every worker is busy) for a large throughput win — so the tracker keeps
+every slot is busy) for a large throughput win — so the tracker keeps
 raw per-request latencies (over a bounded sliding window, so
 long-running replicas hold O(window) memory) and reports percentiles,
 not just means.
@@ -98,7 +98,7 @@ DEFAULT_WINDOW = 8192
 
 
 class ServingStats:
-    """Thread-safe accumulator the service and its workers write into.
+    """Thread-safe accumulator every serving thread writes into.
 
     Counts (requests, hits, batches, atoms) are lifetime totals;
     ``request_records``/``batch_records`` are bounded sliding windows of

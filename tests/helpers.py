@@ -173,7 +173,7 @@ def make_periodic_graphs(count: int = 2, seed: int = 0):
 
 
 class GatedModel:
-    """Wraps a model so every forward waits at a gate: keeps workers busy on cue."""
+    """Wraps a model so every forward waits at a gate: keeps slots busy on cue."""
 
     def __init__(self, model) -> None:
         import threading
@@ -191,18 +191,41 @@ class GatedModel:
         return self._model.serve(batch, plan=plan)
 
 
-def wait_for_free_workers(batcher, count: int) -> None:
-    """Return once ``count`` consumers are parked inside ``batcher.next_batch()``."""
+def in_thread(call, *args, **kwargs):
+    """Run ``call(*args, **kwargs)`` on a thread; returns the thread and its outcome box."""
+    import threading
+
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call(*args, **kwargs)
+        except BaseException as error:  # noqa: BLE001 — handed to the test
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def wait_until(predicate, timeout: float = 5.0) -> None:
+    """Poll ``predicate`` until it holds (asserting it does within ``timeout``)."""
     import time
 
-    give_up = time.monotonic() + 5.0
-    while batcher._free_workers < count and time.monotonic() < give_up:
+    give_up = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < give_up:
         time.sleep(0.001)
-    assert batcher._free_workers == count
+    assert predicate()
+
+
+def wait_for_busy_slots(batcher, count: int) -> None:
+    """Return once ``count`` of ``batcher``'s slots are taken (held by forwards)."""
+    wait_until(lambda: batcher.busy >= count)
+    assert batcher.busy == count
 
 
 def predicted_split(group, free: int, max_atoms: int, max_graphs: int):
-    """How ``free`` idle workers share ``group``: the batcher's rule, spelled out.
+    """How ``free`` idle slots share ``group``: the batcher's rule, spelled out.
 
     Each take's atom budget is its share of what is still pending,
     capped by ``max_atoms``, handed to ``first_chunk_size``.

@@ -70,10 +70,12 @@ class TestLaneFairness:
         batcher = MicroBatcher(
             max_atoms=10**9, max_graphs=12, flush_interval_s=60.0, lane_aging_s=60.0
         )
+        queued = []
         for lane, prefix in (("interactive", "i"), ("bulk", "b"), ("background", "g")):
             for request in _requests(12, lane=lane, prefix=prefix):
                 batcher.submit(request)
-        batch = batcher.next_batch()
+                queued.append(request)
+        batch = batcher.take(queued)
         lanes = [r.lane for r in batch]
         assert len(batch) == 12
         assert lanes.count("interactive") == 8
@@ -84,10 +86,12 @@ class TestLaneFairness:
         batcher = MicroBatcher(
             max_atoms=10**9, max_graphs=12, flush_interval_s=60.0, lane_aging_s=60.0
         )
+        queued = []
         for lane, prefix in (("interactive", "i"), ("bulk", "b"), ("background", "g")):
             for request in _requests(12, lane=lane, prefix=prefix):
                 batcher.submit(request)
-        batch = batcher.next_batch()
+                queued.append(request)
+        batch = batcher.take(queued)
         for lane in ("interactive", "bulk", "background"):
             keys = [r.key for r in batch if r.lane == lane]
             assert keys == sorted(keys, key=lambda k: int(k[1:]))
@@ -107,7 +111,7 @@ class TestLaneFairness:
         batcher.submit(old)
         for request in _requests(3, lane="interactive", prefix="i"):
             batcher.submit(request)
-        batch = batcher.next_batch()
+        batch = batcher.take([old])
         assert [r.key for r in batch] == ["bg-old", "i0"]
 
     def test_idle_lane_does_not_bank_credit(self):
@@ -117,13 +121,16 @@ class TestLaneFairness:
         batcher = MicroBatcher(
             max_atoms=10**9, max_graphs=4, flush_interval_s=60.0, lane_aging_s=60.0
         )
-        for request in _requests(8, lane="interactive", prefix="i"):
+        interactive = _requests(8, lane="interactive", prefix="i")
+        for request in interactive:
             batcher.submit(request)
-        first = batcher.next_batch()
+        first = batcher.take(interactive)
+        batcher.release()
         assert [r.lane for r in first] == ["interactive"] * 4
-        for request in _requests(4, lane="background", prefix="g"):
+        background = _requests(4, lane="background", prefix="g")
+        for request in background:
             batcher.submit(request)
-        second = batcher.next_batch()
+        second = batcher.take(interactive + background)
         # interactive still dominates; at most one background rides along
         assert [r.lane for r in second].count("background") <= 1
 

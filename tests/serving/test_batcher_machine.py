@@ -1,15 +1,15 @@
-"""Stateful search over ``MicroBatcher``: conservation, budgets, fairness, dispatch.
+"""Stateful search over ``MicroBatcher`` slots: conservation, budgets, fairness, wake-ups.
 
-A Hypothesis rule machine drives one batcher through submit / submit-group /
-worker-asks / worker-completes / caller-takes / clock-advance / expire /
-close / reopen in any order and checks, after every step, the properties
-the serving stack leans on.  ``caller_takes`` is the non-blocking take an
-unstarted service's calling thread makes; ``reopen`` is what a stopped
-service does to its batcher once the worker threads have drained it.
-Nothing here sleeps: the batcher's clock is a fake the machine advances,
-and its workers are real threads parked on an instrumented condition that
-tells the machine "parked" and wakes only when the machine says so — so
-every step ends in a quiescent state the invariants can read.
+A Hypothesis rule machine drives one batcher the way the service's callers
+do — a caller arrives (enqueues a group and takes), takes again after a
+forward, releases its slot, gives up at its instant, while the clock moves
+and deadlines pass — in any order, and checks after every step the
+properties the serving stack leans on.  Nothing here sleeps: the
+batcher's clock is a fake the machine advances, and each take runs on a
+real thread parked on an instrumented condition that tells the machine
+"parked", and that marks every parked caller as waking when the batcher
+notifies — so every step ends in a quiescent state the invariants can
+read, and a release that forgets to notify leaves its caller parked.
 """
 
 import threading
@@ -38,7 +38,6 @@ from repro.serving import batcher as batcher_module
 from tests.helpers import make_molecule_graphs
 
 GRAPHS = make_molecule_graphs(8, seed=0)  # 8 to 22 atoms
-WORKERS = 3
 NEVER = 3600.0  # an aging bound no run reaches
 
 
@@ -52,10 +51,12 @@ class _Clock:
         return self.now
 
 
-class _Worker:
-    """One consumer slot: ``out`` → ``asking`` → ``parked`` | ``holding`` | ``finished``."""
+class _Caller:
+    """One call: ``asking`` → ``parked`` | ``holding`` | ``finished``; ``out`` between takes."""
 
-    def __init__(self) -> None:
+    def __init__(self, mine: list[ServeRequest], until: float) -> None:
+        self.mine = mine
+        self.until = until
         self.state = "out"
         self.batch: list[ServeRequest] | None = None
         self.folded = False  # the held batch is already in the model
@@ -63,15 +64,34 @@ class _Worker:
 
 
 class _ParkingCondition(threading.Condition):
-    """Waiters report that they parked; timeouts are the machine's to deliver."""
+    """Waiters report that they parked; a notify marks them waking.
+
+    Timeouts are the machine's to deliver (it advances the clock, then
+    notifies), so ``wait`` ignores them.  Woken callers go on one at a
+    time, in caller order, so a run is a function of its draws alone.
+    """
 
     def __init__(self, machine: "BatcherMachine") -> None:
         super().__init__()
         self._machine = machine
+        self.turns: deque[_Caller] = deque()  # woken callers, next to go first
 
     def wait(self, timeout=None):
-        self._machine._report("parked")
-        return super().wait()
+        me = self._machine._report("parked")
+        self.pass_turn()
+        super().wait()
+        while not self.turns or self.turns[0] is not me:
+            super().wait()
+        self.turns.popleft()
+
+    def notify_all(self):
+        self.turns.extend(self._machine._waking())
+        super().notify_all()
+
+    def pass_turn(self) -> None:
+        """The caller whose turn it was parked again or returned: wake the next."""
+        if self.turns:
+            super().notify_all()
 
 
 def _failure(request: ServeRequest) -> BaseException | None:
@@ -88,96 +108,126 @@ class BatcherMachine(RuleBasedStateMachine):
         self.clock = _Clock()
         self._real_time = batcher_module.time
         batcher_module.time = self.clock
-        self._mx = threading.Condition()  # guards worker states
-        self.workers = [_Worker() for _ in range(WORKERS)]
+        self._mx = threading.Condition()  # guards caller states
+        self.callers: list[_Caller] = []
         self.dequeues: list[threading.Thread] = []  # one entry per dequeued request
         self.lanes = {lane: deque() for lane in LANES}  # the model's queue
         self.submitted: list[ServeRequest] = []
+        self.leases: dict[int, int] = {}  # id(request) -> on_done calls
         self.rejected: set[int] = set()
         self.expired: set[int] = set()
+        self.given_up: set[int] = set()
         self.taken: set[int] = set()
         self.aged_picks = 0
         self.pairs = {pair: [0, 0] for pair in combinations(LANES, 2)}
-        self.closed = False
-        self.settles = 0  # ~ steps so far; `close` waits for the run's tail
 
     @initialize(
+        workers=st.sampled_from([1, 2, 3]),
         max_atoms=st.sampled_from([30, 48, 10**9]),
         max_graphs=st.sampled_from([3, 12]),
         max_pending=st.sampled_from([0, 16]),
         lane_aging_s=st.sampled_from([0.01, NEVER]),
     )
-    def build(self, max_atoms, max_graphs, max_pending, lane_aging_s):
+    def build(self, workers, max_atoms, max_graphs, max_pending, lane_aging_s):
         self.batcher = MicroBatcher(
             max_atoms=max_atoms,
             max_graphs=max_graphs,
             flush_interval_s=0.005,
             max_pending=max_pending,
             lane_aging_s=lane_aging_s,
-            workers=WORKERS,
+            workers=workers,
             on_dequeue_wait=lambda wait: self.dequeues.append(threading.current_thread()),
         )
         self.batcher._cond = _ParkingCondition(self)
 
     # ------------------------------------------------------------------
-    # worker threads and the quiescence handshake
+    # take threads and the quiescence handshake
     # ------------------------------------------------------------------
-    def _report(self, state: str, batch=None) -> None:
+    def _caller(self) -> _Caller:
         me = threading.current_thread()
+        return next(caller for caller in self.callers if caller.thread is me)
+
+    def _report(self, state: str, batch=None) -> _Caller:
         with self._mx:
-            worker = next(w for w in self.workers if w.thread is me)
-            worker.state, worker.batch, worker.folded = state, batch, False
+            caller = self._caller()
+            caller.state, caller.batch, caller.folded = state, batch, False
             self._mx.notify_all()
+        return caller
+
+    def _waking(self) -> list[_Caller]:
+        """The batcher notified (its lock held): every parked caller is waking."""
+        with self._mx:
+            woken = [caller for caller in self.callers if caller.state == "parked"]
+            for caller in woken:
+                caller.state = "asking"
+        return woken
 
     def _in_state(self, state: str) -> list[int]:
-        return [index for index, worker in enumerate(self.workers) if worker.state == state]
+        return [index for index, caller in enumerate(self.callers) if caller.state == state]
 
-    def _ask(self) -> None:
-        batch = self.batcher.next_batch()
-        self._report("finished" if batch is None else "holding", batch)
+    def _ask(self, caller: _Caller) -> None:
+        """The caller takes once, on its own thread."""
 
-    def _settle(self) -> None:
-        """Wake every parked worker; return once each has parked again or returned."""
-        with self.batcher._cond:
-            # Holding the batcher's lock, a worker in state "parked" is
-            # either truly parked (the notify below wakes it) or queued
-            # for this lock after an earlier notify; both report again.
-            with self._mx:
-                for worker in self.workers:
-                    if worker.state == "parked":
-                        worker.state = "asking"
-            self.batcher._cond.notify_all()
+        def take():
+            batch = self.batcher.take(caller.mine, caller.until)
+            self._report("finished" if batch is None else "holding", batch)
+            with self.batcher._cond:
+                self.batcher._cond.pass_turn()
+
+        caller.state = "asking"
+        caller.thread = threading.Thread(target=take, daemon=True)
+        caller.thread.start()
+
+    def _holding(self) -> int:
+        return sum(caller.state == "holding" for caller in self.callers)
+
+    def _step(self, action) -> None:
+        """Run ``action``, then let every waking caller park again or return."""
+        free = self.batcher.workers - self._holding()
+        action()
         with self._mx:
             quiet = self._mx.wait_for(
-                lambda: all(worker.state != "asking" for worker in self.workers), timeout=30.0
+                lambda: all(caller.state != "asking" for caller in self.callers), timeout=30.0
             )
-        assert quiet, "a worker neither parked nor returned"
-        self.settles += 1
-        self._replay()
+        assert quiet, "a caller neither parked nor returned"
+        self._replay(free)
 
-    def _replay(self, taken: list[ServeRequest] | None = None) -> None:
-        """Fold what the workers did since the last quiescent state into the model.
+    def _replay(self, free: int) -> None:
+        """Fold what the callers did since the last quiescent state into the model.
 
-        ``taken`` is the batch the machine's own thread just took, if any.
+        ``free`` is how many slots were free before it.
         """
         now = self.clock.now
         for lane, queue in self.lanes.items():
             for request in [r for r in queue if r.done()]:
-                # Failed while queued and never handed to a worker: only
-                # the dequeue-time deadline drop may do that.
-                assert isinstance(_failure(request), DeadlineExceeded)
-                assert request.deadline is not None and request.deadline <= now
-                self.expired.add(id(request))
+                # Failed while queued, never handed to a forward: a
+                # deadline drop, or its caller giving up.
+                error = _failure(request)
+                if isinstance(error, DeadlineExceeded):
+                    assert request.deadline is not None and request.deadline <= now
+                    self.expired.add(id(request))
+                else:
+                    assert isinstance(error, TimeoutError), error
+                    owner = next(c for c in self.callers if any(r is request for r in c.mine))
+                    assert owner.until <= now and owner.state == "finished"
+                    self.given_up.add(id(request))
             self.lanes[lane] = deque(r for r in queue if not r.done())
         batches = {}
-        if taken is not None:
-            self._check_budgets(taken)
-            batches[threading.current_thread()] = iter(taken)
-        for worker in self.workers:
-            if worker.state == "holding" and not worker.folded:
-                worker.folded = True
-                self._check_budgets(worker.batch)
-                batches[worker.thread] = iter(worker.batch)
+        for caller in self.callers:
+            if caller.state == "holding" and not caller.folded:
+                caller.folded = True
+                self._check_budgets(caller.batch)
+                batches[caller.thread] = iter(caller.batch)
+        if len(batches) == 1:
+            # One take from a known queue: its atom budget is its share
+            # of what was pending among the slots that were free.
+            (batch,) = [caller.batch for caller in self.callers if caller.thread in batches]
+            pending = sum(r.n_atoms for queue in self.lanes.values() for r in queue)
+            share = -(-pending // free)
+            atoms = sum(r.n_atoms for r in batch)
+            assert atoms <= min(self.batcher.max_atoms, share) or len(batch) == 1, (
+                f"{atoms} atoms taken; the share of {pending} among {free} free slots is {share}"
+            )
         for thread in self.dequeues:
             self._dequeued(next(batches[thread]), now)
         self.dequeues.clear()
@@ -222,21 +272,31 @@ class BatcherMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     def _request(self, draw, lane: str | None = None) -> ServeRequest:
         budget = draw(st.sampled_from([None, None, 0.002, 0.02, 1.0]))
-        return ServeRequest(
+        request = ServeRequest(
             graph=GRAPHS[draw(st.integers(0, len(GRAPHS) - 1))],
             key=str(len(self.submitted)),
             submitted_at=self.clock.now,
             deadline=None if budget is None else self.clock.now + budget,
             lane=lane or draw(st.sampled_from(LANES)),
         )
+        self.leases[id(request)] = 0
 
-    def _submit(self, requests: list[ServeRequest], enqueue) -> None:
-        self.submitted.extend(requests)
+        def release(key=id(request)):
+            self.leases[key] += 1
+
+        request.on_done = release
+        self.submitted.append(request)
+        return request
+
+    def _wake(self) -> None:
+        """Deliver the parked callers' timeouts: the clock moved."""
+        with self.batcher._cond:
+            self.batcher._cond.notify_all()
+
+    def _arrive(self, requests: list[ServeRequest], patience: float) -> None:
         try:
-            enqueue()
-        except (ServiceOverloaded, DeadlineExceeded, RuntimeError) as error:
-            if type(error) is RuntimeError:
-                assert self.closed, "an open batcher refused a request as closed"
+            self.batcher.submit_many(requests)
+        except (ServiceOverloaded, DeadlineExceeded) as error:
             # The refused request and everything behind it in its group
             # carry the rejection itself; the prefix stays queued.
             refused = [request for request in requests if _failure(request) is error]
@@ -245,59 +305,52 @@ class BatcherMachine(RuleBasedStateMachine):
         for request in requests:
             if id(request) not in self.rejected:
                 self.lanes[request.lane].append(request)
-        self._settle()
+        caller = _Caller(requests, self.clock.now + patience)
+        self.callers.append(caller)
+        self._step(lambda: self._ask(caller))
 
-    def _submit_group(self, requests: list[ServeRequest]) -> None:
-        self._submit(requests, lambda: self.batcher.submit_many(requests))
-
-    @rule(data=st.data())
-    def submit(self, data):
-        request = self._request(data.draw)
-        self._submit([request], lambda: self.batcher.submit(request))
-
-    @rule(data=st.data(), size=st.integers(2, 8))
-    def submit_group(self, data, size):
-        self._submit_group([self._request(data.draw) for _ in range(size)])
+    @rule(data=st.data(), size=st.integers(1, 6), patience=st.sampled_from([0.01, 0.05, 1.0]))
+    def caller_arrives(self, data, size, patience):
+        self._arrive([self._request(data.draw) for _ in range(size)], patience)
 
     @rule(data=st.data(), each=st.integers(2, 4))
     def flood(self, data, each):
         """Backlog every lane at once: the saturated windows the share bound is about."""
-        self._submit_group([self._request(data.draw, lane) for lane in LANES for _ in range(each)])
+        self._arrive([self._request(data.draw, lane) for lane in LANES for _ in range(each)], 1.0)
 
     @precondition(lambda self: self._in_state("out"))
     @rule(data=st.data())
-    def worker_asks(self, data):
-        worker = self.workers[data.draw(st.sampled_from(self._in_state("out")))]
-        worker.state = "asking"
-        worker.thread = threading.Thread(target=self._ask, daemon=True)
-        worker.thread.start()
-        self._settle()
+    def caller_takes(self, data):
+        """A caller back from its forward takes again."""
+        caller = self.callers[data.draw(st.sampled_from(self._in_state("out")))]
+        self._step(lambda: self._ask(caller))
 
     @precondition(lambda self: self._in_state("holding"))
     @rule(data=st.data(), seconds=st.sampled_from([0.0005, 0.004, 0.05]))
-    def worker_completes(self, data, seconds):
-        worker = self.workers[data.draw(st.sampled_from(self._in_state("holding")))]
-        for request in worker.batch:
-            request.resolve(None)
-        self.batcher.record_service(len(worker.batch), seconds)
-        worker.state = "out"
+    def caller_releases(self, data, seconds):
+        """A forward finishes: the slot goes back, then the results go out."""
+        caller = self.callers[data.draw(st.sampled_from(self._in_state("holding")))]
+        self.batcher.record_service(len(caller.batch), seconds)
+        caller.state = "out"
+        self._step(lambda: self._finish(caller))
 
-    @rule(seconds=st.sampled_from([0.0005, 0.004, 0.05]))
-    def caller_takes(self, seconds):
-        """The machine's own thread takes a batch without blocking, and runs it."""
-        batch = self.batcher.next_batch(wait=False)
-        self._replay(batch)
-        if batch is None:
-            assert not any(self.lanes.values()), "a non-blocking take left pending work behind"
-            return
-        for request in batch:
+    def _finish(self, caller: _Caller) -> None:
+        self.batcher.release()
+        for request in caller.batch:
             request.resolve(None)
-        self.batcher.record_service(len(batch), seconds)
+
+    @precondition(lambda self: self._in_state("parked"))
+    @rule(data=st.data())
+    def caller_gives_up(self, data):
+        """Jump to a parked caller's give-up instant; it wakes then."""
+        caller = self.callers[data.draw(st.sampled_from(self._in_state("parked")))]
+        self.clock.now = max(self.clock.now, caller.until)
+        self._step(self._wake)
 
     @rule(seconds=st.sampled_from([0.001, 0.004, 0.006, 0.03, 0.06]))
     def clock_advances(self, seconds):
         self.clock.now += seconds
-        self._settle()
+        self._step(self._wake)
 
     @precondition(lambda self: any(r.deadline for q in self.lanes.values() for r in q))
     @rule()
@@ -306,28 +359,27 @@ class BatcherMachine(RuleBasedStateMachine):
         self.clock.now = min(
             r.deadline for queue in self.lanes.values() for r in queue if r.deadline
         )
-        self._settle()
-
-    @precondition(lambda self: not self.closed and self.settles >= 20)
-    @rule()
-    def close(self):
-        self.closed = True
-        self.batcher.close()
-        self._settle()
-
-    @precondition(lambda self: self.closed and not any(self.lanes.values()))
-    @rule()
-    def reopen(self):
-        """Accept work again once the closed queue drained; finished workers may ask anew."""
-        self.batcher.reopen()
-        self.closed = False
-        for worker in self.workers:
-            if worker.state == "finished":
-                worker.state = "out"
+        self._step(self._wake)
 
     # ------------------------------------------------------------------
     # invariants (read in a quiescent state)
     # ------------------------------------------------------------------
+    @invariant()
+    def busy_slots_are_the_holding_callers(self):
+        if not hasattr(self, "batcher"):
+            return
+        assert self.batcher.busy == self._holding() <= self.batcher.workers
+
+    @invariant()
+    def no_caller_parks_beside_a_free_slot(self):
+        if not hasattr(self, "batcher") or self.batcher.busy >= self.batcher.workers:
+            return
+        for caller in self.callers:
+            if caller.state == "parked":
+                assert not any(request.queued for request in caller.mine), (
+                    "a caller with queued work is parked beside a free slot"
+                )
+
     @invariant()
     def counters_equal_queue_contents(self):
         if not hasattr(self, "batcher"):
@@ -340,34 +392,33 @@ class BatcherMachine(RuleBasedStateMachine):
         }
 
     @invariant()
-    def no_worker_waits_on_a_non_empty_queue(self):
-        if not hasattr(self, "batcher"):
-            return
-        if any(worker.state == "parked" for worker in self.workers):
-            assert self.batcher.pending_graphs == 0, "a free worker is waiting beside queued work"
+    def leases_are_conserved(self):
+        """A lease comes back once, when its request ends, and not before."""
+        for request in self.submitted:
+            assert self.leases[id(request)] == int(request.done())
 
     def teardown(self):
-        """Drain, then: every request ended as exactly one of taken / expired / rejected."""
+        """Drain, then: every request ended as exactly one outcome, its lease back once."""
         try:
             if not hasattr(self, "batcher"):
                 return
-            self.batcher.close()
-            self._settle()
-            while any(worker.state != "finished" for worker in self.workers):
-                for worker in self.workers:
-                    if worker.state == "holding":
-                        for request in worker.batch:
-                            request.resolve(None)
-                        worker.state = "out"
-                    if worker.state == "out":
-                        worker.state = "asking"
-                        worker.thread = threading.Thread(target=self._ask, daemon=True)
-                        worker.thread.start()
-                self._settle()
+            while any(caller.state != "finished" for caller in self.callers):
+                for caller in self.callers:
+                    if caller.state == "holding":
+                        caller.state = "out"
+                        self._step(lambda: self._finish(caller))
+                for caller in self.callers:
+                    if caller.state == "out":
+                        self._step(lambda: self._ask(caller))
+                assert not self._in_state("parked") or self._in_state("holding"), (
+                    "parked callers beside free slots at drain"
+                )
             assert not any(self.lanes.values())
-            outcomes = [self.rejected, self.expired, self.taken]
+            assert self.batcher.busy == 0
+            outcomes = [self.rejected, self.expired, self.given_up, self.taken]
             for request in self.submitted:
                 assert sum(id(request) in outcome for outcome in outcomes) == 1
+                assert self.leases[id(request)] == 1
         finally:
             batcher_module.time = self._real_time
 

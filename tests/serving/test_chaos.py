@@ -179,20 +179,20 @@ class TestBatcherDeadlines:
         assert batcher.expired == 1
         assert batcher.pending_graphs == 0
 
-    def test_queued_entry_expires_at_dequeue_not_in_a_worker(self):
-        """An entry whose deadline passes while every worker is busy is
-        failed and removed at the next dequeue, before the batch forms —
+    def test_queued_entry_expires_at_dequeue_not_in_a_forward(self):
+        """An entry whose deadline passes while every slot is busy is
+        failed and removed at the next take, before the batch forms —
         it never reaches a forward, and the live request still ships."""
         batcher = MicroBatcher(max_atoms=10**9, max_graphs=100, flush_interval_s=60.0)
         doomed, live = _batcher_requests(2)
         doomed.deadline = time.monotonic() + 0.02
         batcher.submit(doomed)
         batcher.submit(live)
-        # No consumer is asking (all workers busy) while the deadline passes.
+        # Nobody takes (every slot busy) while the deadline passes.
         assert batcher.pending_graphs == 2 and not doomed.done()
         while not doomed.expired():
             time.sleep(0.002)
-        batch = batcher.next_batch()  # the worker that comes free
+        batch = batcher.take([doomed, live])  # the caller whose slot comes free
         assert [r.key for r in batch] == [live.key]
         assert batcher.expired == 1
         assert batcher.pending_atoms == 0
@@ -202,9 +202,10 @@ class TestBatcherDeadlines:
 
     def test_no_deadline_means_no_drops(self):
         batcher = MicroBatcher(max_atoms=10**9, max_graphs=2, flush_interval_s=60.0)
-        for request in _batcher_requests(2):
+        requests = _batcher_requests(2)
+        for request in requests:
             batcher.submit(request)
-        assert len(batcher.next_batch()) == 2
+        assert len(batcher.take(requests)) == 2
         assert batcher.expired == 0
 
 

@@ -159,7 +159,7 @@ class TestTrajectorySession:
 
 class TestServedMode:
     def test_relax_through_started_service(self, model):
-        """Relax steps ride the micro-batcher alongside worker threads."""
+        """Relax steps ride the micro-batcher of a two-slot service."""
         service = PredictionService(model, ServiceConfig(flush_interval_s=0.005))
         service.start(workers=2)
         try:

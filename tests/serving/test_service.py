@@ -1,4 +1,4 @@
-"""End-to-end PredictionService: parity, dedup, caching, workers."""
+"""End-to-end PredictionService: parity, dedup, caching, slots."""
 
 import dataclasses
 import sys
@@ -15,10 +15,12 @@ from repro.tensor import function_nodes_created, kernels
 from tests.helpers import (
     GatedModel,
     count_calls,
+    in_thread,
     make_molecule_graphs,
     make_periodic_graphs,
     predicted_split,
-    wait_for_free_workers,
+    wait_for_busy_slots,
+    wait_until,
 )
 
 CONFIG = ModelConfig(hidden_dim=16, num_layers=2)
@@ -35,8 +37,8 @@ def graphs():
 
 
 class _Rendezvous:
-    """A model whose forwards all start together: no worker can return
-    for a second batch before every free worker has taken its first."""
+    """A model whose forwards all start together: no thread can return
+    for a second batch before every free slot has been taken."""
 
     def __init__(self, model, parties: int) -> None:
         self._model = model
@@ -76,21 +78,6 @@ class _HeldForwards:
         if index == self.failing:
             raise RuntimeError("backend down")
         return self._model.serve(batch, plan=plan)
-
-
-def _in_thread(call, *args):
-    """Run ``call(*args)`` on a thread; returns the thread and its outcome box."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["result"] = call(*args)
-        except BaseException as error:  # noqa: BLE001 — handed to the test
-            outcome["error"] = error
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    return thread, outcome
 
 
 def _reference(model, graph):
@@ -183,7 +170,7 @@ class TestServed:
             assert abs(a.energy - b.energy) < 1e-5
             np.testing.assert_allclose(a.forces, b.forces, atol=1e-5)
 
-    def test_predict_many_routes_through_workers(self, model, graphs):
+    def test_predict_many_routes_through_slots(self, model, graphs):
         service = PredictionService(model, ServiceConfig(flush_interval_s=0.002))
         with service:
             results = service.predict_many(list(graphs))
@@ -193,7 +180,7 @@ class TestServed:
     def test_stop_is_idempotent_and_drains(self, model, graphs):
         service = PredictionService(model)
         service.start(workers=1)
-        # stop() must not return before everything submitted has been served.
+        # Everything submitted has been served by the time stop() returns.
         pending = [service.submit(g) for g in graphs[:3]]
         service.stop()
         service.stop()
@@ -220,18 +207,40 @@ class TestServed:
         assert result.energy == expected.energy  # bit-identical, no tolerance
         np.testing.assert_array_equal(result.forces, expected.forces)
 
+    def test_no_dispatch_thread_exists(self, model, graphs, monkeypatch):
+        # start(workers=N) sets a cap on concurrent forwards; it starts no
+        # thread, and a lone call's forward runs on the calling thread.
+        service = PredictionService(model)
+        before = threading.active_count()
+        service.start(workers=4)
+        try:
+            assert threading.active_count() == before
+            serving_threads = []
+            serve = model.serve
+
+            def recorded(batch, plan=True):
+                serving_threads.append(threading.get_ident())
+                return serve(batch, plan=plan)
+
+            monkeypatch.setattr(model, "serve", recorded)
+            service.predict(graphs[0])
+            assert serving_threads == [threading.get_ident()]
+        finally:
+            service.stop()
+        assert threading.active_count() == before
+
 
 class TestConcurrentServing:
-    """No model lock: N workers must run forwards concurrently *and* exactly."""
+    """No model lock: N slots must run forwards concurrently *and* exactly."""
 
     CONFIG = ServiceConfig(
         max_graphs=4, max_atoms=10**9, cache_capacity=0, flush_interval_s=30.0
     )
 
-    def test_one_worker_group_bit_identical_to_inline(self, model):
-        # One worker, one predict_many group: the worker takes the group
-        # in exactly the chunks inline mode cuts (same budget rule, the
-        # whole budget), so results must be *bitwise* equal, not close.
+    def test_one_slot_group_bit_identical_to_inline(self, model):
+        # One slot, one predict_many group: the caller takes the group in
+        # exactly the chunks an unstarted service cuts (same budget rule,
+        # the whole budget), so results must be *bitwise* equal, not close.
         graphs = make_molecule_graphs(12, seed=21)
         inline = PredictionService(model, self.CONFIG).predict_many(list(graphs))
         service = PredictionService(model, self.CONFIG)
@@ -243,11 +252,12 @@ class TestConcurrentServing:
             np.testing.assert_array_equal(a.forces, b.forces)
 
     def test_workers4_share_a_group_reproducibly(self, model):
-        # Four free workers share one group: the split is a pure function
-        # of the group and the worker count — the same every run, equal to
-        # what first_chunk_size predicts with the shared atom budget — and
-        # the forwards, now differently composed than inline's, agree to
-        # the benchmark's own tolerance.
+        # Four free slots share one group — the caller and a chain of
+        # helpers, each started after its parent's take: the split is a
+        # pure function of the group and the slot count — the same every
+        # run, equal to what first_chunk_size predicts with the shared
+        # atom budget — and the forwards, now differently composed than
+        # inline's, agree to the benchmark's own tolerance.
         graphs = make_molecule_graphs(12, seed=21)
         chunks = predicted_split(
             [ServeRequest(graph=graph, key="") for graph in graphs],
@@ -255,18 +265,41 @@ class TestConcurrentServing:
             max_atoms=self.CONFIG.max_atoms,
             max_graphs=self.CONFIG.max_graphs,
         )
-        assert len(chunks) == 4  # every free worker gets a share
+        assert len(chunks) == 4  # every free slot gets a share
         predicted = [len(chunk) for chunk in chunks for _ in chunk]
         inline = PredictionService(model, self.CONFIG).predict_many(list(graphs))
         for _ in range(2):
             service = PredictionService(_Rendezvous(model, parties=4), self.CONFIG)
             with service.start(workers=4):
-                wait_for_free_workers(service._batcher, 4)
                 served = service.predict_many(list(graphs))
             assert [r.batch_graphs for r in served] == predicted
             for a, b in zip(inline, served):
                 np.testing.assert_allclose(a.energy, b.energy, rtol=1e-5, atol=1e-6)
                 np.testing.assert_allclose(a.forces, b.forces, rtol=1e-5, atol=1e-6)
+
+    def test_two_slot_split_is_deterministic(self, model):
+        # Back-to-back groups on two slots: every group is cut the same
+        # way, the two-way split first_chunk_size predicts, because a
+        # call returns only after each slot it used is free again.
+        graphs = make_molecule_graphs(12, seed=24)
+        config = ServiceConfig(cache_capacity=0)
+        chunks = predicted_split(
+            [ServeRequest(graph=graph, key="") for graph in graphs],
+            free=2,
+            max_atoms=config.max_atoms,
+            max_graphs=config.max_graphs,
+        )
+        expected = sorted((len(chunk), sum(r.n_atoms for r in chunk)) for chunk in chunks)
+        assert len(expected) == 2
+        service = PredictionService(model, config)
+        with service.start(workers=2):
+            for _ in range(20):
+                seen = service.summary().batches
+                service.predict_many(list(graphs))
+                assert service._batcher.busy == 0
+                assert service.summary().batches == seen + 2
+                cut = [(r.num_graphs, r.num_atoms) for r in list(service.stats.batch_records)[-2:]]
+                assert sorted(cut) == expected
 
     def test_lone_predict_never_waits_for_a_tick(self, model):
         graphs = make_molecule_graphs(3, seed=23)
@@ -313,89 +346,99 @@ class TestConcurrentServing:
                 PredictionService(model, ServiceConfig(backend=backend))
 
 
-class TestUnstartedCallers:
-    """With no worker threads, each caller drains the shared queue on its own thread."""
+class TestCallersShareSlots:
+    """Each caller runs its batches; one held in another caller's batch is waited for."""
 
     CONFIG = ServiceConfig(max_atoms=10**9, cache_capacity=0)
 
     def test_a_request_taken_by_another_caller_is_waited_for(self, model):
-        # One structure per batch, so every result can be compared with a
-        # lone call bit for bit.  A's drain holds its first forward; B's
-        # drain takes A's second structure; A's drain then takes B's
-        # structure, and B — its request in A's hands — must wait for it.
-        a1, a2, b = make_molecule_graphs(3, seed=50)
-        held = _HeldForwards(model, held=3)
-        service = PredictionService(held, dataclasses.replace(self.CONFIG, max_graphs=1))
-        takes: dict[str, int] = {}
-        take = service._batcher.next_batch
+        # One slot, two structures per batch.  A's first forward holds
+        # [a1, a2] while B's structure queues behind a3 and B parks; when
+        # the slot comes back A takes [a3, b], and B — its request in A's
+        # hands — stops taking and waits for it.
+        a1, a2, a3, b = make_molecule_graphs(4, seed=50)
+        held = _HeldForwards(model, held=2)
+        config = dataclasses.replace(self.CONFIG, max_graphs=2)
+        service = PredictionService(held, config).start(workers=1)
+        takes: dict[str, list] = {}
+        take = service._batcher.take
 
-        def counted_take(wait=True):
-            name = threading.current_thread().name
-            takes[name] = takes.get(name, 0) + 1
-            return take(wait)
+        def counted_take(mine, until=None):
+            batch = take(mine, until)
+            takes.setdefault(threading.current_thread().name, []).append(batch)
+            return batch
 
-        service._batcher.next_batch = counted_take
-        thread_a, outcome_a = _in_thread(service.predict_many, [a1, a2])
-        assert held.entered[0].wait(10.0)  # A runs a1
-        thread_b, outcome_b = _in_thread(service.predict, b)
-        assert held.entered[1].wait(10.0)  # B runs a2
+        service._batcher.take = counted_take
+        thread_a, outcome_a = in_thread(service.predict_many, [a1, a2, a3])
+        assert held.entered[0].wait(10.0)  # A runs [a1, a2]
+        thread_b, outcome_b = in_thread(service.predict, b)
+        wait_until(lambda: service._batcher.pending_graphs == 2)
         held.release[0].set()
-        assert held.entered[2].wait(10.0)  # A runs b
-        held.release[1].set()
-        give_up = time.monotonic() + 10.0
-        while takes.get(thread_b.name) != 2 and time.monotonic() < give_up:
-            time.sleep(0.001)
-        assert takes[thread_b.name] == 2  # its first take, then the empty queue
+        assert held.entered[1].wait(10.0)  # A runs [a3, b]
+        wait_until(lambda: thread_b.name in takes)
+        assert takes[thread_b.name] == [None]  # its one take: none of its own queued
         time.sleep(0.05)
-        assert thread_b.is_alive() and takes[thread_b.name] == 2  # waiting, not spinning
-        held.release[2].set()
+        assert thread_b.is_alive() and takes[thread_b.name] == [None]  # waiting, not spinning
+        held.release[1].set()
         thread_a.join(10.0)
         thread_b.join(10.0)
         assert not thread_a.is_alive() and not thread_b.is_alive()
         served = [*outcome_a["result"], outcome_b["result"]]
-        for graph, result in zip([a1, a2, b], served):
-            lone = PredictionService(model, self.CONFIG).predict(graph)
-            assert result.energy == lone.energy  # bit-identical, no tolerance
-            np.testing.assert_array_equal(result.forces, lone.forces)
-        assert service.telemetry()["batching"]["flush_reasons"] == {"graphs_budget": 3}
+        # The same batches, cut by an unstarted service: bit for bit.
+        inline = PredictionService(model, config).predict_many([a1, a2, a3, b])
+        for result, expected in zip(served, inline):
+            assert result.energy == expected.energy  # bit-identical, no tolerance
+            np.testing.assert_array_equal(result.forces, expected.forces)
+        assert [len(batch) for batch in takes[thread_a.name] if batch] == [2, 2]
+        assert service.telemetry()["batching"]["flush_reasons"] == {"graphs_budget": 2}
+        service.stop()
 
     def test_a_failed_batch_reaches_every_caller_in_it(self, model):
-        # A's drain holds [a1, a2]; B's drain takes [a3, b] — one batch,
-        # two callers — and that forward fails.  Both calls raise it.
+        # A's first forward holds [a1, a2]; when it finishes A takes
+        # [a3, b] — one batch, two callers — and that forward fails.
+        # Both calls raise it.
         a1, a2, a3, b = make_molecule_graphs(4, seed=51)
         held = _HeldForwards(model, held=1, failing=1)
         service = PredictionService(held, dataclasses.replace(self.CONFIG, max_graphs=2))
-        thread_a, outcome_a = _in_thread(service.predict_many, [a1, a2, a3])
+        service.start(workers=1)
+        thread_a, outcome_a = in_thread(service.predict_many, [a1, a2, a3])
         assert held.entered[0].wait(10.0)
-        thread_b, outcome_b = _in_thread(service.predict, b)
-        thread_b.join(10.0)
-        assert not thread_b.is_alive()
-        assert "backend down" in str(outcome_b.get("error"))
+        thread_b, outcome_b = in_thread(service.predict, b)
+        wait_until(lambda: service._batcher.pending_graphs == 2)
         held.release[0].set()
+        thread_b.join(10.0)
         thread_a.join(10.0)
-        assert not thread_a.is_alive()
+        assert not thread_a.is_alive() and not thread_b.is_alive()
+        assert "backend down" in str(outcome_b.get("error"))
         assert "backend down" in str(outcome_a.get("error"))
-        # Only A's first batch completed a forward, and the service still
-        # serves: the next call runs on the calling thread.
+        # Only A's first batch completed a forward, its slot came back,
+        # and the service still serves on the calling thread.
         assert [r.num_graphs for r in service.stats.batch_records] == [2]
+        assert service._batcher.busy == 0
         assert service.predict(b).n_atoms == b.n_atoms
+        service.stop()
 
-    def test_concurrent_callers_share_the_queue_exactly(self, model):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_concurrent_callers_share_the_queue_exactly(self, model, workers):
         # More callers than cores, switching threads as often as the
-        # interpreter allows: every call returns, and one structure per
-        # batch keeps every result bit-identical to a lone call.
+        # interpreter allows, on one slot (unstarted) or two: every call
+        # returns, and one structure per batch keeps every result
+        # bit-identical to a lone call.
         config = dataclasses.replace(self.CONFIG, max_graphs=1)
         groups = [make_molecule_graphs(6, seed=60 + index) for index in range(4)]
         service = PredictionService(model, config)
+        if workers:
+            service.start(workers=workers)
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            calls = [_in_thread(service.predict_many, group) for group in groups]
+            calls = [in_thread(service.predict_many, group) for group in groups]
             for thread, _ in calls:
                 thread.join(30.0)
         finally:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread, _ in calls)
+        assert service._batcher.busy == 0 and service._batcher.pending_graphs == 0
         lone = PredictionService(model, config)
         for group, (_, outcome) in zip(groups, calls):
             for graph, result in zip(group, outcome["result"]):
@@ -404,17 +447,19 @@ class TestUnstartedCallers:
                 np.testing.assert_array_equal(result.forces, expected.forces)
         assert service.summary().requests == 24
         assert service.telemetry()["batching"]["flush_reasons"] == {"graphs_budget": 24}
+        service.stop()
 
 
 class TestGroupServing:
     """A served predict_many is one group: refusals neither leak nor double-resolve."""
 
     def _busy_service(self, model, **config):
-        """One worker, held inside a forward, so what is enqueued stays queued."""
+        """One slot, held inside a forward, so what is enqueued stays queued."""
         gated = GatedModel(model)
         service = PredictionService(gated, ServiceConfig(**config)).start(workers=1)
-        running = service.submit(make_molecule_graphs(1, seed=40)[0])
+        running, _ = in_thread(service.predict, make_molecule_graphs(1, seed=40)[0])
         assert gated.entered.wait(10.0)
+        wait_for_busy_slots(service._batcher, 1)
         return service, gated, running
 
     def test_queue_bound_mid_group_keeps_the_prefix_and_frees_the_tail(self, model):
@@ -425,15 +470,18 @@ class TestGroupServing:
             model, max_pending=3, client_concurrency=32
         )
         try:
-            with pytest.raises(ServiceOverloaded, match="queue full"):
-                service.predict_many(graphs, client_id="tenant")
+            thread, outcome = in_thread(service.predict_many, graphs, client_id="tenant")
             # Three are queued and still hold their leases; the refused
             # fourth and the two behind it gave theirs back, once each.
+            wait_until(lambda: service.telemetry()["batching"]["rejected"] == 1)
             assert service._batcher.pending_graphs == 3
             assert service.admission._inflight == {"tenant": 3}
-            assert service.telemetry()["batching"]["rejected"] == 1
             gated.gate.set()
-            running.wait(10.0)
+            running.join(10.0)
+            thread.join(10.0)
+            # The caller ran its prefix, then raised the refusal.
+            assert isinstance(outcome.get("error"), ServiceOverloaded)
+            assert "queue full" in str(outcome["error"])
         finally:
             gated.gate.set()
             service.stop()
@@ -450,12 +498,14 @@ class TestGroupServing:
         graphs = make_molecule_graphs(5, seed=42)
         service, gated, running = self._busy_service(model, client_concurrency=3)
         try:
-            with pytest.raises(QuotaExceeded, match="in flight"):
-                service.predict_many(graphs, client_id="tenant")
-            assert service._batcher.pending_graphs == 3
+            thread, outcome = in_thread(service.predict_many, graphs, client_id="tenant")
+            wait_until(lambda: service._batcher.pending_graphs == 3)
             assert service.admission._inflight == {"tenant": 3}
             gated.gate.set()
-            running.wait(10.0)
+            running.join(10.0)
+            thread.join(10.0)
+            assert isinstance(outcome.get("error"), QuotaExceeded)
+            assert "in flight" in str(outcome["error"])
         finally:
             gated.gate.set()
             service.stop()
@@ -472,11 +522,16 @@ class TestGroupServing:
             # A measured drain rate of a second per graph: the third of the
             # group is predicted to wait two seconds, past its deadline.
             service._batcher.record_service(graphs=1, duration_s=1.0)
-            with pytest.raises(DeadlineExceeded, match="shed at submit"):
-                service.predict_many(graphs, deadline=time.monotonic() + 1.5)
+            thread, outcome = in_thread(
+                service.predict_many, graphs, deadline=time.monotonic() + 1.5
+            )
+            wait_until(lambda: service._batcher.shed_predicted == 1)
             assert service._batcher.pending_graphs == 2
             gated.gate.set()
-            running.wait(10.0)
+            running.join(10.0)
+            thread.join(10.0)
+            assert isinstance(outcome.get("error"), DeadlineExceeded)
+            assert "shed at submit" in str(outcome["error"])
         finally:
             gated.gate.set()
             service.stop()
@@ -484,18 +539,25 @@ class TestGroupServing:
         assert service.telemetry()["batching"]["shed_predicted"] == 1
 
     def test_group_waits_against_one_absolute_deadline(self, model):
-        # Four structures behind a worker that never finishes: the call
-        # gives up after request_timeout_s, not after four of them.
+        # Four structures behind a slot that never comes back: the call
+        # gives up after request_timeout_s, not after four of them, and
+        # takes its structures out of the queue and its leases back.
         graphs = make_molecule_graphs(4, seed=44)
-        service, gated, _running = self._busy_service(model, request_timeout_s=0.3)
+        service, gated, running = self._busy_service(
+            model, request_timeout_s=0.3, client_concurrency=32
+        )
         try:
             start = time.perf_counter()
-            with pytest.raises(TimeoutError):
-                service.predict_many(graphs)
+            with pytest.raises(TimeoutError, match="given up"):
+                service.predict_many(graphs, client_id="tenant")
             assert time.perf_counter() - start < 0.9
+            assert service._batcher.pending_graphs == 0
+            assert service.admission._inflight == {}
         finally:
             gated.gate.set()
+            running.join(10.0)
             service.stop()
+        assert service.summary().requests == 1  # only the held one ran
 
 
 class TestDenormalization:
@@ -625,23 +687,25 @@ class TestReviewRegressions:
         service.predict_many([graphs[0]])
         key = structure_hash(graphs[0])
         request = ServeRequest(graph=graphs[0], key=key)
-        service._execute([request])
+        service._batcher.submit(request)
+        service._execute(service._batcher.take([request]))
         result = request.wait(timeout=0)
         assert result.cached is True
         # No new model batch ran for it.
         assert len(service.stats.batch_records) == 1
 
-    def test_unstarted_batches_match_a_one_worker_take_loop(self, model, graphs):
+    def test_unstarted_batches_match_a_one_slot_take_loop(self, model, graphs):
         from repro.serving import MicroBatcher, ServeRequest, structure_hash
 
         max_atoms = sum(g.n_atoms for g in graphs[:3])
         service = PredictionService(model, ServiceConfig(max_atoms=max_atoms))
         service.predict_many(list(graphs))
         batcher = MicroBatcher(max_atoms=max_atoms, max_graphs=64, flush_interval_s=0.0)
-        batcher.submit_many([ServeRequest(graph=g, key=structure_hash(g)) for g in graphs])
-        batcher.close()
+        group = [ServeRequest(graph=g, key=structure_hash(g)) for g in graphs]
+        batcher.submit_many(group)
         released = []
-        while (batch := batcher.next_batch()) is not None:
+        while (batch := batcher.take(group)) is not None:
+            batcher.release()
             released.append((len(batch), sum(r.n_atoms for r in batch)))
         assert len(released) >= 2
         assert [(r.num_graphs, r.num_atoms) for r in service.stats.batch_records] == released
@@ -663,16 +727,17 @@ class TestReviewRegressions:
 
         gated = GatedModel(model)
         service = PredictionService(gated, ServiceConfig(max_pending=1)).start(workers=1)
-        running = service.submit(graphs[0])
+        running, _ = in_thread(service.predict, graphs[0])
         assert gated.entered.wait(10.0)
-        doomed = service.submit(graphs[1], deadline=time.monotonic() + 0.02)
+        doomed, outcome = in_thread(service.predict, graphs[1], deadline=time.monotonic() + 0.05)
+        wait_until(lambda: service._batcher.pending_graphs == 1)
         with pytest.raises(ServiceOverloaded):
             service.submit(graphs[2])
-        time.sleep(0.05)
+        doomed.join(10.0)  # its caller woke at its deadline, parked beside a busy slot
+        assert isinstance(outcome.get("error"), DeadlineExceeded)
+        assert "expired" in str(outcome["error"])
         gated.gate.set()
-        running.wait(10.0)
-        with pytest.raises(DeadlineExceeded, match="expired"):
-            doomed.wait(10.0)
+        running.join(10.0)
         for graph in graphs[3:]:
             service.predict(graph)
 

@@ -234,7 +234,7 @@ class TestSharedPoolConcurrency:
 class TestPlannedConcurrentServing:
     """Execution-plan replay under ``start(workers=4)`` concurrent serving.
 
-    Plans are cached per model and replayed by whichever worker thread
+    Plans are cached per model and replayed by whichever serving thread
     picks up a batch, every replay drawing scratch from the service's
     one shared buffer pool — the
     results must be bit-identical to the inline *unplanned* path, and

@@ -7,7 +7,7 @@ importing the schemas that type them; and the ``/v1/stats`` table in
 ``serving/telemetry.py`` is standard library only, so the router and
 offline readers of server-emitted stats can import it alone.  The
 engine (``repro.tensor``) runs each kernel on its caller's thread: the
-serving workers are where the cores go, so it imports no executor.  It
+serving callers are where the cores go, so it imports no executor.  It
 also has one scratch allocator, the buffer pool in
 ``repro.tensor.allocator``, which plan replays share with everything else.
 And there is one HTTP stack: both servers subclass the framing in
