@@ -11,7 +11,9 @@ The plan subsystem's claim has two halves, and this bench pins both:
   the floor holds on a single core and is asserted unconditionally.
 - **Bit-exactness.**  Replays must return the *same bits* as the
   unplanned path — a fast wrong answer is a regression, not a win —
-  checked here across molecular and periodic structures.
+  checked here across molecular and periodic structures, including one
+  ``base``-preset periodic batch long enough that the tiled edge ops
+  walk more than two row tiles.
 
 Numbers merge into ``benchmarks/results/BENCH_plan.json`` (uploaded as
 a CI artifact next to the serving trajectory).
@@ -25,8 +27,9 @@ import numpy as np
 
 from _shared import RESULTS_DIR, write_result
 from repro.graph.batch import collate
-from repro.models import HydraModel, ModelConfig
+from repro.models import HydraModel, ModelConfig, get_preset
 from repro.tensor.allocator import BufferPool, use_pool
+from repro.tensor.kernels import row_tiles
 
 _FLOOR = float(os.environ.get("PLAN_SPEEDUP_FLOOR", "1.3"))
 _JSON_PATH = RESULTS_DIR / "BENCH_plan.json"
@@ -128,18 +131,25 @@ def bench_plan_bit_exactness(benchmark):
     cases.append(collate(_molecules(3, seed=5)))
     cases.append(collate(MPTrjSource().sample(2, 1)))
 
+    # One base-preset batch of periodic cells over several edge-op tiles.
+    base = HydraModel(get_preset("base"), seed=1)
+    tiled = collate(MPTrjSource().sample(10, 3))
+    assert len(row_tiles(tiled.num_edges, base.config.hidden_dim)) > 2
+    runs = [(model, batch) for batch in cases] + [(base, tiled)]
+
     checked = 0
-    for batch in cases:
-        unplanned = model.serve(batch, plan=False)
-        model.serve(batch, plan=True)  # compile
-        replayed = model.serve(batch, plan=True)  # replay
+    for served, batch in runs:
+        unplanned = served.serve(batch, plan=False)
+        served.serve(batch, plan=True)  # compile
+        replayed = served.serve(batch, plan=True)  # replay
         assert np.array_equal(unplanned["energy"], replayed["energy"])
         assert np.array_equal(unplanned["forces"], replayed["forces"])
         checked += 1
     write_result(
         "plan_bit_exactness",
         f"plan_bit_exactness: {checked} batches replayed bit-identically "
-        "(molecular + collated + periodic)",
+        "(molecular + collated + periodic + multi-tile base periodic)",
     )
+    assert base.plans.stats.fallbacks == 0
     _merge_json({"bit_exact_batches": checked})
     benchmark(lambda: model.serve(cases[0], plan=True))

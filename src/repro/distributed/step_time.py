@@ -9,10 +9,10 @@ both sides of the ratio with the standard roofline-style decomposition:
          + gradient all-reduce (+ ZeRO all-gather)  [link-bound]
          (+ fixed per-step pipeline overhead: dataloading/host sync)
 
-Forward FLOPs follow the EGNN layer inventory (three width x width
-matmul chains over edges and nodes); backward is the usual 2x forward;
-activation checkpointing re-runs the forward once; Adam's update streams
-7 floats per parameter through HBM.
+Forward FLOPs follow the EGNN layer inventory
+(:func:`repro.models.factory.egnn_forward_flops`); backward is the usual
+2x forward; activation checkpointing re-runs the forward once; Adam's
+update streams 7 floats per parameter through HBM.
 """
 
 from __future__ import annotations
@@ -22,24 +22,10 @@ from dataclasses import dataclass
 from repro.distributed.cost_model import CommCostModel
 from repro.hpc.perlmutter import PERLMUTTER, MachineSpec
 from repro.models.config import ModelConfig
-from repro.models.factory import count_parameters
+from repro.models.factory import count_parameters, egnn_forward_flops
 
 #: Adam reads w, g, m, v and writes w, m, v: 7 floats per parameter.
 _ADAM_FLOATS_PER_PARAM = 7
-
-
-def egnn_forward_flops(config: ModelConfig, num_nodes: int, num_edges: int) -> float:
-    """Forward FLOPs of one batch through the backbone + heads."""
-    width = config.hidden_dim
-    per_layer = 2.0 * (
-        num_edges * (2 * width + config.num_rbf) * width  # edge MLP in
-        + num_edges * width * width  # edge MLP hidden
-        + num_edges * width * (width + 1)  # coord MLP
-        + num_nodes * 2 * width * width  # node MLP in
-        + num_nodes * width * width  # node MLP hidden
-    )
-    heads = 2.0 * num_nodes * width * (config.head_dim + 1)
-    return config.num_layers * per_layer + heads
 
 
 @dataclass(frozen=True)

@@ -34,19 +34,21 @@ FLOAT_BYTES = 4
 class ActivationInventory:
     """Live-buffer inventory of one EGNN layer at the measured peak.
 
-    The counts mirror the fused kernels of ``repro.models.egnn.EGNNLayer``:
-    the gather/concat entry of each MLP is
-    folded into one kernel, so neither the ``(E, 2F+R)`` concat buffer
-    nor the two edge-sized gathers exist, each affine map retains one
-    output instead of two, and the weighted-unit-vector product is fused
-    into its segment sum.  Counts are calibrated against the measured
-    profiler at the moment of peak *total* memory (early backward), where
-    a few late-layer edge buffers have already been released -- which is
-    why ``edge_f_buffers`` is slightly below the ten edge-sized arrays
-    the forward pass retains.
+    The counts mirror the fused kernels of ``repro.models.egnn.EGNNLayer``.
+    The edge MLP and cutoff envelope run as one op (``EdgeMessages``)
+    with the gather and concat folded into its first matmul, so neither
+    the ``(E, 2F+R)`` concat buffer nor the two edge-sized gathers exist.
+    For the backward it keeps two pre-activations, two sigmoids and two
+    activations beside its output, and the coordinate-MLP op
+    (``EdgeCoordWeights``) keeps one of each: ten ``(E, F)`` arrays per
+    layer.  The tracker registers seven of them, the ones the composed
+    chain had as op outputs; the three sigmoids are pool scratch it does
+    not see.  The weighted-unit-vector product is fused into its segment
+    sum.  Counts are calibrated against the measured profiler at the
+    moment of peak *total* memory (early backward).
     """
 
-    edge_f_buffers: int = 7  # fused entry, 2x (linear + SiLU pair), envelope mul
+    edge_f_buffers: int = 7  # EdgeMessages: 2x (pre-act + act), output; coord MLP: pre-act + act
     node_f_buffers: int = 11  # aggregate, fused entry, SiLU pair, linear, residual, LN x5
     edge_vec_buffers: int = 0  # weighted unit vectors are fused into the segment sum
     node_vec_buffers: int = 1  # coordinate residual (N x 3)

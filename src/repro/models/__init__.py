@@ -8,6 +8,7 @@ from repro.models.factory import (
     PAPER_WIDTH_GRID,
     build_model,
     count_parameters,
+    egnn_forward_flops,
     model_size_ladder,
     solve_width,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "PAPER_WIDTH_GRID",
     "build_model",
     "count_parameters",
+    "egnn_forward_flops",
     "describe",
     "get_preset",
     "model_size_ladder",

@@ -38,6 +38,10 @@ class ModelConfig:
             raise ValueError("num_layers must be >= 1")
         if self.num_rbf < 2:
             raise ValueError("num_rbf must be >= 2")
+        if self.activation != "silu":
+            # The tiled edge ops (repro.tensor.kernels) implement SiLU
+            # only; the field stays because checkpoints store "silu".
+            raise ValueError(f"activation must be 'silu', got {self.activation!r}")
 
     @property
     def head_dim(self) -> int:

@@ -18,9 +18,15 @@ where ``u_ij`` is the unit edge vector and ``f_cut`` the smooth cutoff
 envelope.  Equivariance is property-tested in the test suite: rotating
 the input rotates the coordinate channel and leaves ``h`` untouched.
 
-The gather/concat/linear entry of each MLP and the multiply/segment-sum
-aggregation run as fused kernels (:mod:`repro.tensor.kernels`); the test
-suite checks them against the composed primitive ops they replace.
+Each layer's per-edge work runs as two fused kernels
+(:mod:`repro.tensor.kernels`) that walk the edges in cache-sized row
+tiles: ``edge_messages`` computes ``phi_e`` (gather and concat folded
+into its first matmul) times ``f_cut``, and ``edge_coord_weights``
+computes ``phi_x``; the optional attention gate sits between them as
+composed ops.  The node MLP's concat entry and the multiply/segment-sum
+aggregation are fused kernels too.  The test suite checks them all
+against the composed primitive ops they replace.  Both edge kernels
+implement SiLU, the only activation :class:`ModelConfig` accepts.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ from repro.tensor.core import DEFAULT_DTYPE, Tensor, segment_sum
 from repro.tensor.rng import rng as make_rng, split_rng
 
 
+#: RBF entries below this are zeroed: see :func:`edge_geometry_arrays_for`.
+RBF_FLOOR = 2.0**-64
+
+
 def edge_geometry_arrays_for(
     batch: GraphBatch, cutoff: float, num_rbf: int
 ) -> dict[str, np.ndarray]:
@@ -51,13 +61,18 @@ def edge_geometry_arrays_for(
     (:mod:`repro.tensor.plan`, which feeds them to plan replay as named
     inputs) — the two consumers must agree bit-for-bit.
 
-    RBF entries below ``np.finfo(np.float32).tiny`` are set to zero at
-    the float32 cast.  The Gaussian tails of long edges land there (3-4%
-    of a dense periodic cell's entries), and a subnormal operand makes
-    every ``rbf @ W_feat`` product pay x86 denormal assists: for six
-    crystals (12,256 edges) at width 64 that GEMM took 3.9 ms with the
-    subnormals and 1.5 ms without on a 2-vCPU Xeon, for the same output
-    bits.
+    RBF entries below :data:`RBF_FLOOR` (2^-64) are set to zero at the
+    float32 cast.  The Gaussian tails of long edges reach that far down,
+    and the GEMM ``rbf @ W_rbf`` pays x86 denormal assists for every
+    subnormal *product*: an entry just above float32 ``tiny`` times a
+    weight below 1 is one, so flushing only subnormal entries is not
+    enough.  The centres are one width apart, so each row holds an
+    entry of at least ``exp(-1/8)``, and an entry below 2^-64 lies some
+    40 binades under one float32 ulp of it: on the molecules and
+    crystals the tests replay, the flush moves no output bit.  On a
+    21,084-edge batch of crystals and molecules at width 64 that GEMM
+    took 2.0 ms with the floor at ``tiny`` and 0.64 ms at 2^-64 (one
+    OpenBLAS 0.3.31 thread on a 2-vCPU Xeon), for the same output bits.
     """
     src, dst = batch.edge_index
     src = np.asarray(src, dtype=np.int64)
@@ -72,7 +87,7 @@ def edge_geometry_arrays_for(
     degree = np.bincount(dst, minlength=batch.num_nodes).astype(DEFAULT_DTYPE)
     inv_degree = 1.0 / np.maximum(degree, 1.0)
     rbf = gaussian_rbf(distances, cutoff, num_rbf).astype(DEFAULT_DTYPE)
-    rbf[rbf < np.finfo(DEFAULT_DTYPE).tiny] = 0.0
+    rbf[rbf < RBF_FLOOR] = 0.0
     return {
         "src": src,
         "dst": dst,
@@ -122,13 +137,18 @@ class EGNNLayer(Module):
         self.norm = LayerNorm(width) if config.layer_norm else None
 
     def forward(self, h: Tensor, x: Tensor, geometry: EdgeGeometry) -> tuple[Tensor, Tensor]:
-        entry = self.edge_mlp.layers[0]
-        messages = kernels.edge_message_linear(
-            h, geometry.rbf, entry.weight, entry.bias, geometry.src, geometry.dst
+        edge, coord = self.edge_mlp.layers, self.coord_mlp.layers
+        messages = kernels.edge_messages(
+            h,
+            geometry.rbf,
+            geometry.envelope,
+            edge[0].weight,
+            edge[0].bias,
+            edge[1].weight,
+            edge[1].bias,
+            geometry.src,
+            geometry.dst,
         )
-        messages = self.edge_mlp.activation(messages)
-        messages = self.edge_mlp.forward_tail(messages, start=1)
-        messages = messages * geometry.envelope
         if self.attention_mlp is not None:
             # Per-edge scalar gate in (0, 1): the EGNN paper's "e_ij"
             # attention, an invariant function of the message.
@@ -136,7 +156,9 @@ class EGNNLayer(Module):
 
         # Equivariant coordinate update along fixed unit edge vectors;
         # the weighted-vector product is folded into the segment sum.
-        coord_weights = self.coord_mlp(messages)
+        coord_weights = kernels.edge_coord_weights(
+            messages, coord[0].weight, coord[0].bias, coord[1].weight, coord[1].bias
+        )
         coord_updates = kernels.mul_segment_sum(
             geometry.unit_vectors, coord_weights, geometry.dst, geometry.num_nodes
         )

@@ -5,7 +5,8 @@ layer" to hit parameter targets from 0.1 M to 2 B.  We do the same: an
 exact closed-form parameter count (mirroring construction, asserted
 equal in the tests) lets a binary search find the hidden width whose
 parameter count is closest to any target — including billion-parameter
-configs that are never instantiated, only analyzed.
+configs that are never instantiated, only analyzed.  The forward FLOP
+count sits beside it for the same reason.
 """
 
 from __future__ import annotations
@@ -61,6 +62,27 @@ def count_parameters(config: ModelConfig) -> int:
     total += _mlp_parameters([width, config.head_dim, 1])  # energy head
     total += 1  # force-head gain
     return total
+
+
+def egnn_forward_flops(config: ModelConfig, num_nodes: int, num_edges: int) -> float:
+    """Forward FLOPs of one batch through the backbone + heads.
+
+    Counts the matmuls, two FLOPs per multiply-add: per layer the edge,
+    coordinate and node MLPs (and the attention gate when
+    ``config.attention`` is on), then the energy head.
+    """
+    width = config.hidden_dim
+    per_layer = 2.0 * (
+        num_edges * (2 * width + config.num_rbf) * width  # edge MLP in
+        + num_edges * width * width  # edge MLP hidden
+        + num_edges * width * (width + 1)  # coord MLP
+        + num_nodes * 2 * width * width  # node MLP in
+        + num_nodes * width * width  # node MLP hidden
+    )
+    if config.attention:
+        per_layer += 2.0 * num_edges * width  # attention gate (width -> 1)
+    heads = 2.0 * num_nodes * width * (config.head_dim + 1)
+    return config.num_layers * per_layer + heads
 
 
 def solve_width(

@@ -172,6 +172,45 @@ def make_periodic_graphs(count: int = 2, seed: int = 0):
     return MPTrjSource().sample(count, seed)
 
 
+#: Bulk prototypes of :func:`make_crystal_graphs`: 64, 32 and 40 atoms,
+#: with about 3,600, 1,300 and 2,000 edges at the default 5 A cutoff.
+CRYSTAL_PROTOTYPES = (
+    ("rocksalt", ["Mg", "O"], 4.21),
+    ("fcc", ["Pt"], 3.92),
+    ("perovskite", ["Ba", "Ti"], 3.9),
+)
+
+
+def make_crystal_graphs(count: int = 3, seed: int = 0, cutoff: float = 5.0):
+    """Dense periodic 2x2x2 bulk cells, cycling :data:`CRYSTAL_PROTOTYPES`.
+
+    Three of them batch to about 6,900 edges: several row tiles of an
+    edge op at width 64.
+    """
+    from repro.data.sources.builders import bulk_crystal
+    from repro.graph.atoms import AtomGraph
+    from repro.graph.radius import build_edges
+
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for index in range(count):
+        prototype, species, lattice = CRYSTAL_PROTOTYPES[index % len(CRYSTAL_PROTOTYPES)]
+        numbers, positions, cell = bulk_crystal(rng, prototype, species, lattice, (2, 2, 2))
+        pbc = (True, True, True)
+        edge_index, edge_shift = build_edges(positions, cutoff, cell, pbc)
+        graphs.append(
+            AtomGraph(
+                atomic_numbers=numbers,
+                positions=positions,
+                edge_index=edge_index,
+                edge_shift=edge_shift,
+                cell=cell,
+                pbc=pbc,
+            )
+        )
+    return graphs
+
+
 class GatedModel:
     """Wraps a model so every forward waits at a gate: keeps slots busy on cue."""
 

@@ -12,10 +12,10 @@ from repro.graph.batch import collate
 from repro.graph.features import gaussian_rbf
 from repro.graph.radius import build_edges
 from repro.models import EGNNBackbone, HydraModel, ModelConfig, get_preset
-from repro.models.egnn import edge_geometry_arrays_for
+from repro.models.egnn import RBF_FLOOR, edge_geometry_arrays_for
 from repro.tensor import kernels, no_grad
 from repro.tensor.plan import compile_plan, plan_inputs
-from tests.helpers import make_molecule_graphs, make_periodic_graphs
+from tests.helpers import make_crystal_graphs, make_molecule_graphs, make_periodic_graphs
 from tests.reference import composed_ops
 
 
@@ -220,42 +220,54 @@ def _md_stream_cell():
     numbers, positions, cell = bulk_crystal(
         rng, "rocksalt", ["Mg", "O"], 4.21, (2, 2, 2), strain=0.0
     )
-    return numbers, positions @ shear, cell @ shear, (True, True, True)
+    return collate([_graph(numbers, positions @ shear, cell @ shear, (True, True, True))])
 
 
 def _molecule():
     numbers, positions = random_molecule(np.random.default_rng(32), ["C", "N", "O"], 20)
-    return numbers, positions, None, (False, False, False)
+    return collate([_graph(numbers, positions, None, (False, False, False))])
+
+
+def _bulk_crystals():
+    """Three dense periodic cells in one batch: several row tiles at width 64."""
+    return collate(make_crystal_graphs(3, seed=33))
+
+
+def _graph(numbers, positions, cell, pbc):
+    edge_index, edge_shift = build_edges(positions, ModelConfig().cutoff, cell, pbc)
+    return AtomGraph(
+        atomic_numbers=numbers,
+        positions=positions,
+        edge_index=edge_index,
+        edge_shift=edge_shift,
+        cell=cell,
+        pbc=pbc,
+    )
 
 
 class TestSubnormalFlush:
-    """The geometry prologue hands the forward no subnormal RBF entry,
+    """The geometry prologue zeroes every RBF entry below ``RBF_FLOOR``,
     and zeroing them moves no output bit."""
 
-    @pytest.mark.parametrize("structure", [_md_stream_cell, _molecule], ids=["md_cell", "molecule"])
-    def test_flush_is_invisible_to_the_planned_forward(self, structure):
-        numbers, positions, cell, pbc = structure()
-        config = get_preset("tiny")
-        edge_index, edge_shift = build_edges(positions, config.cutoff, cell, pbc)
-        graph = AtomGraph(
-            atomic_numbers=numbers,
-            positions=positions,
-            edge_index=edge_index,
-            edge_shift=edge_shift,
-            cell=cell,
-            pbc=pbc,
-        )
-        batch = collate([graph])
+    @pytest.mark.parametrize(
+        "structure,preset",
+        [(_md_stream_cell, "tiny"), (_molecule, "tiny"), (_bulk_crystals, "base")],
+        ids=["md_cell", "molecule", "bulk_base"],
+    )
+    def test_flush_is_invisible_to_the_planned_forward(self, structure, preset):
+        batch = structure()
+        config = get_preset(preset)
         tiny = np.finfo(np.float32).tiny
+        assert RBF_FLOOR == 2.0**-64
 
         rbf = edge_geometry_arrays_for(batch, config.cutoff, config.num_rbf)["rbf"]
-        assert not ((rbf > 0) & (rbf < tiny)).any()
+        assert rbf[rbf > 0].min() >= RBF_FLOOR
 
         src, dst = batch.edge_index
         _, distances = kernels.edge_geometry_arrays(batch.positions, batch.edge_shift, src, dst)
         unflushed = gaussian_rbf(distances, config.cutoff, config.num_rbf).astype(np.float32)
-        assert ((unflushed > 0) & (unflushed < tiny)).any()  # the case is live
-        assert np.array_equal(np.where(unflushed < tiny, 0.0, unflushed), rbf)
+        assert ((unflushed >= tiny) & (unflushed < RBF_FLOOR)).any()  # the case is live
+        assert np.array_equal(np.where(unflushed < RBF_FLOOR, 0.0, unflushed), rbf)
 
         model = HydraModel(config, seed=0)
         plan, _ = compile_plan(model, batch)

@@ -1,5 +1,7 @@
 """Model factory: exact counting, width solver, presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.models import (
@@ -9,6 +11,7 @@ from repro.models import (
     build_model,
     count_parameters,
     describe,
+    egnn_forward_flops,
     get_preset,
     model_size_ladder,
     preset_names,
@@ -86,6 +89,29 @@ class TestConfig:
             ModelConfig(num_layers=0)
         with pytest.raises(ValueError):
             ModelConfig(num_rbf=1)
+
+    def test_activation_is_silu_only(self):
+        assert ModelConfig(activation="silu").activation == "silu"
+        with pytest.raises(ValueError, match="activation must be 'silu'"):
+            ModelConfig(activation="tanh")
+
+    def test_checkpoint_with_activation_round_trips(self, tmp_path):
+        from repro.train import load_checkpoint, save_checkpoint
+
+        config = ModelConfig(hidden_dim=8, num_layers=2)
+        path = save_checkpoint(tmp_path / "ckpt.npz", HydraModel(config, seed=0))
+        restored, metadata = load_checkpoint(path)
+        assert metadata["config"]["activation"] == "silu"
+        assert restored.config == config
+
+
+class TestForwardFlops:
+    def test_attention_gate_adds_two_flops_per_edge_and_channel(self):
+        layers, width, nodes, edges = 3, 24, 50, 700
+        plain = ModelConfig(hidden_dim=width, num_layers=layers)
+        gated = replace(plain, attention=True)
+        extra = egnn_forward_flops(gated, nodes, edges) - egnn_forward_flops(plain, nodes, edges)
+        assert extra == 2 * layers * edges * width
 
     def test_with_checkpointing_copy(self):
         config = ModelConfig()

@@ -25,8 +25,32 @@ def silu(x):
     return x * x.sigmoid()
 
 
-def edge_message_linear(h, feat, weight, bias, src, dst):
-    return linear(concat([gather(h, src), gather(h, dst), feat], axis=1), weight, bias)
+def edge_messages(h, rbf, envelope, w0, b0, w1, b1, src, dst):
+    edge_input = concat([gather(h, src), gather(h, dst), rbf], axis=1)
+    return silu(linear(silu(linear(edge_input, w0, b0)), w1, b1)) * envelope
+
+
+def edge_coord_weights(m, w0, b0, w1, b1):
+    return linear(silu(linear(m, w0, b0)), w1, b1)
+
+
+def untiled_edge_messages(h, rbf, envelope, w0, b0, w1, b1, src, dst):
+    """``EdgeMessages.infer``'s math in one pass over all rows, on arrays:
+    the fused linear and SiLU kernels plus numpy gathers, whose bits the
+    tiled op must reproduce."""
+    width = h.shape[1]
+    pre = (h @ w0[:width])[src] + (h @ w0[width : 2 * width])[dst]
+    pre += rbf @ w0[2 * width :]
+    pre += b0
+    act = kernels.FusedSiLU.infer(pre)
+    act = kernels.FusedSiLU.infer(kernels.FusedLinear.infer(act, w1, b1))
+    return act * envelope
+
+
+def untiled_edge_coord_weights(m, w0, b0, w1, b1):
+    """``EdgeCoordWeights.infer``'s math in one pass over all rows, on arrays."""
+    act = kernels.FusedSiLU.infer(kernels.FusedLinear.infer(m, w0, b0))
+    return kernels.FusedLinear.infer(act, w1, b1)
 
 
 def egnn_layer_forward(layer, h, x, geometry):

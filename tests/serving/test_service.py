@@ -322,7 +322,7 @@ class TestConcurrentServing:
         # Worker threads call each op's ``infer``: a substitute patched
         # over it runs in their forwards too.
         graphs = make_molecule_graphs(8, seed=22)
-        calls = count_calls(monkeypatch, kernels.EdgeMessageLinear, "infer")
+        calls = count_calls(monkeypatch, kernels.EdgeMessages, "infer")
         config = ServiceConfig(max_graphs=4, max_atoms=10**9, cache_capacity=0, backend="numpy")
         inline = PredictionService(model, config).predict_many(list(graphs))
         service = PredictionService(model, config)

@@ -79,27 +79,72 @@ def test_silu(dtype, populated, rng):
     check(grad_x, grad * expected_sig * (1.0 + x * (1.0 - expected_sig)), dtype)
 
 
-def test_edge_message_linear(dtype, populated, rng):
-    nodes, edges, width, feat_width, out_width = 60, 400 if populated else 0, 16, 8, 12
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def silu_grad(grad, x):
+    sig = sigmoid(x)
+    return grad * sig * (1.0 + x * (1.0 - sig))
+
+
+def test_edge_messages(dtype, populated, rng):
+    nodes, edges, width, rbf_width = 60, 400 if populated else 0, 16, 8
     h = normal(rng, (nodes, width), dtype)
-    feat = normal(rng, (edges, feat_width), dtype)
-    weight = normal(rng, (2 * width + feat_width, out_width), dtype)
-    bias = normal(rng, (out_width,), dtype)
+    rbf = normal(rng, (edges, rbf_width), dtype)
+    envelope = rng.random((edges, 1)).astype(dtype)
+    w0 = (0.3 * normal(rng, (2 * width + rbf_width, width), dtype)).astype(dtype)
+    w1 = (0.3 * normal(rng, (width, width), dtype)).astype(dtype)
+    b0, b1 = normal(rng, (width,), dtype), normal(rng, (width,), dtype)
     src = rng.integers(0, nodes, edges).astype(np.int64)
     dst = rng.integers(0, nodes, edges).astype(np.int64)
-    edge_input = np.concatenate([h[src], h[dst], feat], axis=1)
-    grad = normal(rng, (edges, out_width), dtype)
-    node = kernels.EdgeMessageLinear(src, dst)
-    out, (grad_h, grad_feat, grad_w, grad_b) = through_node(node, (h, feat, weight, bias), grad)
-    check(out, edge_input @ weight + bias, dtype)
+    edge_input = np.concatenate([h[src], h[dst], rbf], axis=1)
+    pre0 = edge_input @ w0 + b0
+    act0 = pre0 * sigmoid(pre0)
+    pre1 = act0 @ w1 + b1
+    act1 = pre1 * sigmoid(pre1)
+    grad = normal(rng, (edges, width), dtype)
+    node = kernels.EdgeMessages(src, dst)
+    out, grads = through_node(node, (h, rbf, envelope, w0, b0, w1, b1), grad)
+    grad_h, grad_rbf, grad_env, grad_w0, grad_b0, grad_w1, grad_b1 = grads
+    check(out, act1 * envelope, dtype)
+    args = (h, rbf, envelope, w0, b0, w1, b1)
+    check(kernels.EdgeMessages.infer(*args, src=src, dst=dst), act1 * envelope, dtype)
 
-    grad_input = grad @ weight.T
+    check(grad_env, (grad * act1).sum(axis=1, keepdims=True), dtype)
+    grad_pre1 = silu_grad(grad * envelope, pre1)
+    check(grad_w1, act0.T @ grad_pre1, dtype)
+    check(grad_b1, grad_pre1.sum(axis=0), dtype)
+    grad_pre0 = silu_grad(grad_pre1 @ w1.T, pre0)
+    grad_input = grad_pre0 @ w0.T
     expected_h = scatter_add(grad_input[:, :width], src, nodes)
     expected_h += scatter_add(grad_input[:, width : 2 * width], dst, nodes)
     check(grad_h, expected_h, dtype)
-    check(grad_feat, grad_input[:, 2 * width :], dtype)
-    check(grad_w, edge_input.T @ grad, dtype)
-    check(grad_b, grad.sum(axis=0), dtype)
+    check(grad_rbf, grad_input[:, 2 * width :], dtype)
+    check(grad_w0, edge_input.T @ grad_pre0, dtype)
+    check(grad_b0, grad_pre0.sum(axis=0), dtype)
+
+
+def test_edge_coord_weights(dtype, populated, rng):
+    rows, width = 300 if populated else 0, 16
+    m = normal(rng, (rows, width), dtype)
+    w0, b0 = normal(rng, (width, width), dtype), normal(rng, (width,), dtype)
+    w1, b1 = normal(rng, (width, 1), dtype), normal(rng, (1,), dtype)
+    pre = m @ w0 + b0
+    act = pre * sigmoid(pre)
+    grad = normal(rng, (rows, 1), dtype)
+    node = kernels.EdgeCoordWeights()
+    out, (grad_m, grad_w0, grad_b0, grad_w1, grad_b1) = through_node(
+        node, (m, w0, b0, w1, b1), grad
+    )
+    check(out, act @ w1 + b1, dtype)
+    check(kernels.EdgeCoordWeights.infer(m, w0, b0, w1, b1), act @ w1 + b1, dtype)
+    check(grad_w1, act.T @ grad, dtype)
+    check(grad_b1, grad.sum(axis=0), dtype)
+    grad_pre = silu_grad(grad @ w1.T, pre)
+    check(grad_m, grad_pre @ w0.T, dtype)
+    check(grad_w0, m.T @ grad_pre, dtype)
+    check(grad_b0, grad_pre.sum(axis=0), dtype)
 
 
 def test_concat_linear(dtype, populated, rng):
@@ -156,12 +201,21 @@ def _mixed_dtype_case(kernel, rng):
     if kernel == "linear":
         w, b = normal(rng, (8, 4), np.float32), normal(rng, (4,), np.float64)
         return (x32, w, b), x32 @ w + b
-    if kernel == "edge_message_linear":
-        feat = normal(rng, (30, 3), np.float64)
-        w, b = normal(rng, (19, 4), np.float32), normal(rng, (4,), np.float32)
+    if kernel == "edge_messages":
+        rbf = normal(rng, (30, 3), np.float64)
+        envelope = rng.random((30, 1)).astype(np.float32)
+        w0, b0 = normal(rng, (19, 8), np.float32), normal(rng, (8,), np.float32)
+        w1, b1 = normal(rng, (8, 8), np.float32), normal(rng, (8,), np.float32)
         src, dst = rng.integers(0, 50, 30), rng.integers(0, 50, 30)
-        edge_input = np.concatenate([x32[src], x32[dst], feat], axis=1)
-        return (x32, feat, w, b, src, dst), edge_input @ w + b
+        pre0 = np.concatenate([x32[src], x32[dst], rbf], axis=1) @ w0 + b0
+        pre1 = pre0 * sigmoid(pre0) @ w1 + b1
+        expected = pre1 * sigmoid(pre1) * envelope
+        return (x32, rbf, envelope, w0, b0, w1, b1, src, dst), expected
+    if kernel == "edge_coord_weights":
+        w0, b0 = normal(rng, (8, 8), np.float32), normal(rng, (8,), np.float64)
+        w1, b1 = normal(rng, (8, 1), np.float32), normal(rng, (1,), np.float32)
+        pre = x32 @ w0 + b0
+        return (x32, w0, b0, w1, b1), pre * sigmoid(pre) @ w1 + b1
     if kernel == "concat_linear":
         parts = [x32, normal(rng, (50, 2), np.float64)]
         w = normal(rng, (10, 4), np.float32)
@@ -174,9 +228,10 @@ def _mixed_dtype_case(kernel, rng):
 
 IMPLEMENTATIONS = {
     "linear": kernels.FusedLinear.infer,
-    "edge_message_linear": lambda h, feat, weight, bias, src, dst: kernels.EdgeMessageLinear.infer(
-        h, feat, weight, bias, src=src, dst=dst
+    "edge_messages": lambda *args: kernels.EdgeMessages.infer(
+        *args[:-2], src=args[-2], dst=args[-1]
     ),
+    "edge_coord_weights": kernels.EdgeCoordWeights.infer,
     "concat_linear": lambda parts, weight: kernels.ConcatLinear.infer(
         *parts, weight, num_parts=len(parts), has_bias=False
     ),
@@ -198,16 +253,19 @@ def test_mixed_dtypes_promote_instead_of_quantizing(kernel, rng):
 
 
 @pytest.mark.parametrize("bad", ["src", "dst"])
-@pytest.mark.parametrize("kernel", ["edge_message_linear", "edge_geometry"])
+@pytest.mark.parametrize("kernel", ["edge_messages", "edge_geometry"])
 def test_gathers_bounds_check(kernel, bad, rng):
     """An out-of-range edge endpoint raises; it is never clipped or wrapped."""
     nodes, edges = 20, 30
     index = {name: rng.integers(0, nodes, edges).astype(np.int64) for name in ("src", "dst")}
     index[bad][7] = nodes
-    if kernel == "edge_message_linear":
+    if kernel == "edge_messages":
         h = normal(rng, (nodes, 4), np.float32)
-        feat = normal(rng, (edges, 2), np.float32)
-        args = (h, feat, normal(rng, (10, 3), np.float32), None)
+        rbf = normal(rng, (edges, 2), np.float32)
+        envelope = normal(rng, (edges, 1), np.float32)
+        w0, b0 = normal(rng, (10, 3), np.float32), normal(rng, (3,), np.float32)
+        w1, b1 = normal(rng, (3, 3), np.float32), normal(rng, (3,), np.float32)
+        args = (h, rbf, envelope, w0, b0, w1, b1)
     else:
         args = (normal(rng, (nodes, 3), np.float32), normal(rng, (edges, 3), np.float32))
     with pytest.raises(IndexError):

@@ -1,5 +1,7 @@
 """Kernel substitution, buffer pool, and the inference fast path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,12 @@ from repro.models import HydraModel, ModelConfig
 from repro.tensor import kernels
 from repro.tensor.allocator import BufferPool, active_pool, pool_empty, pool_zeros, use_pool
 from repro.tensor.core import Tensor, function_nodes_created, no_grad
-from tests.helpers import count_calls, make_molecule_graphs, make_periodic_graphs
+from tests.helpers import (
+    count_calls,
+    make_crystal_graphs,
+    make_molecule_graphs,
+    make_periodic_graphs,
+)
 from tests.reference import composed_ops
 
 
@@ -213,7 +220,7 @@ class TestSubstitutedKernels:
             return out
 
         reference = losses()
-        calls = count_calls(monkeypatch, kernels.EdgeMessageLinear, "infer", "backward")
+        calls = count_calls(monkeypatch, kernels.EdgeMessages, "infer", "backward")
         assert losses() == reference
         assert calls["infer"] > 0
         assert calls["backward"] > 0
@@ -261,6 +268,86 @@ class TestSubstitutedKernels:
         np.testing.assert_array_equal(gw, gw_reference)
         assert linear_calls["backward"] == 1
         assert silu_calls["backward"] == 1
+
+
+def _tile_case_sizes():
+    """``E = k * rows + d`` around the first two tile boundaries."""
+    for width in (16, 64):
+        rows = kernels.tile_rows(width)
+        for k in (0, 1, 2):
+            for d in (-1, 0, 1, 2, 3, 63, 64, 65):
+                if k * rows + d > 0:
+                    yield width, k * rows + d
+
+
+class TestRowTiles:
+    """The tiled edge ops walk aligned row tiles and return the bits of
+    their math run untiled (``tests/reference.py``)."""
+
+    def test_tile_rule(self):
+        assert kernels.tile_rows(64) == 1024
+        assert kernels.tile_rows(16) == 4096
+        assert kernels.tile_rows(4096) == kernels.TILE_ALIGN
+        assert kernels.row_tiles(0, 64) == []
+        assert kernels.row_tiles(1024, 64) == [slice(0, 1024)]
+        assert kernels.row_tiles(1024 + 63, 64) == [slice(0, 1087)]
+        assert kernels.row_tiles(2048 + 64, 64) == [
+            slice(0, 1024), slice(1024, 2048), slice(2048, 2112)
+        ]
+        for width, edges in _tile_case_sizes():
+            tiles = kernels.row_tiles(edges, width)
+            assert tiles[0].start == 0 and tiles[-1].stop == edges
+            for before, after in zip(tiles, tiles[1:]):
+                assert before.stop == after.start
+            for tile in tiles:
+                assert tile.start % kernels.TILE_ALIGN == 0
+                assert tile.stop - tile.start >= min(edges, kernels.TILE_ALIGN)
+
+    @pytest.mark.parametrize("width,edges", list(_tile_case_sizes()))
+    def test_tiled_ops_match_their_untiled_math(self, width, edges):
+        from tests import reference
+
+        rng = np.random.default_rng(edges)
+        nodes, num_rbf = 97, 16
+
+        def normal(*shape, scale=1.0):
+            return (scale * rng.standard_normal(shape)).astype(np.float32)
+
+        h = normal(nodes, width)
+        rbf = rng.random((edges, num_rbf)).astype(np.float32)
+        envelope = rng.random((edges, 1)).astype(np.float32)
+        src, dst = (rng.integers(0, nodes, edges).astype(np.int64) for _ in range(2))
+        weights = (
+            normal(2 * width + num_rbf, width, scale=0.2),
+            normal(width),
+            normal(width, width, scale=0.2),
+            normal(width),
+        )
+        messages = kernels.EdgeMessages.infer(h, rbf, envelope, *weights, src=src, dst=dst)
+        expected = reference.untiled_edge_messages(h, rbf, envelope, *weights, src, dst)
+        np.testing.assert_array_equal(messages, expected)
+
+        coord = (normal(width, width, scale=0.2), normal(width), normal(width, 1), normal(1))
+        np.testing.assert_array_equal(
+            kernels.EdgeCoordWeights.infer(messages, *coord),
+            reference.untiled_edge_coord_weights(messages, *coord),
+        )
+
+    @pytest.mark.parametrize("attention", [False, True], ids=["plain", "attention"])
+    def test_multi_tile_batch_replays_bit_exact(self, attention):
+        from repro.models import get_preset
+
+        config = replace(get_preset("base"), attention=attention)
+        batch = collate(make_crystal_graphs(3, seed=1))
+        assert len(kernels.row_tiles(batch.num_edges, config.hidden_dim)) > 2
+        model = HydraModel(config, seed=0)
+        unplanned = model.serve(batch, plan=False)
+        model.serve(batch, plan=True)
+        replayed = model.serve(batch, plan=True)
+        assert model.plans.stats.hits >= 1
+        assert model.plans.stats.fallbacks == 0
+        for key in ("energy", "forces"):
+            np.testing.assert_array_equal(replayed[key], unplanned[key])
 
 
 def test_use_backend_accepts_only_numpy():

@@ -207,14 +207,20 @@ class TestFusedKernels:
     def test_silu_gradient(self):
         gradcheck(lambda x: kernels.silu(x).sum(), [(4, 3)])
 
-    def test_edge_message_linear_gradient(self):
-        # The fused gather -> concat -> linear message-passing entry:
-        # gradients flow to node features, edge features, weight and bias.
+    def test_edge_messages_gradient(self):
+        # The fused edge chain: gradients flow to node features, RBF
+        # features, the envelope and both layers' weights and biases.
         gradcheck(
-            lambda h, f, w, b: (
-                kernels.edge_message_linear(h, f, w, b, self.SRC, self.DST) ** 2
+            lambda h, f, e, w0, b0, w1, b1: (
+                kernels.edge_messages(h, f, e, w0, b0, w1, b1, self.SRC, self.DST) ** 2
             ).sum(),
-            [(3, 2), (6, 3), (7, 4), (4,)],
+            [(3, 2), (6, 3), (6, 1), (7, 4), (4,), (4, 4), (4,)],
+        )
+
+    def test_edge_coord_weights_gradient(self):
+        gradcheck(
+            lambda m, w0, b0, w1, b1: (kernels.edge_coord_weights(m, w0, b0, w1, b1) ** 2).sum(),
+            [(6, 4), (4, 4), (4,), (4, 1), (1,)],
         )
 
     def test_concat_linear_gradient(self):
@@ -246,14 +252,17 @@ class TestFusedKernels:
         assert fused.dtype == composed.dtype == np.float64
         np.testing.assert_array_equal(fused.numpy(), composed.numpy())
 
-    def test_fused_matches_unfused_edge_message(self):
+    def test_fused_matches_unfused_edge_chains(self):
         rng = np.random.default_rng(7)
-        h = Tensor(rng.normal(size=(3, 2)))
-        f = Tensor(rng.normal(size=(6, 3)))
-        w = Tensor(rng.normal(size=(7, 4)))
-        b = Tensor(rng.normal(size=(4,)))
-        fused = kernels.edge_message_linear(h, f, w, b, self.SRC, self.DST)
-        composed = reference.edge_message_linear(h, f, w, b, self.SRC, self.DST)
+        h, f, e = (Tensor(rng.normal(size=shape)) for shape in [(3, 2), (6, 3), (6, 1)])
+        w0, b0, w1, b1 = (Tensor(rng.normal(size=shape)) for shape in [(7, 4), (4,), (4, 4), (4,)])
+        args = (h, f, e, w0, b0, w1, b1, self.SRC, self.DST)
+        fused = kernels.edge_messages(*args)
+        composed = reference.edge_messages(*args)
+        np.testing.assert_allclose(fused.numpy(), composed.numpy(), atol=1e-5)
+        c1 = Tensor(rng.normal(size=(4, 1)))
+        fused = kernels.edge_coord_weights(fused, w1, b1, c1, b0[:1])
+        composed = reference.edge_coord_weights(composed, w1, b1, c1, b0[:1])
         np.testing.assert_allclose(fused.numpy(), composed.numpy(), atol=1e-5)
 
 

@@ -84,7 +84,7 @@ class TestBitExactReplay:
         model = fresh_model()
         batch = collate(make_molecule_graphs(3, seed=2))
         reference = model.serve(batch, plan=False)
-        calls = count_calls(monkeypatch, kernels.EdgeMessageLinear, "infer")
+        calls = count_calls(monkeypatch, kernels.EdgeMessages, "infer")
         unplanned = model.serve(batch, plan=False)
         model.serve(batch, plan=True)
         before = calls["infer"]
@@ -241,7 +241,7 @@ class TestPlanInternals:
         batch = collate(make_molecule_graphs(2, seed=0))
         plan, _ = compile_plan(model, batch)
         labels = plan.labels()
-        assert {"EdgeMessageLinear", "FusedSiLU", "SegmentSum", "MulSegmentSum"} <= set(labels)
+        assert {"EdgeMessages", "EdgeCoordWeights", "SegmentSum", "MulSegmentSum"} <= set(labels)
         assert all(label.isidentifier() for label in labels)
 
     def test_warm_replay_takes_all_scratch_from_the_active_pool(self):
