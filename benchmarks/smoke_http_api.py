@@ -17,8 +17,11 @@ tiny preset), then asserts the deployment contract end to end:
 6. SIGTERM exits 0 through the graceful path,
 7. the same deployment behind the replica router (`--replicas 1`): a
    predict returns 200, a malformed request line gets a typed 400, a
-   `/v1/md` stream through the router ends in one `summary` line, and
-   SIGTERM exits 0.
+   `/v1/md` stream through the router ends in one `summary` line,
+   `/v1/stats` merges one replica, the supervisor process (router
+   included) has mapped neither numpy, scipy nor OpenBLAS after serving
+   all that, and SIGTERM exits 0.  Its
+   `Popen` → `bound_port=` seconds and resident set are printed.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_http_api.py
 Exits nonzero (with the server log on stdout) on any violation.
@@ -161,6 +164,25 @@ def check_md(base_url: str, content_type: str | None = None) -> None:
     )
 
 
+#: Shared objects the fleet's front door must never map (``/proc/<pid>/maps``).
+_NUMERIC_STACK = re.compile(r"numpy|scipy|openblas", re.IGNORECASE)
+
+
+def check_front_door_is_light(pid: int) -> None:
+    """The supervisor+router process maps no numeric library (Linux only)."""
+    maps = Path(f"/proc/{pid}/maps")
+    if not maps.exists():
+        print("front-door check skipped: no /proc on this platform")
+        return
+    mapped = sorted(
+        {line.split()[-1] for line in maps.read_text().splitlines() if _NUMERIC_STACK.search(line)}
+    )
+    assert not mapped, f"the router process mapped {len(mapped)} numeric libraries: {mapped[:3]}"
+    status = Path(f"/proc/{pid}/status").read_text()
+    rss_kb = int(re.search(r"VmRSS:\s+(\d+)", status).group(1))
+    print(f"router front door ok: no numpy/scipy/OpenBLAS mapped, RSS {rss_kb / 1024:.0f} MB")
+
+
 def check_router(process: subprocess.Popen, base_url: str) -> None:
     """Predict, a typed 400, an md stream and a clean SIGTERM through the router."""
     health = wait_healthy(base_url)
@@ -184,6 +206,12 @@ def check_router(process: subprocess.Popen, base_url: str) -> None:
 
     # The router buffers the stream and re-frames it with Content-Length.
     check_md(base_url)
+    with urllib.request.urlopen(base_url + "/v1/stats", timeout=60) as resp:
+        stats = json.loads(resp.read())
+    assert stats["models"]["default"]["replica_count"] == 1, stats
+    # Having served, merged stats and probed, the supervisor (the router's
+    # process) still runs on the standard library alone.
+    check_front_door_is_light(process.pid)
 
     process.send_signal(signal.SIGTERM)
     out, _ = process.communicate(timeout=60)
@@ -281,7 +309,9 @@ def main() -> int:
         print("graceful SIGTERM shutdown ok (exit 0)")
 
         # 7. The same deployment behind the replica router.
+        spawned = time.perf_counter()
         router_process, router_url = start_server("--workers", "1", "--replicas", "1")
+        print(f"router boot: {time.perf_counter() - spawned:.2f} s Popen -> bound_port=")
         try:
             check_router(router_process, router_url)
         finally:

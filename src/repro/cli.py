@@ -40,6 +40,11 @@ from pathlib import Path
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
+#: ``--backend`` choices: :data:`repro.tensor.kernels.BACKEND`, spelled
+#: out so that parsing a command line (the ``--replicas`` supervisor's
+#: included) does not import the engine and numpy with it.
+BACKENDS = ("numpy",)
+
 
 def _parse_params(text: str) -> int:
     """'50M' -> 50_000_000, '2B' -> 2_000_000_000, plain ints pass.
@@ -150,8 +155,6 @@ def _load_serving_model(args: argparse.Namespace):
 
 
 def _add_serving_model_args(parser: argparse.ArgumentParser) -> None:
-    from repro.tensor.kernels import BACKEND
-
     parser.add_argument(
         "--checkpoint", help="path to a training checkpoint (.npz) to serve"
     )
@@ -163,8 +166,8 @@ def _add_serving_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--backend",
-        choices=[BACKEND],
-        help="kernel backend for model forwards (default: numpy)",
+        choices=BACKENDS,
+        help="kernel backend for model forwards; numpy is the only one, and the default",
     )
     parser.add_argument(
         "--no-plan",

@@ -125,14 +125,9 @@ class EGNNLayer(Module):
     def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         super().__init__()
         width = config.hidden_dim
-        self.edge_mlp = MLP(
-            [2 * width + config.num_rbf, width, width],
-            rng,
-            activation=config.activation,
-            final_activation=True,
-        )
-        self.node_mlp = MLP([2 * width, width, width], rng, activation=config.activation)
-        self.coord_mlp = MLP([width, width, 1], rng, activation=config.activation)
+        self.edge_mlp = MLP([2 * width + config.num_rbf, width, width], rng, final_activation=True)
+        self.node_mlp = MLP([2 * width, width, width], rng)
+        self.coord_mlp = MLP([width, width, 1], rng)
         self.attention_mlp = MLP([width, 1], rng) if config.attention else None
         self.norm = LayerNorm(width) if config.layer_norm else None
 

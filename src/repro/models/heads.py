@@ -34,9 +34,7 @@ class GraphEnergyHead(Module):
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        self.mlp = MLP(
-            [config.hidden_dim, config.head_dim, 1], rng, activation=config.activation
-        )
+        self.mlp = MLP([config.hidden_dim, config.head_dim, 1], rng)
 
     def forward(
         self,

@@ -1,6 +1,6 @@
 """Neural-network modules built on the autograd engine."""
 
-from repro.nn.activations import ACTIVATIONS, ReLU, SiLU, Sigmoid, Tanh, make_activation
+from repro.nn.activations import SiLU
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.loss import energy_force_loss, mae_loss, mse_loss
@@ -9,7 +9,6 @@ from repro.nn.module import Module, ModuleList, Parameter, Sequential
 from repro.nn.norm import LayerNorm
 
 __all__ = [
-    "ACTIVATIONS",
     "Embedding",
     "LayerNorm",
     "Linear",
@@ -17,13 +16,9 @@ __all__ = [
     "Module",
     "ModuleList",
     "Parameter",
-    "ReLU",
     "Sequential",
     "SiLU",
-    "Sigmoid",
-    "Tanh",
     "energy_force_loss",
     "mae_loss",
-    "make_activation",
     "mse_loss",
 ]

@@ -1,4 +1,4 @@
-"""Activation modules wrapping the functional primitives."""
+"""The activation module wrapping the functional primitive."""
 
 from __future__ import annotations
 
@@ -12,34 +12,3 @@ class SiLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return functional.silu(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-ACTIVATIONS = {
-    "silu": SiLU,
-    "tanh": Tanh,
-    "relu": ReLU,
-    "sigmoid": Sigmoid,
-}
-
-
-def make_activation(name: str) -> Module:
-    """Instantiate an activation module by name."""
-    try:
-        return ACTIVATIONS[name]()
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; known: {sorted(ACTIVATIONS)}") from None

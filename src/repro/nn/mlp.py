@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.activations import make_activation
+from repro.nn.activations import SiLU
 from repro.nn.linear import Linear
 from repro.nn.module import Module, ModuleList
 from repro.tensor.core import Tensor
@@ -13,7 +13,7 @@ from repro.tensor.core import Tensor
 class MLP(Module):
     """Fully connected stack: ``sizes[0] -> sizes[1] -> ... -> sizes[-1]``.
 
-    An activation is applied between layers; ``final_activation`` controls
+    SiLU is applied between layers; ``final_activation`` controls
     whether the last layer is also activated (EGNN's edge net is, its
     output heads are not).
     """
@@ -22,7 +22,6 @@ class MLP(Module):
         self,
         sizes: list[int],
         rng: np.random.Generator,
-        activation: str = "silu",
         final_activation: bool = False,
     ) -> None:
         super().__init__()
@@ -32,7 +31,7 @@ class MLP(Module):
         self.layers = ModuleList(
             Linear(sizes[i], sizes[i + 1], rng) for i in range(len(sizes) - 1)
         )
-        self.activation = make_activation(activation)
+        self.activation = SiLU()
         self.final_activation = final_activation
 
     def forward(self, x: Tensor) -> Tensor:

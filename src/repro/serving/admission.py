@@ -36,7 +36,6 @@ contract.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -45,6 +44,7 @@ from dataclasses import dataclass
 from repro.serving.batcher import DEFAULT_LANE, LANES, ServiceOverloaded
 from repro.serving.stats import percentile
 from repro.serving.telemetry import MODEL, TOP_CLIENTS, merge
+from repro.wire import retry_after_header  # noqa: F401 - re-exported
 
 #: Brownout levels, in shedding order: level 1 sheds ``background``,
 #: level 2 sheds ``bulk`` as well.  ``interactive`` is never shed.
@@ -440,16 +440,3 @@ def merge_admission_telemetry(sections: list[dict]) -> dict:
     each by the rule declared in :data:`repro.serving.telemetry.MODEL`.
     """
     return merge(sections, MODEL["admission"])
-
-
-def retry_after_header(retry_after_s: float | None) -> str:
-    """Format a ``Retry-After`` value: integral seconds, ceiling, >= 1.
-
-    HTTP's ``Retry-After`` is delta-seconds (an integer).  Ceiling keeps
-    the hint honest — never telling a client to come back *before* the
-    quota refills — and the floor of 1 keeps the header meaningful when
-    the true wait is milliseconds.
-    """
-    if retry_after_s is None or retry_after_s <= 0:
-        return "1"
-    return str(max(1, math.ceil(float(retry_after_s))))

@@ -21,7 +21,15 @@ the router has drained.
 Startup handshake: the CLI prints ``bound_port=<port>`` once its
 listener is up *and* the model is warm (``ApiServer`` binds the
 ephemeral port; the gateway warms before the banner), so the supervisor
-registers a replica with the router the moment that line appears.
+registers a replica with the router the moment that line appears.  A
+replica that has not printed it within ``ReplicaSpec.startup_timeout_s``
+— silent, or exited — is killed and reported with its output tail.
+
+The supervisor process runs no forward.  This module and the router
+import only the standard library, :mod:`repro.wire` and the stdlib-only
+:mod:`~repro.serving.telemetry` (``tests/test_layering.py`` holds them
+to that), so the supervisor boots in a fraction of a replica's time and
+never maps numpy, scipy or a BLAS.
 
 Lifecycle
 ---------
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import re
 import signal
 import subprocess
@@ -104,24 +113,38 @@ class _ReplicaHandle:
         self.stopping = False  # a deliberate stop; the monitor must not respawn
         self.failed_probes = 0
         self.log: deque[str] = deque(maxlen=_LOG_TAIL)
-        self._drainer: threading.Thread | None = None
+        self.drainer: threading.Thread | None = None
 
     @property
     def pid(self) -> int:
         return self.process.pid if self.process is not None else 0
 
-    def start_drainer(self) -> None:
-        """Consume the child's stdout so it can never block on a full pipe."""
-        process = self.process
+    def start_drainer(self, process: subprocess.Popen) -> queue.SimpleQueue:
+        """Consume ``process``'s stdout from Popen on, so it can never block on a full pipe.
+
+        Every line lands in :attr:`log`.  The returned queue receives the
+        port from the first ``bound_port=`` line, or ``None`` if the
+        output ends without one; the thread then drains to EOF.
+        """
+        bound: queue.SimpleQueue = queue.SimpleQueue()
 
         def drain() -> None:
-            for line in process.stdout:
-                self.log.append(line.rstrip("\n"))
+            port = None
+            with process.stdout:  # the drainer owns the pipe: closed at EOF
+                for line in process.stdout:
+                    self.log.append(line.rstrip("\n"))
+                    match = _BOUND_PORT_RE.search(line) if port is None else None
+                    if match:
+                        port = int(match.group(1))
+                        bound.put(port)
+            if port is None:
+                bound.put(None)
 
-        self._drainer = threading.Thread(
+        self.drainer = threading.Thread(
             target=drain, name=f"replica-{self.replica_id}-stdout", daemon=True
         )
-        self._drainer.start()
+        self.drainer.start()
+        return bound
 
 
 class ReplicaSupervisor:
@@ -237,7 +260,11 @@ class ReplicaSupervisor:
         return env
 
     def _spawn(self, handle: _ReplicaHandle) -> None:
-        """Launch one replica and block until it reports its bound port."""
+        """Launch one replica and wait until it reports its bound port.
+
+        The wait is bounded by ``spec.startup_timeout_s`` even if the
+        child prints nothing: its output is read on the drainer thread.
+        """
         process = subprocess.Popen(
             self._command(),
             env=self._environment(handle.replica_id),
@@ -246,29 +273,23 @@ class ReplicaSupervisor:
             text=True,
             start_new_session=True,
         )
-        deadline = time.monotonic() + self.spec.startup_timeout_s
-        port: int | None = None
-        while True:
-            line = process.stdout.readline()
-            if line:
-                handle.log.append(line.rstrip("\n"))
-                match = _BOUND_PORT_RE.search(line)
-                if match:
-                    port = int(match.group(1))
-                    break
-            if not line or process.poll() is not None or time.monotonic() > deadline:
-                process.kill()
-                process.wait()
-                tail = "\n".join(handle.log)
-                raise ReplicaStartupError(
-                    f"replica {handle.replica_id} never reported bound_port "
-                    f"(exit={process.poll()}):\n{tail}"
-                )
+        try:
+            port = handle.start_drainer(process).get(timeout=self.spec.startup_timeout_s)
+        except queue.Empty:
+            port = None
+        if port is None:
+            process.kill()
+            process.wait()
+            handle.drainer.join(timeout=1.0)  # the tail, up to the child's last line
+            tail = "\n".join(handle.log)
+            raise ReplicaStartupError(
+                f"replica {handle.replica_id} never reported bound_port "
+                f"(exit={process.returncode}, timeout {self.spec.startup_timeout_s:g}s):\n{tail}"
+            )
         handle.process = process
         handle.port = port
         handle.stopping = False
         handle.failed_probes = 0
-        handle.start_drainer()
 
     def _terminate(self, handle: _ReplicaHandle, timeout_s: float = 30.0) -> None:
         """SIGTERM one replica and wait for its graceful exit."""

@@ -38,9 +38,13 @@ released; the CPU work stays in the replicas.  One lock guards the
 replica table, shared by the supervisor and the handler threads.
 
 This module deliberately does **not** import :mod:`repro.api` — the api
-package sits on top of serving.  What the router must share with it (the
-schema version, the hop headers, the body limit, the error envelope it
-authors itself) comes from the dependency-free :mod:`repro.wire`.
+package sits on top of serving — nor numpy or scipy, at import or at run
+time: it shuffles bytes, so the fleet's front door boots without the
+numeric stack.  What the router must share with the api (the schema
+version, the hop headers, the body limit, the error envelope and
+``Retry-After`` value it authors itself) comes from the dependency-free
+:mod:`repro.wire`, and the ``/v1/stats`` merge from the stdlib-only
+:mod:`repro.serving.telemetry`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, IncompleteRead
 
-from repro.serving.admission import retry_after_header
 from repro.serving.telemetry import merge
 from repro.wire import (
     CLIENT_HEADER,
@@ -64,6 +67,7 @@ from repro.wire import (
     JsonHandler,
     JsonServer,
     error_envelope,
+    retry_after_header,
 )
 
 #: Front-door shedding: the minimum fleet-wide brownout level at which a

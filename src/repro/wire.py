@@ -2,17 +2,20 @@
 
 What every hop must agree on before it can parse a body: the schema
 version, the three ``X-Repro-*`` hop headers, the body-size limit, the
-shape of an error envelope, and the HTTP/1.1 framing both servers run
-on.  The typed schemas (:mod:`repro.api.schemas`) build on these; the
-replica router (:mod:`repro.serving.router`), which forwards bodies
-verbatim and must not import :mod:`repro.api`, needs nothing else.
-This module therefore imports nothing from ``repro`` —
-``tests/test_layering.py`` holds it to that.
+shape of an error envelope and of its ``Retry-After`` header, and the
+HTTP/1.1 framing both servers run on.  The typed schemas
+(:mod:`repro.api.schemas`) build on these; the replica router
+(:mod:`repro.serving.router`), which forwards bodies verbatim and must
+not import :mod:`repro.api`, needs nothing else.  This module therefore
+imports nothing from ``repro`` — ``tests/test_layering.py`` holds it to
+that — and only the standard library, so the router process never
+loads the numeric stack.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -63,6 +66,19 @@ def error_envelope(
     if retry_after_s is not None:
         error["retry_after_s"] = float(retry_after_s)
     return {"schema_version": SCHEMA_VERSION, "error": error}
+
+
+def retry_after_header(retry_after_s: float | None) -> str:
+    """Format a ``Retry-After`` value: integral seconds, ceiling, >= 1.
+
+    HTTP's ``Retry-After`` is delta-seconds (an integer).  Ceiling keeps
+    the hint honest — never telling a client to come back *before* the
+    quota refills — and the floor of 1 keeps the header meaningful when
+    the true wait is milliseconds.
+    """
+    if retry_after_s is None or retry_after_s <= 0:
+        return "1"
+    return str(max(1, math.ceil(float(retry_after_s))))
 
 
 def content_length(values: list[str] | None) -> int:

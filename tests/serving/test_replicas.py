@@ -31,9 +31,10 @@ import pytest
 from repro import wire
 from repro.api import HttpTransport, SchemaError, schemas
 from repro.api.schemas import StatsSnapshot
-from repro.serving import ReplicaSpec, ReplicaSupervisor
+from repro.serving import ReplicaSpec, ReplicaStartupError, ReplicaSupervisor
 from repro.serving.router import Router, aggregate_model_telemetry
-from tests.helpers import FRAMING_FAULTS, parse_responses, raw_exchange, raw_post
+from repro.serving import replicas
+from tests.helpers import FRAMING_FAULTS, in_thread, parse_responses, raw_exchange, raw_post
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="POSIX signal semantics required"
@@ -745,6 +746,62 @@ class TestSupervisor:
         # The restarted fleet serves.
         status, _ = post(fleet.url + "/v1/predict", WATER_BODY)
         assert status == 200
+
+
+class TestStartup:
+    """``startup_timeout_s`` bounds ``start()`` whatever the child prints."""
+
+    def _start(self, monkeypatch, script: str, timeout_s: float):
+        """``start()`` a one-replica fleet of ``python -c script`` on a thread.
+
+        Returns the outcome, the seconds it took and the spawned processes;
+        a ``start()`` that outlives the bound fails the test, not the suite.
+        """
+        spawned: list[subprocess.Popen] = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(replicas.subprocess, "Popen", Recorded)
+        monkeypatch.setattr(
+            ReplicaSupervisor, "_command", lambda self: [sys.executable, "-c", script]
+        )
+        supervisor = ReplicaSupervisor(count=1, spec=ReplicaSpec(startup_timeout_s=timeout_s))
+        started = time.monotonic()
+        thread, outcome = in_thread(supervisor.start)
+        thread.join(timeout=timeout_s + 10.0)
+        try:
+            assert not thread.is_alive(), "start() ignored startup_timeout_s"
+        finally:
+            for process in spawned:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+            supervisor.router.close()
+        return outcome, time.monotonic() - started, spawned
+
+    def test_a_silent_replica_times_out_and_is_killed(self, monkeypatch):
+        outcome, elapsed, spawned = self._start(
+            monkeypatch, "import time; time.sleep(60)", timeout_s=0.5
+        )
+        assert isinstance(outcome.get("error"), ReplicaStartupError)
+        assert "timeout 0.5s" in str(outcome["error"])
+        assert elapsed < 2.0
+        assert len(spawned) == 1 and spawned[0].returncode is not None
+        with pytest.raises(ProcessLookupError):
+            os.kill(spawned[0].pid, 0)  # killed and reaped: no child is left
+
+    def test_a_replica_that_exits_first_is_reported_with_its_tail(self, monkeypatch):
+        script = "import sys; print('loading model'); print('error: no such preset'); sys.exit(3)"
+        outcome, elapsed, spawned = self._start(monkeypatch, script, timeout_s=30.0)
+        error = outcome.get("error")
+        assert isinstance(error, ReplicaStartupError)
+        assert "exit=3" in str(error)
+        assert "loading model\nerror: no such preset" in str(error)
+        assert elapsed < 10.0  # the exit ends the wait, not the timeout
+        assert [process.returncode for process in spawned] == [3]
 
 
 # ----------------------------------------------------------------------

@@ -18,15 +18,24 @@ buffered ``take(..., out=)``.  Each fused op has one implementation,
 called directly: the one test that imports the package checks that
 ``repro.tensor.kernels`` holds no dispatch state and plans key on shape.
 Each op is one ``Function`` subclass with its own ``infer``, and the
-engine's node count needs no per-thread bookkeeping.
+engine's node count needs no per-thread bookkeeping.  The front door of
+a ``--replicas`` fleet (the CLI parser, the supervisor, the router)
+runs no forward, so it loads neither numpy nor scipy: a fresh
+interpreter checks that, and ``repro.serving`` exports lazily so that
+importing the router does not import the prediction service.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import threading
+from importlib import import_module
 from types import SimpleNamespace
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -73,6 +82,56 @@ def test_the_telemetry_table_imports_only_the_standard_library():
     offenders = {m for m in modules if m.split(".")[0] not in sys.stdlib_module_names}
     assert offenders == set()
     assert "repro.serving.telemetry" in imports_of_file(PACKAGE / "serving" / "router.py")
+
+
+def test_the_fleet_front_door_imports_only_the_standard_library():
+    allowed = ("repro.wire", *(f"repro.serving.{m}" for m in ("telemetry", "router", "faults")))
+    for name in ("router.py", "replicas.py"):
+        offenders = {
+            module
+            for module in imports_of_file(PACKAGE / "serving" / name)
+            if module.split(".")[0] not in sys.stdlib_module_names
+            and not any(is_under(module, package) for package in allowed)
+        }
+        assert offenders == set(), name
+
+
+def test_the_fleet_front_door_loads_no_numeric_stack():
+    """A fresh interpreter builds the CLI parser and imports the fleet's modules."""
+    probe = (
+        "import sys\n"
+        "from repro.cli import build_parser\n"
+        "build_parser().parse_args(['serve', '--http', '0', '--replicas', '1', "
+        "'--backend', 'numpy'])\n"
+        "import repro.serving.replicas, repro.serving.router, repro.serving.faults, repro.wire\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_every_serving_export_resolves():
+    import repro.serving as serving
+
+    for name in serving.__all__:
+        defining = import_module(f"repro.serving.{serving._MODULE_OF[name]}")
+        assert getattr(serving, name) is getattr(defining, name), name
+    with pytest.raises(AttributeError):
+        serving.NotAnExport  # noqa: B018
+
+
+def test_backend_choices_name_the_engine_backend():
+    from repro.cli import BACKENDS
+    from repro.tensor import kernels
+
+    assert BACKENDS == (kernels.BACKEND,)
 
 
 def test_serving_never_imports_the_api_package():
