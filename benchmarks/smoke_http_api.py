@@ -93,8 +93,22 @@ def start_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
         if match:
             return process, match.group(1)
         if not line or process.poll() is not None or time.monotonic() > deadline:
-            process.kill()
+            stop(process)
             raise AssertionError(f"server never reported its URL (last line: {line!r})")
+
+
+def stop(process: subprocess.Popen, timeout_s: float = 30.0) -> str:
+    """SIGTERM ``process``, wait up to ``timeout_s``, then SIGKILL; returns its output.
+
+    On SIGTERM a ``--replicas`` supervisor drains and stops its replicas.
+    They run in sessions of their own, so a SIGKILL would orphan them.
+    """
+    process.terminate()
+    try:
+        return process.communicate(timeout=timeout_s)[0]
+    except subprocess.TimeoutExpired:
+        process.kill()
+        return process.communicate()[0]
 
 
 def post_predict(base_url: str, structures: list[dict]):
@@ -298,8 +312,7 @@ def main() -> int:
             # frame lines in step order, one terminal summary line.
             check_md(relax_url, content_type="application/x-ndjson")
         finally:
-            relax_process.terminate()
-            relax_process.communicate(timeout=60)
+            stop(relax_process)
 
         # 6. SIGTERM -> graceful exit 0.
         process.send_signal(signal.SIGTERM)
@@ -316,13 +329,10 @@ def main() -> int:
             check_router(router_process, router_url)
         finally:
             if router_process.poll() is None:
-                router_process.kill()
-                print(router_process.communicate()[0])
+                print(stop(router_process))
     finally:
         if process.poll() is None:
-            process.kill()
-            out, _ = process.communicate()
-            print(out)
+            print(stop(process))
     print("HTTP API smoke: all checks passed")
     return 0
 

@@ -22,7 +22,7 @@ The CLI (``repro serve --http``, ``repro predict --input/--json``) is a
 thin shell over these pieces.
 """
 
-from repro.api.client import Client, ClientTrajectory, HttpTransport, LocalTransport, MDRun
+from repro.api.client import Client, HttpTransport, LocalTransport, MDRun
 from repro.api.schemas import (
     CLIENT_HEADER,
     DEADLINE_HEADER,
@@ -67,7 +67,6 @@ __all__ = [
     "ApiServer",
     "CLIENT_HEADER",
     "Client",
-    "ClientTrajectory",
     "DEADLINE_HEADER",
     "DEFAULT_CUTOFF",
     "DEFAULT_PRIORITY",

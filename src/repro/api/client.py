@@ -57,10 +57,9 @@ from repro.api.schemas import (
 )
 from repro.api.server import ApiGateway
 from repro.graph.atoms import AtomGraph
-from repro.graph.radius import SkinNeighborList
 from repro.serving.md import MDFrame, MDResult, MDSettings
 from repro.serving.registry import ModelRegistry
-from repro.serving.relax import RelaxResult, RelaxSettings
+from repro.serving.relax import RelaxResult, RelaxSettings, TrajectorySession
 from repro.serving.service import PredictionResult, ServiceConfig
 from repro.wire import CLIENT_HEADER, DEADLINE_HEADER, PRIORITY_HEADER
 
@@ -434,63 +433,6 @@ class HttpTransport:
         """Nothing to release: each request opens its own ``http.client`` connection."""
 
 
-class ClientTrajectory:
-    """Client-side trajectory session: edges maintained locally, sent as v2.
-
-    The mirror image of the server's in-process
-    :class:`~repro.serving.relax.TrajectorySession` for remote clients:
-    the :class:`~repro.graph.radius.SkinNeighborList` lives *here*, next
-    to the process that owns the dynamics, and each :meth:`step` ships a
-    schema-v2 structure with the incrementally-maintained edges attached
-    — so a stateless server serves a stateful trajectory without
-    per-step neighbor searches on either side.  Works identically over
-    :class:`LocalTransport` and :class:`HttpTransport`.
-    """
-
-    def __init__(
-        self,
-        client: "Client",
-        atomic_numbers,
-        cell=None,
-        pbc: tuple[bool, bool, bool] = (False, False, False),
-        cutoff: float = DEFAULT_CUTOFF,
-        skin: float = 0.3,
-        max_neighbors: int | None = None,
-        model: str | None = None,
-    ) -> None:
-        self._client = client
-        self.atomic_numbers = np.asarray(atomic_numbers, dtype=np.int64)
-        self.cell = None if cell is None else np.asarray(cell, dtype=np.float64).reshape(3, 3)
-        self.pbc = tuple(bool(flag) for flag in pbc)
-        self.neighbor_list = SkinNeighborList(cutoff, skin, max_neighbors)
-        self.model = model
-        self.steps = 0
-
-    @property
-    def rebuilds(self) -> int:
-        return self.neighbor_list.rebuilds
-
-    @property
-    def reuses(self) -> int:
-        return self.neighbor_list.reuses
-
-    def step(self, positions) -> PredictionResult:
-        """Predict at ``positions``, reusing cached neighbor candidates."""
-        positions = np.asarray(positions, dtype=np.float64)
-        edge_index, edge_shift = self.neighbor_list.update(positions, self.cell, self.pbc)
-        payload = StructurePayload(
-            atomic_numbers=self.atomic_numbers,
-            positions=positions,
-            cell=self.cell,
-            pbc=self.pbc,
-            edge_index=edge_index,
-            edge_shift=edge_shift,
-        )
-        result = self._client.predict_one(payload, model=self.model)
-        self.steps += 1
-        return result
-
-
 class MDRun:
     """A (possibly chunked, resumable) MD run: iterate it for frames.
 
@@ -836,17 +778,26 @@ class Client:
         skin: float = 0.3,
         max_neighbors: int | None = None,
         model: str | None = None,
-    ) -> ClientTrajectory:
-        """Open a client-side trajectory session (see :class:`ClientTrajectory`)."""
-        return ClientTrajectory(
-            self,
+    ) -> TrajectorySession:
+        """Open a trajectory session whose skin list lives in this process.
+
+        The :class:`~repro.serving.relax.TrajectorySession` keeps the
+        neighbor list next to the process that owns the dynamics, and
+        each ``step`` sends a schema-v2 structure with its edges
+        attached, so a stateless server serves a stateful trajectory
+        without a neighbor search per step on either side.  Works the
+        same over :class:`LocalTransport` and :class:`HttpTransport`.
+        """
+        return TrajectorySession(
+            lambda graph: self.predict_one(
+                StructurePayload.from_graph(graph, include_edges=True), model=model
+            ),
             atomic_numbers,
             cell=cell,
             pbc=pbc,
             cutoff=cutoff,
             skin=skin,
             max_neighbors=max_neighbors,
-            model=model,
         )
 
     # ------------------------------------------------------------------

@@ -55,11 +55,9 @@ def edge_geometry_arrays_for(
 ) -> dict[str, np.ndarray]:
     """Raw per-batch edge features, keyed by name, in final shapes.
 
-    The single source of truth for the geometry preprocessing shared by
-    :class:`EdgeGeometry` (which wraps these arrays into Tensors for the
-    layer stack) and the execution-plan prologue
-    (:mod:`repro.tensor.plan`, which feeds them to plan replay as named
-    inputs) — the two consumers must agree bit-for-bit.
+    Part of :meth:`EGNNBackbone.inputs`, the prologue every forward
+    runs: unplanned, :class:`EdgeGeometry` wraps these arrays for the
+    layer stack; planned, a replay reads them as named inputs.
 
     RBF entries below :data:`RBF_FLOOR` (2^-64) are set to zero at the
     float32 cast.  The Gaussian tails of long edges reach that far down,
@@ -99,20 +97,13 @@ def edge_geometry_arrays_for(
 
 
 class EdgeGeometry:
-    """Precomputed per-batch edge features (constant across layers)."""
+    """Per-batch edge features (constant across layers) over the arrays
+    of :func:`edge_geometry_arrays_for`."""
 
-    def __init__(
-        self,
-        batch: GraphBatch,
-        cutoff: float,
-        num_rbf: int,
-        arrays: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        if arrays is None:
-            arrays = edge_geometry_arrays_for(batch, cutoff, num_rbf)
+    def __init__(self, arrays: dict[str, np.ndarray], num_nodes: int) -> None:
         self.src = arrays["src"]
         self.dst = arrays["dst"]
-        self.num_nodes = batch.num_nodes
+        self.num_nodes = num_nodes
         self.unit_vectors = Tensor(arrays["unit_vectors"])
         self.envelope = Tensor(arrays["envelope"])
         self.rbf = Tensor(arrays["rbf"])
@@ -187,21 +178,24 @@ class EGNNBackbone(Module):
             EGNNLayer(config, layer_rngs[i + 1]) for i in range(config.num_layers)
         )
 
-    def forward(self, batch: GraphBatch) -> tuple[Tensor, Tensor, EdgeGeometry]:
-        """Returns final node features, coordinate displacement, geometry."""
-        geometry = EdgeGeometry(batch, self.config.cutoff, self.config.num_rbf)
-        h = self.embedding(batch.atomic_numbers)
-        x = Tensor(np.zeros((batch.num_nodes, 3), dtype=DEFAULT_DTYPE))
-        h, x = self.run_layers(h, x, geometry)
-        return h, x, geometry
+    def inputs(self, batch: GraphBatch) -> dict[str, np.ndarray]:
+        """The per-batch arrays :meth:`run` reads: the species ids (range
+        checked here, since a plan replay runs no ``Embedding.forward``),
+        the zero coordinate channel and the edge geometry."""
+        return {
+            "atomic_numbers": self.embedding.index(batch.atomic_numbers),
+            "x0": np.zeros((batch.num_nodes, 3), dtype=DEFAULT_DTYPE),
+            **edge_geometry_arrays_for(batch, self.config.cutoff, self.config.num_rbf),
+        }
 
-    def run_layers(self, h: Tensor, x: Tensor, geometry: EdgeGeometry) -> tuple[Tensor, Tensor]:
-        """Run the layer stack on prepared inputs.
-
-        Split from :meth:`forward` so the execution-plan tracer can feed
-        its own bound input arrays through exactly the layers the normal
-        forward runs.
-        """
+    def run(
+        self, arrays: dict[str, np.ndarray], num_nodes: int
+    ) -> tuple[Tensor, Tensor, EdgeGeometry]:
+        """Final node features, coordinate displacement and geometry for
+        the arrays of :meth:`inputs`."""
+        geometry = EdgeGeometry(arrays, num_nodes)
+        h = self.embedding(arrays["atomic_numbers"])
+        x = Tensor(arrays["x0"])
         for layer in self.layers:
             if self.config.checkpoint_activations:
                 h, x = checkpoint_multi(
@@ -209,4 +203,8 @@ class EGNNBackbone(Module):
                 )
             else:
                 h, x = layer(h, x, geometry)
-        return h, x
+        return h, x, geometry
+
+    def forward(self, batch: GraphBatch) -> tuple[Tensor, Tensor, EdgeGeometry]:
+        """Returns final node features, coordinate displacement, geometry."""
+        return self.run(self.inputs(batch), batch.num_nodes)

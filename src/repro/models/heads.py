@@ -19,12 +19,8 @@ from repro.tensor.core import DEFAULT_DTYPE, Tensor, segment_sum
 
 
 def mean_pool_inv_counts(node_graph: np.ndarray, num_graphs: int) -> np.ndarray:
-    """``(G, 1)`` reciprocal atom counts for mean pooling per graph.
-
-    Shared by :class:`GraphEnergyHead` and the execution-plan prologue
-    (:mod:`repro.tensor.plan`), which precomputes these weights per
-    replay batch and feeds them to the traced program as a named input.
-    """
+    """``(G, 1)`` reciprocal atom counts: :class:`GraphEnergyHead`'s
+    pooling weights, computed per batch by ``HydraModel.inputs``."""
     counts = np.bincount(node_graph, minlength=num_graphs).astype(DEFAULT_DTYPE)
     return (1.0 / np.maximum(counts, 1.0)).reshape(-1, 1)
 
@@ -37,15 +33,12 @@ class GraphEnergyHead(Module):
         self.mlp = MLP([config.hidden_dim, config.head_dim, 1], rng)
 
     def forward(
-        self,
-        h: Tensor,
-        node_graph: np.ndarray,
-        num_graphs: int,
-        inv_counts: Tensor | None = None,
+        self, h: Tensor, node_graph: np.ndarray, num_graphs: int, inv_counts: np.ndarray
     ) -> Tensor:
+        """Mean-pooled energy per graph; ``inv_counts`` is
+        :func:`mean_pool_inv_counts` of ``node_graph``."""
         node_energy = self.mlp(h)
-        if inv_counts is None:
-            inv_counts = Tensor(mean_pool_inv_counts(node_graph, num_graphs))
+        inv_counts = Tensor(inv_counts)
         return segment_sum(node_energy, node_graph, num_graphs) * inv_counts
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from repro.graph.batch import GraphBatch
 from repro.models.config import ModelConfig
 from repro.models.egnn import EGNNBackbone
-from repro.models.heads import GraphEnergyHead, NodeForceHead
+from repro.models.heads import GraphEnergyHead, NodeForceHead, mean_pool_inv_counts
 from repro.nn.loss import mse_loss
 from repro.nn.module import Module
 from repro.tensor.core import Tensor, no_grad
@@ -21,7 +21,18 @@ from repro.tensor.rng import rng as make_rng, split_rng
 
 
 class HydraModel(Module):
-    """Foundation-model architecture for atomistic property prediction."""
+    """Foundation-model architecture for atomistic property prediction.
+
+    A forward is a prologue, :meth:`inputs`, which turns a batch into
+    named arrays and dims, then an array program, :meth:`run`.  The
+    execution-plan compiler traces :meth:`run` and re-runs :meth:`inputs`
+    on every replay, so the planned and unplanned forwards share both.
+    """
+
+    #: The dim each index input counts into: a segment sum over ``src``
+    #: or ``dst`` has ``num_nodes`` rows, one over ``node_graph`` has
+    #: ``num_graphs``.  A plan resolves segment counts through this.
+    INDEX_DIMS = {"src": "num_nodes", "dst": "num_nodes", "node_graph": "num_graphs"}
 
     def __init__(self, config: ModelConfig, seed: int | np.random.Generator = 0) -> None:
         super().__init__()
@@ -35,12 +46,27 @@ class HydraModel(Module):
         #: no-grad inference entry points consult it; training never does.
         self.plans = PlanCache(self)
 
-    def forward(self, batch: GraphBatch) -> dict[str, Tensor]:
-        """Predict normalized per-atom energy (graph) and forces (node)."""
-        h, x, _ = self.backbone(batch)
-        energy = self.energy_head(h, batch.node_graph, batch.num_graphs)
+    def inputs(self, batch: GraphBatch) -> tuple[dict[str, np.ndarray], dict[str, int]]:
+        """The prologue: ``batch`` as the named arrays and dims :meth:`run` reads."""
+        node_graph = np.asarray(batch.node_graph, dtype=np.int64)
+        arrays = {
+            **self.backbone.inputs(batch),
+            "node_graph": node_graph,
+            "inv_counts": mean_pool_inv_counts(node_graph, batch.num_graphs),
+        }
+        dims = {"num_nodes": int(batch.num_nodes), "num_graphs": int(batch.num_graphs)}
+        return arrays, dims
+
+    def run(self, arrays: dict[str, np.ndarray], dims: dict[str, int]) -> dict[str, Tensor]:
+        """Normalized per-atom energy (graph) and forces (node) from :meth:`inputs`."""
+        h, x, _ = self.backbone.run(arrays, dims["num_nodes"])
+        energy = self.energy_head(h, arrays["node_graph"], dims["num_graphs"], arrays["inv_counts"])
         forces = self.force_head(x)
         return {"energy": energy, "forces": forces}
+
+    def forward(self, batch: GraphBatch) -> dict[str, Tensor]:
+        """Predict normalized per-atom energy (graph) and forces (node)."""
+        return self.run(*self.inputs(batch))
 
     def predict(self, batch: GraphBatch, plan: bool = True) -> dict[str, Tensor]:
         """Inference entry point: forward on the ``no_grad`` fast path.

@@ -18,11 +18,15 @@ class Embedding(Module):
         self.dim = dim
         self.weight = Parameter(init.normal(rng, (num_embeddings, dim), std=1.0 / np.sqrt(dim)))
 
-    def forward(self, ids: np.ndarray) -> Tensor:
+    def index(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` as int64, raising ``IndexError`` if any lies outside the table."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
-        return gather(self.weight, ids)
+        return ids
+
+    def forward(self, ids: np.ndarray) -> Tensor:
+        return gather(self.weight, self.index(ids))

@@ -44,10 +44,11 @@ def mean_average_distance(features: np.ndarray, node_graph: np.ndarray) -> float
 
 def layerwise_features(backbone: EGNNBackbone, batch: GraphBatch) -> list[np.ndarray]:
     """Node features after the embedding and after every EGNN layer."""
-    geometry = EdgeGeometry(batch, backbone.config.cutoff, backbone.config.num_rbf)
+    arrays = backbone.inputs(batch)
+    geometry = EdgeGeometry(arrays, batch.num_nodes)
     with no_grad():
-        h = backbone.embedding(batch.atomic_numbers)
-        x = Tensor(np.zeros((batch.num_nodes, 3), dtype=h.dtype))
+        h = backbone.embedding(arrays["atomic_numbers"])
+        x = Tensor(arrays["x0"])
         features = [h.numpy().copy()]
         for layer in backbone.layers:
             h, x = layer(h, x, geometry)

@@ -70,9 +70,9 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException
 from pathlib import Path
 
 from repro.serving.router import Router
@@ -402,17 +402,22 @@ class ReplicaSupervisor:
         brownout level) to the router, which sheds low-priority lanes at
         the front door once the whole fleet is in brownout.
         """
-        url = f"http://{self.router.replica_host}:{handle.port}/v1/healthz"
+        connection = HTTPConnection(
+            self.router.replica_host, handle.port, timeout=self.probe_timeout_s
+        )
         try:
-            with urllib.request.urlopen(url, timeout=self.probe_timeout_s) as response:
-                payload = json.loads(response.read())
-                oldest = payload.get("oldest_inflight_s") or 0.0
-                self.router.set_saturation(
-                    handle.replica_id, payload.get("saturation") or {}
-                )
-                return payload.get("status") == "ok", float(oldest)
-        except (OSError, ValueError):
+            connection.request("GET", "/v1/healthz")
+            response = connection.getresponse()
+            if not 200 <= response.status < 300:
+                return False, 0.0
+            payload = json.loads(response.read())
+            oldest = payload.get("oldest_inflight_s") or 0.0
+            self.router.set_saturation(handle.replica_id, payload.get("saturation") or {})
+            return payload.get("status") == "ok", float(oldest)
+        except (OSError, HTTPException, ValueError):
             return False, 0.0
+        finally:
+            connection.close()
 
     def _monitor_loop(self) -> None:
         while not self._stop.wait(self.probe_interval_s):

@@ -39,7 +39,7 @@ Kernels:
     equivariant coordinate update).
 ``edge_geometry_arrays``
     Edge vectors ``pos[dst] - (pos[src] + shift)`` and their clamped
-    lengths in one pass, for :class:`~repro.models.egnn.EdgeGeometry`.
+    lengths in one pass, for the EGNN prologue's edge geometry.
 """
 
 from __future__ import annotations

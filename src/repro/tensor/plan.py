@@ -8,12 +8,14 @@ bucket, not per request.
 
 This module is the tracing compiler that makes it so:
 
-- **Trace.**  :func:`compile_plan` runs one instrumented ``no_grad``
-  forward.  The engine's per-thread tracer hook
+- **Trace.**  :func:`compile_plan` runs the model's own array program,
+  ``model.run(*model.inputs(batch))``, once under ``no_grad`` with
+  every array of ``model.inputs`` bound as a named input.  The engine's
+  per-thread tracer hook
   (:func:`repro.tensor.core.tracing`) hands every op to
   :meth:`PlanTracer.record`, which resolves each argument to a *slot*
-  (a previous step's output), a *named input* (a batch-derived array the
-  prologue recomputes per replay), or a *baked constant* (model
+  (a previous step's output), a *named input* (a batch-derived array
+  ``model.inputs`` recomputes per replay), or a *baked constant* (model
   parameters, scalar coercions).  Each op is frozen to its ``infer``,
   the same callable the traced forward ran.
 - **Scratch.**  A replay draws its scratch from whatever
@@ -22,10 +24,10 @@ This module is the tracing compiler that makes it so:
   none).  The generated function deletes each value right after its
   last read, so the pool's refcount idle test recycles scratch by
   liveness — no schedule, no second allocator.
-- **Replay.**  :meth:`ExecutionPlan.replay` recomputes the batch-derived
-  inputs (edge geometry, pooling weights — work the unplanned path does
-  too), then runs the step list as generated straight-line code over raw
-  ndarrays: no ``Tensor`` objects, no module calls.  The first
+- **Replay.**  :meth:`ExecutionPlan.replay` takes a new batch's
+  ``model.inputs`` (the prologue the unplanned forward runs too) and
+  runs the step list as generated straight-line code over raw ndarrays:
+  no ``Tensor`` objects, no module calls.  The first
   replay is verified bit-identical to the traced forward before the plan
   is admitted.
 
@@ -34,12 +36,12 @@ Safety rails, because a wrong plan is worse than a slow one:
 - Any *unknown* array the tracer meets whose leading dimension matches
   the trace batch's node or edge count raises :class:`PlanTraceError` —
   a batch-dependent value almost slipped in as a constant.  Model code
-  routes such arrays through the registered inputs instead
-  (``EdgeGeometry``'s arrays, the energy head's pooling weights).
-- Symbolic segment counts: a ``num_segments`` kwarg is bound to the
-  ``num_nodes``/``num_graphs`` dimension it tracks (disambiguated by
-  which input array indexes the segments), so replays with a different
-  atom count in the same bucket reduce into the right number of rows.
+  computes such arrays in its ``inputs`` instead.
+- Symbolic segment counts: a ``num_segments`` kwarg is bound to the dim
+  that ``model.INDEX_DIMS`` declares for the index input it reduces by,
+  so replays with a different atom count in the same bucket reduce into
+  the right number of rows.  A count with no declared dim refuses the
+  trace rather than being guessed from its value.
 - :class:`PlanCache` keys plans on power-of-two buckets of ``(nodes,
   edges, graphs)``, watches parameter storage identity (a rebound
   parameter array drops every plan), and falls back to the unplanned
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tensor.core import DEFAULT_DTYPE, Tensor, no_grad, tracing
+from repro.tensor.core import no_grad, tracing
 
 
 class PlanTraceError(RuntimeError):
@@ -72,10 +74,6 @@ def bucket(n: int) -> int:
 _CONST = 0  # payload is the literal value (parameter array, scalar, int)
 _SLOT = 1  # payload is a slot index into the replay's value table
 _DIM = 2  # payload is a named batch dimension ("num_nodes", "num_graphs")
-
-#: Geometry inputs the prologue recomputes per replay batch, in the
-#: shapes :func:`repro.models.egnn.edge_geometry_arrays_for` produces.
-_GEOMETRY_INPUTS = ("src", "dst", "unit_vectors", "envelope", "rbf", "inv_degree")
 
 
 class _Step:
@@ -175,19 +173,16 @@ class PlanTracer:
     def _kwarg_ref(self, key: str, value, kwargs: dict):
         if isinstance(value, np.ndarray):
             return self._ref(value)
-        if key == "num_segments" and isinstance(value, int) and not isinstance(value, bool):
-            segments = kwargs.get("segments")
-            if isinstance(segments, np.ndarray):
-                dim = self._dim_for_slot.get(self._slot_of.get(id(segments)))
-                if dim is not None and self.dims[dim] == value:
-                    return (_DIM, dim)
-            matches = [name for name, dim in self.dims.items() if dim == value]
-            if len(matches) == 1:
-                return (_DIM, matches[0])
-            if matches:
+        if key == "num_segments":
+            # Only the dim its index input was bound with: a match by
+            # value could name the wrong dim, and the replay check, which
+            # replays the trace batch itself, would not see it.
+            dim = self._dim_for_slot.get(self._slot_of.get(id(kwargs.get("segments"))))
+            if dim is None or self.dims.get(dim) != value:
                 raise PlanTraceError(
-                    f"segment count {value} is ambiguous between dims {matches}"
+                    f"segment count {value} is not the declared dim of its index input"
                 )
+            return (_DIM, dim)
         return (_CONST, value)
 
 
@@ -309,41 +304,13 @@ class ExecutionPlan:
         return {name: np.array(value) for name, value in outputs.items()}
 
 
-# ----------------------------------------------------------------------
-# prologue: the per-batch arrays every replay recomputes
-# ----------------------------------------------------------------------
-def plan_inputs(model, batch) -> tuple[dict[str, np.ndarray], dict[str, int]]:
-    """Named replay inputs + symbolic dims for ``batch``.
-
-    This is the work the unplanned path also does per forward (edge
-    geometry, pooling weights) plus the embedding range check the
-    replay would otherwise skip along with ``Embedding.forward``.
-    """
-    from repro.models.egnn import edge_geometry_arrays_for
-    from repro.models.heads import mean_pool_inv_counts
-
-    embedding = model.backbone.embedding
-    ids = np.asarray(batch.atomic_numbers, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= embedding.num_embeddings):
-        raise IndexError(
-            f"embedding ids out of range [0, {embedding.num_embeddings}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
-    node_graph = np.asarray(batch.node_graph, dtype=np.int64)
-    config = model.config
-    inputs = {
-        "atomic_numbers": ids,
-        "x0": np.zeros((batch.num_nodes, 3), dtype=DEFAULT_DTYPE),
-        "node_graph": node_graph,
-        "inv_counts": mean_pool_inv_counts(node_graph, batch.num_graphs),
-        **edge_geometry_arrays_for(batch, config.cutoff, config.num_rbf),
-    }
-    dims = {"num_nodes": int(batch.num_nodes), "num_graphs": int(batch.num_graphs)}
-    return inputs, dims
-
-
 def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
-    """Trace one forward of ``model`` on ``batch`` into an :class:`ExecutionPlan`.
+    """Trace ``model.run`` over ``model.inputs(batch)`` into an :class:`ExecutionPlan`.
+
+    ``model.inputs(batch)`` returns ``(arrays, dims)``: the batch-derived
+    arrays, each bound as a named plan input, and the symbolic dims.
+    ``model.INDEX_DIMS`` names the dim each index input counts into.
+    ``model.run(arrays, dims)`` returns the outputs by name.
 
     Returns ``(plan, outputs)`` where ``outputs`` are the verified
     replay results for ``batch`` itself — compilation *is* this batch's
@@ -353,44 +320,24 @@ def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
 
     Raises :class:`PlanTraceError` when the forward cannot be captured
     (activation checkpointing, a batch-shaped array the tracer cannot
-    account for, or a replay that fails bit-exact verification).
+    account for, a segment count no index input declares, or a replay
+    that fails bit-exact verification).
     """
-    from repro.models.egnn import EdgeGeometry
-
     if model.config.checkpoint_activations:
         raise PlanTraceError("activation checkpointing has no replayable inference path")
 
-    inputs, dims = plan_inputs(model, batch)
+    arrays, dims = model.inputs(batch)
     tracer = PlanTracer(
         dims=dims,
         guard_dims=(batch.num_nodes, batch.num_edges, batch.num_graphs),
         constants=[parameter.data for parameter in model.parameters()],
     )
-    tracer.bind("atomic_numbers", inputs["atomic_numbers"])
-    tracer.bind("x0", inputs["x0"])
-    tracer.bind("node_graph", inputs["node_graph"], dim="num_graphs")
-    tracer.bind("inv_counts", inputs["inv_counts"])
-    tracer.bind("src", inputs["src"], dim="num_nodes")
-    tracer.bind("dst", inputs["dst"], dim="num_nodes")
-    for name in ("unit_vectors", "envelope", "rbf", "inv_degree"):
-        tracer.bind(name, inputs[name])
-
-    geometry = EdgeGeometry(
-        batch,
-        model.config.cutoff,
-        model.config.num_rbf,
-        arrays={name: inputs[name] for name in _GEOMETRY_INPUTS},
-    )
+    for name, array in arrays.items():
+        tracer.bind(name, array, dim=model.INDEX_DIMS.get(name))
     with no_grad(), tracing(tracer):
-        h = model.backbone.embedding(inputs["atomic_numbers"])
-        x = Tensor(inputs["x0"])
-        h, x = model.backbone.run_layers(h, x, geometry)
-        energy = model.energy_head(
-            h, inputs["node_graph"], batch.num_graphs, inv_counts=Tensor(inputs["inv_counts"])
-        )
-        forces = model.force_head(x)
-    tracer.mark_output("energy", energy.data)
-    tracer.mark_output("forces", forces.data)
+        traced = {name: tensor.data for name, tensor in model.run(arrays, dims).items()}
+    for name, array in traced.items():
+        tracer.mark_output(name, array)
 
     plan = ExecutionPlan(
         steps=tracer.steps,
@@ -402,9 +349,9 @@ def compile_plan(model, batch) -> tuple[ExecutionPlan, dict[str, np.ndarray]]:
     # The gate: the production path — the generated function, drawing
     # scratch from the caller's pool like every later replay — must
     # reproduce the traced forward bit for bit.
-    outputs = plan.replay(inputs, dims)
-    for name, traced in (("energy", energy.data), ("forces", forces.data)):
-        if not np.array_equal(outputs[name], traced):
+    outputs = plan.replay(arrays, dims)
+    for name, array in traced.items():
+        if not np.array_equal(outputs[name], array):
             raise PlanTraceError(
                 f"generated replay of {name!r} diverged from the traced forward"
             )
@@ -518,5 +465,4 @@ class PlanCache:
                 if self._plans.get(key) in (None, _FALLBACK):
                     self._plans[key] = compiled
             return outputs
-        inputs, dims = plan_inputs(self._model, batch)
-        return plan.replay(inputs, dims)
+        return plan.replay(*self._model.inputs(batch))

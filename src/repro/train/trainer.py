@@ -10,7 +10,6 @@ variants in :mod:`repro.distributed` reuse its pieces.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.data.normalize import Normalizer
@@ -39,10 +38,6 @@ class TrainerConfig:
     force_weight: float = 1.0
     shuffle_seed: int = 0
     eval_batch_size: int = 32
-    #: Recycle recurring-shape scratch buffers across steps through the
-    #: engine's buffer pool.  Leave off only when byte-exact buffer
-    #: lifetimes matter (the memory profiler manages its own tracking).
-    pool_buffers: bool = True
 
 
 class Trainer:
@@ -63,13 +58,7 @@ class Trainer:
         self.global_step = 0
         # Persistent across fit() epochs so step N+1 reuses step N's
         # activation/gradient buffers instead of reallocating them.
-        self.buffer_pool = BufferPool() if self.config.pool_buffers else None
-
-    def _pooled(self):
-        """Context routing scratch allocations through the trainer's pool."""
-        if self.buffer_pool is None:
-            return nullcontext()
-        return use_pool(self.buffer_pool)
+        self.buffer_pool = BufferPool()
 
     # ------------------------------------------------------------------
     # single step (reused by the distributed engines)
@@ -112,7 +101,7 @@ class Trainer:
         # once and the batches reused by every epoch's evaluation.
         eval_batches = collate_eval_batches(test_graphs, self.config.eval_batch_size)
         metrics: dict[str, float] | None = None
-        with self._pooled():
+        with use_pool(self.buffer_pool):
             for epoch in range(self.config.epochs):
                 start = time.perf_counter()
                 epoch_loss = 0.0

@@ -14,7 +14,7 @@ from repro.graph.radius import build_edges
 from repro.models import EGNNBackbone, HydraModel, ModelConfig, get_preset
 from repro.models.egnn import RBF_FLOOR, edge_geometry_arrays_for
 from repro.tensor import kernels, no_grad
-from repro.tensor.plan import compile_plan, plan_inputs
+from repro.tensor.plan import compile_plan
 from tests.helpers import make_crystal_graphs, make_molecule_graphs, make_periodic_graphs
 from tests.reference import composed_ops
 
@@ -271,7 +271,7 @@ class TestSubnormalFlush:
 
         model = HydraModel(config, seed=0)
         plan, _ = compile_plan(model, batch)
-        inputs, dims = plan_inputs(model, batch)
+        inputs, dims = model.inputs(batch)
         flushed_out = plan.replay(inputs, dims)
         unflushed_out = plan.replay({**inputs, "rbf": unflushed}, dims)
         for key in ("energy", "forces"):

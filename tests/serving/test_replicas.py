@@ -17,6 +17,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -802,6 +803,30 @@ class TestStartup:
         assert "loading model\nerror: no such preset" in str(error)
         assert elapsed < 10.0  # the exit ends the wait, not the timeout
         assert [process.returncode for process in spawned] == [3]
+
+
+def test_a_probe_answered_with_a_malformed_status_line_fails_the_probe():
+    """The probe reports a failed probe; it does not raise out of the monitor."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def answer_garbage():
+        connection, _ = listener.accept()
+        with connection:
+            connection.recv(65536)
+            connection.sendall(b"GARBAGE\r\n\r\n")
+
+    supervisor = ReplicaSupervisor(count=1, spec=ReplicaSpec(), probe_timeout_s=5.0)
+    thread, _ = in_thread(answer_garbage)
+    try:
+        handle = supervisor._handles[0]
+        handle.port = listener.getsockname()[1]
+        assert supervisor._probe(handle) == (False, 0.0)
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+        supervisor.router.close()
+    assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------

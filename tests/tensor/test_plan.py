@@ -21,7 +21,7 @@ from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
 from repro.tensor import allocator, kernels
 from repro.tensor.core import function_nodes_created
-from repro.tensor.plan import PlanTraceError, bucket, compile_plan, plan_inputs, plan_key
+from repro.tensor.plan import PlanTraceError, bucket, compile_plan, plan_key
 from tests.helpers import count_calls, make_molecule_graphs, make_periodic_graphs
 from tests.reference import composed_ops
 
@@ -217,6 +217,18 @@ class TestFallback:
         model.serve(batch, plan=True)
         assert model.plans.stats.compiled == 0
 
+    def test_undeclared_segment_count_falls_back_to_unplanned(self):
+        """A segment count resolves only through its index input's declared
+        dim, never by matching its value against the batch dims."""
+        model = fresh_model()
+        model.INDEX_DIMS = {"src": "num_nodes", "dst": "num_nodes"}  # node_graph undeclared
+        batch = collate(make_molecule_graphs(2, seed=0))
+        with pytest.raises(PlanTraceError, match="segment count"):
+            compile_plan(model, batch)
+        assert_same_outputs(model.serve(batch, plan=False), model.serve(batch, plan=True))
+        assert model.plans.stats.fallbacks == 1
+        assert len(model.plans) == 0
+
     def test_compile_refuses_checkpointing_directly(self):
         config = ModelConfig(hidden_dim=16, num_layers=2, checkpoint_activations=True)
         model = fresh_model(config)
@@ -250,7 +262,7 @@ class TestPlanInternals:
         pool = allocator.BufferPool()
         with allocator.use_pool(pool):
             plan, _ = compile_plan(model, batch)
-            inputs, dims = plan_inputs(model, batch)
+            inputs, dims = model.inputs(batch)
             plan.replay(inputs, dims)  # the first replay warms the pool
             hits, misses = pool.stats.hits, pool.stats.misses
             plan.replay(inputs, dims)
@@ -267,7 +279,7 @@ class TestPlanInternals:
         for layers in (3, 6):
             model = fresh_model(ModelConfig(hidden_dim=16, num_layers=layers))
             plan, _ = compile_plan(model, batch)
-            inputs, dims = plan_inputs(model, batch)
+            inputs, dims = model.inputs(batch)
             pool = allocator.BufferPool()
             with allocator.use_pool(pool):
                 plan.replay(inputs, dims)
@@ -361,7 +373,7 @@ class TestPlanInternals:
     def test_plan_inputs_match_unplanned_geometry(self):
         model = fresh_model()
         batch = collate(make_molecule_graphs(2, seed=0))
-        inputs, dims = plan_inputs(model, batch)
+        inputs, dims = model.inputs(batch)
         assert dims == {"num_nodes": batch.num_nodes, "num_graphs": batch.num_graphs}
         assert inputs["rbf"].shape == (batch.num_edges, model.config.num_rbf)
         assert inputs["inv_counts"].shape == (batch.num_graphs, 1)

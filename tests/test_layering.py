@@ -6,7 +6,8 @@ of ``repro.serving`` — the replica router forwards v1 bodies without
 importing the schemas that type them; and the ``/v1/stats`` table in
 ``serving/telemetry.py`` is standard library only, so the router and
 offline readers of server-emitted stats can import it alone.  The
-engine (``repro.tensor``) runs each kernel on its caller's thread: the
+engine (``repro.tensor``) imports no model, since a plan traces the
+model's own forward, and it runs each kernel on its caller's thread: the
 serving callers are where the cores go, so it imports no executor.  It
 also has one scratch allocator, the buffer pool in
 ``repro.tensor.allocator``, which plan replays share with everything else.
@@ -85,13 +86,17 @@ def test_the_telemetry_table_imports_only_the_standard_library():
 
 
 def test_the_fleet_front_door_imports_only_the_standard_library():
+    """... and speaks HTTP through ``http.client`` alone, not ``urllib.request``."""
     allowed = ("repro.wire", *(f"repro.serving.{m}" for m in ("telemetry", "router", "faults")))
     for name in ("router.py", "replicas.py"):
         offenders = {
             module
             for module in imports_of_file(PACKAGE / "serving" / name)
-            if module.split(".")[0] not in sys.stdlib_module_names
-            and not any(is_under(module, package) for package in allowed)
+            if (
+                module.split(".")[0] not in sys.stdlib_module_names
+                and not any(is_under(module, package) for package in allowed)
+            )
+            or is_under(module, "urllib.request")
         }
         assert offenders == set(), name
 
@@ -157,6 +162,20 @@ def test_the_buffer_pool_is_the_only_scratch_allocator():
                 if names[-2:] == ["shape", "dtype"]:
                     owners.add(".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts))
     assert owners == {"repro.tensor.allocator"}
+
+
+def test_the_engine_imports_no_model():
+    """The plan compiler traces whatever ``model.run`` does over
+    ``model.inputs(batch)``; nothing under ``repro.tensor`` names a model."""
+    sources = sorted((PACKAGE / "tensor").rglob("*.py"))
+    assert (PACKAGE / "tensor" / "plan.py") in sources
+    offenders = {
+        (path.name, module)
+        for path in sources
+        for module in imports_of_file(path)
+        if is_under(module, "repro.models")
+    }
+    assert offenders == set()
 
 
 def test_the_engine_starts_no_thread_pools():
